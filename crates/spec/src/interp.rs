@@ -1,5 +1,5 @@
 //! The explicit-state oracle: evaluating a compiled specification
-//! against concrete traces and litmus tests by brute force.
+//! against concrete traces and litmus tests by exhaustive search.
 //!
 //! This replaces the hand-written per-[`Mode`](cf_memmodel::Mode) rule
 //! checks of `cf-memmodel` as the reference semantics for spec-defined
@@ -10,15 +10,36 @@
 //!
 //! Axioms whose relations are *static* (no `mo`/`rf`/`co`/`fr`) are
 //! evaluated once up front: `order`/`acyclic` axioms become required
-//! edges that prune the search, `empty`/`irreflexive` axioms are
-//! decided immediately. Dynamic axioms are re-evaluated per candidate
-//! order with the derived reads-from relation.
+//! edges (kept as per-event predecessor masks) that prune the search,
+//! `empty`/`irreflexive` axioms are decided immediately. Dynamic axioms
+//! are re-evaluated per complete candidate order with the derived
+//! reads-from relation.
+//!
+//! The trace search ([`trace_allowed`]) also cuts prefixes that cannot
+//! succeed, without changing any answer:
+//!
+//! * **Values are checked at placement.** A load placed into `mo` whose
+//!   value is already determined must carry it: with forwarding off it
+//!   reads the last placed same-address store (or the initial value);
+//!   with forwarding on the same holds once none of its program-order
+//!   earlier same-thread same-address stores is still unplaced. Any
+//!   other load is left to the check of the complete order.
+//! * **Dead prefixes are memoized** by (placed set, last placed store
+//!   per address, open atomic block) when the spec has no dynamic
+//!   axioms and forwarding is off — then the placement checks imply the
+//!   check of the complete order, so that key alone decides whether a
+//!   prefix can be completed. This covers the bundled `sc` spec and its
+//!   axiom-removed variants, which every counterexample diagnosis
+//!   ([`violated_axioms`]) replays against.
+//!
+//! The check of each complete order is unchanged by either cut, so the
+//! answers are those of plain enumeration.
 //!
 //! Model-independent execution structure is enforced exactly as in the
 //! legacy oracle: atomic blocks execute in program order and
 //! contiguously, and initial values are read when no store is visible.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use cf_lsl::{FenceSem, MemOrder, Value};
 use cf_memmodel::{sem_orders, AccessKind, ConcreteTrace, Litmus, LitmusOp, TraceItem};
@@ -239,10 +260,22 @@ impl RelBackend for DynCtx<'_> {
 
 // ------------------------------------------------- static compilation
 
+/// A set of events as a bitmask over event indices (traces have at most
+/// 12 accesses, litmus tests at most 10).
+type Mask = u16;
+
+fn bit(e: usize) -> Mask {
+    1 << e
+}
+
 struct CompiledStatic<'s> {
-    /// Required `x <mo y` edges from static `order`/`acyclic` axioms,
-    /// plus atomic-block internal program order.
-    edges: Vec<(usize, usize)>,
+    /// `preds[y]`: every `x` with a required `x <mo y` edge, from static
+    /// `order`/`acyclic` axioms plus atomic-block internal program
+    /// order.
+    preds: Vec<Mask>,
+    /// `group[e]`: the members of `e`'s atomic block (same thread and
+    /// group), empty when `e` is in none.
+    group: Vec<Mask>,
     /// Axioms needing per-order evaluation.
     dynamic: Vec<&'s Axiom>,
     /// A static axiom is violated by the program text alone: no
@@ -250,10 +283,18 @@ struct CompiledStatic<'s> {
     impossible: bool,
 }
 
+impl CompiledStatic<'_> {
+    /// Are all required predecessors of `c` among the `placed` events?
+    fn ready(&self, c: usize, placed: Mask) -> bool {
+        self.preds[c] & !placed == 0
+    }
+}
+
 fn compile_static<'s>(spec: &'s ModelSpec, prog: &Prog) -> CompiledStatic<'s> {
     let n = prog.events.len();
     let mut out = CompiledStatic {
-        edges: Vec::new(),
+        preds: vec![0; n],
+        group: vec![0; n],
         dynamic: Vec::new(),
         impossible: false,
     };
@@ -273,7 +314,7 @@ fn compile_static<'s>(spec: &'s ModelSpec, prog: &Prog) -> CompiledStatic<'s> {
                         if x == y {
                             out.impossible = true;
                         } else {
-                            out.edges.push((x, y));
+                            out.preds[y] |= bit(x);
                         }
                     }
                 }
@@ -295,12 +336,11 @@ fn compile_static<'s>(spec: &'s ModelSpec, prog: &Prog) -> CompiledStatic<'s> {
     for x in 0..n {
         for y in 0..n {
             let (ex, ey) = (&prog.events[x], &prog.events[y]);
-            if ex.thread == ey.thread
-                && ex.pos < ey.pos
-                && ex.group.is_some()
-                && ex.group == ey.group
-            {
-                out.edges.push((x, y));
+            if ex.thread == ey.thread && ex.group.is_some() && ex.group == ey.group {
+                out.group[x] |= bit(y);
+                if ex.pos < ey.pos {
+                    out.preds[y] |= bit(x);
+                }
             }
         }
     }
@@ -331,10 +371,16 @@ fn dynamic_ok(dynamic: &[&Axiom], prog: &Prog, pos: &[usize], rf_src: &[Option<u
 /// trace? The spec-driven analogue of
 /// [`ConcreteTrace::allowed`](cf_memmodel::ConcreteTrace::allowed).
 ///
+/// The search places events into `mo` one at a time, checking each
+/// load's value as soon as it is determined, and — for specs without
+/// dynamic axioms or forwarding — remembers the prefixes that cannot
+/// be completed (see the module docs).
+///
 /// # Panics
 ///
-/// Panics if the trace has more than 12 accesses (the search is
-/// factorial; the SAT path handles bigger programs).
+/// Panics if the trace has more than 12 accesses (the search is still
+/// exponential in the worst case; the SAT path handles bigger
+/// programs).
 pub fn trace_allowed(trace: &ConcreteTrace, spec: &ModelSpec) -> bool {
     let mut events = Vec::new();
     let mut values = Vec::new();
@@ -381,74 +427,181 @@ pub fn trace_allowed(trace: &ConcreteTrace, spec: &ModelSpec) -> bool {
     if compiled.impossible {
         return false;
     }
-    let n = prog.events.len();
-    let mut order = Vec::with_capacity(n);
-    let mut used = vec![false; n];
-    search_trace(
-        &prog,
-        &values,
-        &trace.init,
-        spec,
-        &compiled,
-        &mut order,
-        &mut used,
-    )
+    TraceSearch::new(&prog, &values, &trace.init, spec.forwarding, &compiled).run()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn search_trace(
-    prog: &Prog,
-    values: &[Value],
-    init: &HashMap<Vec<u32>, Value>,
-    spec: &ModelSpec,
-    compiled: &CompiledStatic<'_>,
-    order: &mut Vec<usize>,
-    used: &mut Vec<bool>,
-) -> bool {
-    let n = prog.events.len();
-    if order.len() == n {
-        let pos = positions(order);
-        let Some(rf_src) = trace_values_ok(prog, values, init, &pos, spec.forwarding) else {
-            return false;
-        };
-        return dynamic_ok(&compiled.dynamic, prog, &pos, &rf_src);
+/// The last placed store per address, four bits per address index
+/// (`0`: none yet, `s + 1`: store `s`). At most 12 events means at most
+/// 12 addresses, so 48 bits suffice.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct LastStores(u64);
+
+impl LastStores {
+    fn get(self, a: usize) -> Option<usize> {
+        match (self.0 >> (4 * a)) & 0xf {
+            0 => None,
+            s => Some(s as usize - 1),
+        }
     }
-    'next: for c in 0..n {
-        if used[c] {
-            continue;
-        }
-        for &(a, b) in &compiled.edges {
-            if b == c && !used[a] {
-                continue 'next;
-            }
-        }
-        // Atomic group contiguity (as in the legacy oracle): an open
-        // group must finish before anything else runs.
-        if let Some(&last) = order.last() {
-            let open_group = prog.events[last].group.filter(|g| {
-                prog.events.iter().enumerate().any(|(i, e)| {
-                    !used[i] && e.group == Some(*g) && e.thread == prog.events[last].thread
+
+    fn set(self, a: usize, s: usize) -> Self {
+        LastStores(self.0 & !(0xf << (4 * a)) | (s as u64 + 1) << (4 * a))
+    }
+}
+
+/// What decides whether a prefix can be completed, when the placement
+/// checks imply the check of the complete order: (placed set, unplaced
+/// members of the open atomic block, last placed store per address).
+type PrefixKey = (Mask, Mask, LastStores);
+
+/// The linearization search behind [`trace_allowed`].
+struct TraceSearch<'a> {
+    prog: &'a Prog,
+    values: &'a [Value],
+    init: &'a HashMap<Vec<u32>, Value>,
+    forwarding: bool,
+    compiled: &'a CompiledStatic<'a>,
+    /// Per event: its address, as an index into the trace's distinct
+    /// addresses.
+    addr: Vec<usize>,
+    /// Per load: the same-address stores that wrote its value.
+    reads_store: Vec<Mask>,
+    /// Per load: does it carry the initial value of its address?
+    reads_init: Vec<bool>,
+    /// Per load: its forwarding sources (same-thread, program-order
+    /// earlier, same-address stores).
+    fwd_src: Vec<Mask>,
+    /// Prefixes known not to complete, kept only when the placement
+    /// checks imply the check of the complete order. Membership only.
+    dead: Option<HashSet<PrefixKey>>,
+    /// The events placed so far, in `mo` order.
+    order: Vec<usize>,
+}
+
+impl<'a> TraceSearch<'a> {
+    fn new(
+        prog: &'a Prog,
+        values: &'a [Value],
+        init: &'a HashMap<Vec<u32>, Value>,
+        forwarding: bool,
+        compiled: &'a CompiledStatic<'a>,
+    ) -> Self {
+        let events = &prog.events;
+        let n = events.len();
+        let mut addrs: Vec<&[u32]> = Vec::new();
+        let addr = events
+            .iter()
+            .map(|e| {
+                addrs.iter().position(|a| *a == e.addr).unwrap_or_else(|| {
+                    addrs.push(&e.addr);
+                    addrs.len() - 1
                 })
-            });
-            if let Some(g) = open_group {
-                if prog.events[c].group != Some(g)
-                    || prog.events[c].thread != prog.events[last].thread
-                {
-                    continue 'next;
+            })
+            .collect();
+        let mut reads_store = vec![0; n];
+        let mut reads_init = vec![false; n];
+        let mut fwd_src = vec![0; n];
+        for (l, el) in events.iter().enumerate() {
+            if el.kind != AccessKind::Load {
+                continue;
+            }
+            let init_value = init.get(&el.addr).cloned().unwrap_or(Value::Undefined);
+            reads_init[l] = values[l] == init_value;
+            for (s, es) in events.iter().enumerate() {
+                if es.kind != AccessKind::Store || es.addr != el.addr {
+                    continue;
+                }
+                if values[s] == values[l] {
+                    reads_store[l] |= bit(s);
+                }
+                if es.thread == el.thread && es.pos < el.pos {
+                    fwd_src[l] |= bit(s);
                 }
             }
         }
-        used[c] = true;
-        order.push(c);
-        if search_trace(prog, values, init, spec, compiled, order, used) {
-            used[c] = false;
-            order.pop();
+        TraceSearch {
+            prog,
+            values,
+            init,
+            forwarding,
+            compiled,
+            addr,
+            reads_store,
+            reads_init,
+            fwd_src,
+            dead: (compiled.dynamic.is_empty() && !forwarding).then(HashSet::new),
+            order: Vec::with_capacity(n),
+        }
+    }
+
+    fn run(mut self) -> bool {
+        self.search(0, 0, LastStores(0))
+    }
+
+    /// Can the prefix `order` be completed into an allowed order?
+    /// `placed` is its event set, `open` the unplaced members of the
+    /// atomic block it has entered but not finished, `last` its last
+    /// store per address.
+    fn search(&mut self, placed: Mask, open: Mask, last: LastStores) -> bool {
+        let prog = self.prog;
+        let n = prog.events.len();
+        if self.order.len() == n {
+            let pos = positions(&self.order);
+            let Some(rf_src) = trace_values_ok(prog, self.values, self.init, &pos, self.forwarding)
+            else {
+                return false;
+            };
+            return dynamic_ok(&self.compiled.dynamic, prog, &pos, &rf_src);
+        }
+        let key = (placed, open, last);
+        if self.dead.as_ref().is_some_and(|dead| dead.contains(&key)) {
+            return false;
+        }
+        for c in 0..n {
+            // Unplaced, every required predecessor placed, and — atomic
+            // block contiguity, as in the legacy oracle — inside the
+            // open block if there is one.
+            if placed & bit(c) != 0
+                || !self.compiled.ready(c, placed)
+                || (open != 0 && open & bit(c) == 0)
+            {
+                continue;
+            }
+            let next_last = match prog.events[c].kind {
+                AccessKind::Store => last.set(self.addr[c], c),
+                AccessKind::Load if self.value_possible(c, placed, last) => last,
+                AccessKind::Load => continue,
+            };
+            let now = placed | bit(c);
+            self.order.push(c);
+            let found = self.search(now, self.compiled.group[c] & !now, next_last);
+            self.order.pop();
+            if found {
+                return true;
+            }
+        }
+        if let Some(dead) = &mut self.dead {
+            dead.insert(key);
+        }
+        false
+    }
+
+    /// The placement-time value check of load `l`, placed right after
+    /// `placed`: false only when `l` reads a value other than its own
+    /// in every completion of the prefix.
+    fn value_possible(&self, l: usize, placed: Mask, last: LastStores) -> bool {
+        if self.forwarding && self.fwd_src[l] & !placed != 0 {
+            // An unplaced forwarding source lands after `l` in `mo` and
+            // would be the latest visible store: undetermined yet, so
+            // left to the check of the complete order.
             return true;
         }
-        used[c] = false;
-        order.pop();
+        // Every store visible to `l` is placed: it reads the last one.
+        match last.get(self.addr[l]) {
+            Some(s) => self.reads_store[l] & bit(s) != 0,
+            None => self.reads_init[l],
+        }
     }
-    false
 }
 
 fn positions(order: &[usize]) -> Vec<usize> {
@@ -542,10 +695,15 @@ pub fn violated_axioms(trace: &ConcreteTrace, spec: &ModelSpec) -> Vec<String> {
     }
     // No single axiom is responsible. If the axioms are jointly to
     // blame (the trace satisfies the value axioms under *some* order),
-    // report all of them; otherwise the rejection is value-level.
-    let mut bare = spec.clone();
-    bare.axioms.clear();
-    if trace_allowed(trace, &bare) {
+    // report all of them; otherwise the rejection is value-level. With
+    // at most one axiom the bare spec has already been searched and
+    // rejected: it is `spec` itself, or its one axiom-removed variant.
+    let bare_allowed = spec.axioms.len() > 1 && {
+        let mut bare = spec.clone();
+        bare.axioms.clear();
+        trace_allowed(trace, &bare)
+    };
+    if bare_allowed {
         spec.axioms
             .iter()
             .enumerate()
@@ -620,9 +778,7 @@ pub fn litmus_outcomes(test: &Litmus, spec: &ModelSpec) -> BTreeSet<Vec<i64>> {
     if compiled.impossible {
         return outcomes;
     }
-    let n = prog.events.len();
-    let mut order = Vec::with_capacity(n);
-    let mut used = vec![false; n];
+    let mut order = Vec::with_capacity(prog.events.len());
     litmus_rec(
         &prog,
         spec,
@@ -631,7 +787,7 @@ pub fn litmus_outcomes(test: &Litmus, spec: &ModelSpec) -> BTreeSet<Vec<i64>> {
         &load_reg,
         test.num_regs,
         &mut order,
-        &mut used,
+        0,
         &mut outcomes,
     );
     outcomes
@@ -651,7 +807,7 @@ fn litmus_rec(
     load_reg: &[Option<usize>],
     num_regs: usize,
     order: &mut Vec<usize>,
-    used: &mut Vec<bool>,
+    placed: Mask,
     outcomes: &mut BTreeSet<Vec<i64>>,
 ) {
     let n = prog.events.len();
@@ -686,21 +842,22 @@ fn litmus_rec(
         }
         return;
     }
-    'next: for c in 0..n {
-        if used[c] {
+    for c in 0..n {
+        if placed & bit(c) != 0 || !compiled.ready(c, placed) {
             continue;
         }
-        for &(a, b) in &compiled.edges {
-            if b == c && !used[a] {
-                continue 'next;
-            }
-        }
-        used[c] = true;
         order.push(c);
         litmus_rec(
-            prog, spec, compiled, store_val, load_reg, num_regs, order, used, outcomes,
+            prog,
+            spec,
+            compiled,
+            store_val,
+            load_reg,
+            num_regs,
+            order,
+            placed | bit(c),
+            outcomes,
         );
-        used[c] = false;
         order.pop();
     }
 }
@@ -834,6 +991,32 @@ mod tests {
             assert_eq!(items.len(), 2, "thread {i}");
         }
         assert!(violated_axioms(&unfenced, &relaxed).is_empty());
+    }
+
+    #[test]
+    fn value_rejected_trace_names_no_axiom() {
+        // The load returns 5, which neither the store nor the initial
+        // value wrote: no order reproduces it, whatever the axioms say,
+        // so there is no axiom to blame.
+        use crate::bundled;
+        use cf_lsl::Value;
+        let sc = compile(bundled::SC).expect("bundled sc compiles");
+        let access = |kind, value| TraceItem::Access {
+            kind,
+            addr: vec![0],
+            value: Value::Int(value),
+            group: None,
+            ord: MemOrder::Plain,
+        };
+        let trace = ConcreteTrace {
+            threads: vec![
+                vec![access(AccessKind::Store, 1)],
+                vec![access(AccessKind::Load, 5)],
+            ],
+            init: HashMap::from([(vec![0], Value::Int(0))]),
+        };
+        assert!(!trace_allowed(&trace, &sc));
+        assert!(violated_axioms(&trace, &sc).is_empty());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! ([`eval()`]):
 //!
 //! * the explicit-state oracle ([`interp`]) decides litmus tests and
-//!   annotated traces by brute force, replacing the hand-written
+//!   annotated traces by exhaustive search, replacing the hand-written
 //!   per-`Mode` rule checks as the reference semantics for spec-defined
 //!   models;
 //! * the `checkfence` core compiles the same spec into the CNF relation

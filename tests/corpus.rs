@@ -4,8 +4,10 @@
 
 use std::path::Path;
 
+use cf_memmodel::ModeSet;
 use cf_synth::corpus::{load_dir, CorpusEntry};
 use cf_synth::{run_corpus, CorpusConfig, CorpusVerdict};
+use checkfence::{mine_reference, Engine, EngineConfig, ModelSel, Query};
 
 fn corpus() -> Vec<CorpusEntry> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
@@ -227,4 +229,41 @@ fn c11_family_is_ported_in_force() {
 #[test]
 fn c11_declared_verdicts_are_reproduced() {
     assert_verdicts(&c11_corpus(), &c11_config());
+}
+
+/// The family's costliest diagnosis: `RSEQbrk` fails under both
+/// ordering specs with an 11-access witness, which the checker replays
+/// through the explicit oracle against `sc.cfm` to name the axiom the
+/// execution breaks.
+#[test]
+fn c11_release_sequence_witness_names_the_sc_axiom() {
+    let entry = c11_corpus()
+        .into_iter()
+        .find(|e| e.name == "c11_release_seq")
+        .expect("corpus/c11/release_seq.c loads");
+    let test = entry
+        .tests
+        .iter()
+        .find(|t| t.name == "RSEQbrk")
+        .expect("release_seq.c declares RSEQbrk");
+    let obs = mine_reference(&entry.harness, test).expect("mines").spec;
+    let config = c11_config();
+    let modes: ModeSet = config.modes.iter().copied().collect();
+    let mut engine = Engine::new(
+        EngineConfig::from_check_config(&config.check, modes).with_specs(config.specs.clone()),
+    );
+    for (i, spec) in config.specs.iter().enumerate() {
+        let query =
+            Query::check_inclusion(&entry.harness, test, obs.clone()).on_model(ModelSel::Spec(i));
+        let verdict = engine.run(&query).expect("spec check runs");
+        let cx = verdict
+            .counterexample()
+            .unwrap_or_else(|| panic!("RSEQbrk must fail under {}", spec.name));
+        assert_eq!(
+            cx.violated_axiom.as_deref(),
+            Some("program_order"),
+            "RSEQbrk under {}: {cx}",
+            spec.name
+        );
+    }
 }
