@@ -1,7 +1,8 @@
 //! Mutation-engine equivalence: the batched matrix (toggle literals on
 //! one session) must return exactly the verdicts of the per-mutant
-//! one-shot oracle — the mirror of `session_equiv.rs` for the
-//! statement-toggle generalization.
+//! reference oracle ([`oracle::oneshot`] on concretely mutated builds)
+//! — the mirror of `session_equiv.rs` for the statement-toggle
+//! generalization.
 //!
 //! Three layers:
 //!
@@ -9,25 +10,22 @@
 //!    buffering, coherence): every mutant × every model compared
 //!    exhaustively, plus the gating check that the instrumented program
 //!    with all toggles off is observation-equivalent to the original;
-//! 2. **treiber/ms2**: a seeded-random subset of each plan's toggles
-//!    compared against concretely mutated one-shot builds on all
-//!    hardware models;
-//! 3. amortization: every session matrix above answers from one
+//! 2. **treiber/ms2**: the full treiber matrix with a declarative
+//!    column (the bundled `tso.cfm` spec), and a seeded-random subset of
+//!    each plan's toggles compared against concretely mutated one-shot
+//!    builds on all hardware models;
+//! 3. amortization: every engine matrix above answers from one
 //!    symbolic execution and one encoding.
-//!
-//! Equivalence suites are the sanctioned callers of the deprecated
-//! method grid (the shims must stay verdict-identical to the query
-//! engine and the one-shot oracles), hence the targeted allow.
-#![allow(deprecated)]
 
 use cf_algos::{ms2, tests, treiber, Variant};
 use cf_memmodel::{Mode, ModeSet};
 use cf_sat::xorshift::Rng;
 use checkfence::mutate::{
     run_mutation_matrix, run_mutation_matrix_oneshot, MatrixConfig, MutationConfig, MutationPlan,
+    MutationReport,
 };
 use checkfence::{
-    CheckConfig, CheckSession, Checker, Harness, ModelSel, OpSig, SessionConfig, TestSpec,
+    mine_reference, oracle, CheckConfig, Engine, EngineConfig, Harness, OpSig, Query, TestSpec,
 };
 
 fn harness(name: &str, source: &str, ops: Vec<OpSig>) -> Harness {
@@ -92,9 +90,15 @@ fn litmus_catalog() -> Vec<(Harness, TestSpec)> {
     ]
 }
 
-/// Session matrix == one-shot matrix, cell for cell.
-fn assert_matrix_equiv(h: &Harness, t: &TestSpec, config: &MatrixConfig) -> MutationPlan {
-    let plan = MutationPlan::build(&h.program, &MutationConfig::default());
+/// Session matrix == one-shot matrix, cell for cell; returns the
+/// session report.
+fn assert_matrix_equiv(
+    h: &Harness,
+    t: &TestSpec,
+    mutation: &MutationConfig,
+    config: &MatrixConfig,
+) -> MutationReport {
+    let plan = MutationPlan::build(&h.program, mutation);
     assert!(!plan.points.is_empty(), "{}: nothing planned", h.name);
     let session = run_mutation_matrix(h, t, &plan, config).expect("session matrix");
     let oneshot = run_mutation_matrix_oneshot(h, t, &plan, config).expect("one-shot matrix");
@@ -108,7 +112,7 @@ fn assert_matrix_equiv(h: &Harness, t: &TestSpec, config: &MatrixConfig) -> Muta
     }
     assert_eq!(session.session.symexecs, 1, "{}: one symexec", h.name);
     assert_eq!(session.session.encodes, 1, "{}: one encode", h.name);
-    plan
+    session
 }
 
 #[test]
@@ -118,8 +122,28 @@ fn litmus_catalog_mutants_match_oneshot_on_every_model() {
         ..MatrixConfig::default()
     };
     for (h, t) in litmus_catalog() {
-        assert_matrix_equiv(&h, &t, &config);
+        assert_matrix_equiv(&h, &t, &MutationConfig::default(), &config);
     }
+}
+
+#[test]
+fn treiber_matrix_spec_column_matches_oneshot() {
+    // The spec column runs through the reference's own lazy-unrolling
+    // loop with a single-spec encoding, independent of the engine.
+    let s = cf_algos::ablation::subject("treiber").expect("known subject");
+    let tso = cf_spec::compile(cf_spec::bundled::TSO).expect("bundled tso spec compiles");
+    let config = MatrixConfig {
+        modes: vec![Mode::Tso, Mode::Relaxed],
+        specs: vec![tso],
+        ..MatrixConfig::default()
+    };
+    let report = assert_matrix_equiv(&s.harness, &s.tests[0], &s.mutation, &config);
+    // The column is not vacuous: the matrix separates tso from relaxed,
+    // and the spec agrees with the built-in model it axiomatizes.
+    let column =
+        |i: usize| -> Vec<_> { report.rows.iter().map(|r| r.verdicts[i].clone()).collect() };
+    assert_ne!(column(0), column(1), "tso and relaxed columns coincide");
+    assert_eq!(column(0), column(2), "tso.cfm disagrees with built-in tso");
 }
 
 #[test]
@@ -135,16 +159,28 @@ fn toggles_off_is_observation_equivalent_to_the_original() {
             init_proc: h.init_proc.clone(),
             ops: h.ops.clone(),
         };
-        let config = SessionConfig::from_check_config(&CheckConfig::default(), ModeSet::hardware());
-        let mut session = CheckSession::with_config(&instrumented, &t, config);
+        let mut engine = Engine::new(EngineConfig::from_check_config(
+            &CheckConfig::default(),
+            ModeSet::hardware(),
+        ));
         for mode in Mode::hardware() {
-            let gated = session
-                .enumerate_observations_toggled(ModelSel::Builtin(mode), &[])
-                .expect("gated enumeration");
-            let plain = Checker::new(&h, &t)
-                .with_memory_model(mode)
-                .enumerate_observations_oneshot(mode)
-                .expect("one-shot enumeration");
+            let gated = engine
+                .run(
+                    &Query::enumerate(&instrumented, &t)
+                        .on(mode)
+                        .with_toggles(&[]),
+                )
+                .expect("gated enumeration")
+                .into_observations()
+                .expect("observations");
+            let plain = oracle::oneshot(
+                &Query::enumerate(&h, &t).on(mode),
+                &CheckConfig::default(),
+                &[],
+            )
+            .expect("one-shot enumeration")
+            .into_observations()
+            .expect("observations");
             assert_eq!(
                 gated.vectors,
                 plain.vectors,
@@ -153,11 +189,11 @@ fn toggles_off_is_observation_equivalent_to_the_original() {
                 mode.name()
             );
         }
-        assert_eq!(session.stats().encodes, 1);
+        assert_eq!(engine.stats().encodes, 1);
     }
 }
 
-/// A seeded-random sample of one subject's toggles, session vs.
+/// A seeded-random sample of one subject's toggles, engine vs.
 /// one-shot, on all hardware models.
 fn assert_random_subset_equiv(h: &Harness, t: &TestSpec, mutation: &MutationConfig, seed: u64) {
     let plan = MutationPlan::build(&h.program, mutation);
@@ -170,18 +206,17 @@ fn assert_random_subset_equiv(h: &Harness, t: &TestSpec, mutation: &MutationConf
             picked.push(id);
         }
     }
-    let spec = Checker::new(h, t)
-        .mine_spec_reference()
-        .expect("mines")
-        .spec;
+    let spec = mine_reference(h, t).expect("mines").spec;
     let instrumented = Harness {
         name: format!("{}+mutants", h.name),
         program: plan.instrumented.clone(),
         init_proc: h.init_proc.clone(),
         ops: h.ops.clone(),
     };
-    let config = SessionConfig::from_check_config(&CheckConfig::default(), ModeSet::hardware());
-    let mut session = CheckSession::with_config(&instrumented, t, config);
+    let mut engine = Engine::new(EngineConfig::from_check_config(
+        &CheckConfig::default(),
+        ModeSet::hardware(),
+    ));
     for &id in &picked {
         let mutant = Harness {
             name: format!("{}+m{id}", h.name),
@@ -190,13 +225,19 @@ fn assert_random_subset_equiv(h: &Harness, t: &TestSpec, mutation: &MutationConf
             ops: h.ops.clone(),
         };
         for mode in Mode::hardware() {
-            let s = session
-                .check_inclusion_toggled(ModelSel::Builtin(mode), &spec, &[id])
-                .map(|r| r.outcome.passed());
-            let o = Checker::new(&mutant, t)
-                .with_memory_model(mode)
-                .check_inclusion_oneshot(&spec)
-                .map(|r| r.outcome.passed());
+            let s = engine
+                .run(
+                    &Query::check_inclusion(&instrumented, t, spec.clone())
+                        .on(mode)
+                        .with_toggles(&[id]),
+                )
+                .map(|v| v.passed());
+            let o = oracle::oneshot(
+                &Query::check_inclusion(&mutant, t, spec.clone()).on(mode),
+                &CheckConfig::default(),
+                &[],
+            )
+            .map(|v| v.passed());
             match (s, o) {
                 (Ok(a), Ok(b)) => assert_eq!(
                     a,
@@ -211,7 +252,7 @@ fn assert_random_subset_equiv(h: &Harness, t: &TestSpec, mutation: &MutationConf
             }
         }
     }
-    assert_eq!(session.stats().encodes, 1, "{}: one encode", h.name);
+    assert_eq!(engine.stats().encodes, 1, "{}: one encode", h.name);
 }
 
 #[test]

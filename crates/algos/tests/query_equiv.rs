@@ -1,24 +1,20 @@
-//! Randomized query/legacy/oneshot equivalence: mixed [`Query`] batches
-//! over treiber/ms2 answered by [`Engine::run_batch`] must return
-//! exactly the verdicts of (a) the deprecated `CheckSession` method
-//! grid and (b) the pre-session `*_oneshot` oracles — shim ≡ query ≡
-//! oneshot, on every sampled point of the (kind × model × toggles)
-//! space.
+//! Randomized engine/reference equivalence: mixed [`Query`] batches
+//! over treiber/ms2 answered by [`Engine::run_batch`] sharded across
+//! workers must return exactly the verdicts of (a) the same batch on a
+//! sequential engine and (b) the one-shot reference oracle
+//! ([`oracle::oneshot`]) on concretely mutated builds — on every
+//! sampled point of the (kind × model × toggles) space.
 //!
 //! The generator is a deterministic xorshift (matching the
 //! `mutation_equiv.rs` style), so failures replay bit for bit.
-//!
-//! Equivalence suites are the sanctioned callers of the deprecated
-//! method grid, hence the targeted allow.
-#![allow(deprecated)]
 
 use cf_algos::{ms2, tests, treiber, Variant};
 use cf_memmodel::{Mode, ModeSet};
 use cf_sat::xorshift::Rng;
 use checkfence::mutate::{MutationConfig, MutationPlan};
 use checkfence::{
-    mine_reference, CheckConfig, CheckOutcome, CheckSession, Checker, Engine, EngineConfig,
-    Harness, ModelSel, ObsSet, Query, SessionConfig, TestSpec,
+    mine_reference, oracle, CheckConfig, CheckOutcome, Engine, EngineConfig, Harness, ObsSet,
+    Query, TestSpec, Verdict,
 };
 
 /// What a query answered, reduced to comparable data.
@@ -48,6 +44,51 @@ fn fold<T>(r: Result<T, checkfence::CheckError>, f: impl FnOnce(T) -> Outcome) -
         Err(checkfence::CheckError::BoundsDiverged { .. }) => Outcome::Diverged,
         Err(e) => panic!("infrastructure error: {e}"),
     }
+}
+
+fn of_verdict(v: Verdict) -> Outcome {
+    match v.answer {
+        checkfence::Answer::Outcome(o) => of_outcome(&o),
+        checkfence::Answer::Observations(obs) => Outcome::Obs(obs),
+        // No budgets are configured on any path of this suite.
+        checkfence::Answer::Inconclusive { reason, .. } => {
+            panic!("unbudgeted run came back inconclusive: {reason}")
+        }
+    }
+}
+
+/// Runs `queries` as one batch on an all-mode engine with `jobs`
+/// workers and folds the verdicts.
+fn run_engine(h: &Harness, queries: &[Query], jobs: usize) -> Vec<Outcome> {
+    let mut engine = Engine::new(
+        EngineConfig::from_check_config(&CheckConfig::default(), ModeSet::all()).with_jobs(jobs),
+    );
+    let outcomes: Vec<Outcome> = engine
+        .run_batch(queries)
+        .into_iter()
+        .map(|v| {
+            // The batch path must surface real phase stats — a past
+            // regression filled `PhaseStats::default()` here, so a
+            // default-looking phase on a solved verdict is a bug.
+            if let Ok(v) = &v {
+                assert!(
+                    v.phase.sat_solves >= 1 && v.phase.sat_vars > 0,
+                    "{}: batch verdict dropped its solver phase stats",
+                    h.name
+                );
+                assert!(
+                    v.phase.total_time > std::time::Duration::ZERO,
+                    "{}: batch verdict carries no elapsed time",
+                    h.name
+                );
+            }
+            fold(v, of_verdict)
+        })
+        .collect();
+    // One pool key, sharded: every session encodes exactly once.
+    let stats = engine.stats();
+    assert_eq!(stats.encodes as usize, stats.sessions, "{}", h.name);
+    outcomes
 }
 
 /// One sampled point of the query space.
@@ -99,9 +140,6 @@ fn assert_three_way_equivalence(h: &Harness, t: &TestSpec, seed: u64, n: usize) 
 
     // Path 1: the engine, batch-scheduled across 3 workers (also
     // exercising the shard scheduler's determinism).
-    let mut engine = Engine::new(
-        EngineConfig::from_check_config(&CheckConfig::default(), ModeSet::all()).with_jobs(3),
-    );
     let queries: Vec<Query> = samples
         .iter()
         .map(|s| {
@@ -113,62 +151,15 @@ fn assert_three_way_equivalence(h: &Harness, t: &TestSpec, seed: u64, n: usize) 
             q.on(s.mode).with_toggles(&s.toggles)
         })
         .collect();
-    let engine_outcomes: Vec<Outcome> = engine
-        .run_batch(&queries)
-        .into_iter()
-        .map(|v| {
-            // The batch path must surface real phase stats — a past
-            // regression filled `PhaseStats::default()` here, so a
-            // default-looking phase on a solved verdict is a bug.
-            if let Ok(v) = &v {
-                assert!(
-                    v.phase.sat_solves >= 1 && v.phase.sat_vars > 0,
-                    "{}: batch verdict dropped its solver phase stats",
-                    h.name
-                );
-                assert!(
-                    v.phase.total_time > std::time::Duration::ZERO,
-                    "{}: batch verdict carries no elapsed time",
-                    h.name
-                );
-            }
-            fold(v, |v| match v.answer {
-                checkfence::Answer::Outcome(o) => of_outcome(&o),
-                checkfence::Answer::Observations(obs) => Outcome::Obs(obs),
-                // No budgets are configured on any path of this suite.
-                checkfence::Answer::Inconclusive { reason, .. } => {
-                    panic!("unbudgeted run came back inconclusive: {reason}")
-                }
-            })
-        })
-        .collect();
-    // One pool key, sharded: every session encodes exactly once.
-    let stats = engine.stats();
-    assert_eq!(stats.encodes as usize, stats.sessions, "{}", h.name);
+    let engine_outcomes = run_engine(h, &queries, 3);
 
-    // Path 2: the deprecated CheckSession method grid, sequentially on
-    // one legacy session.
-    let mut session = CheckSession::with_config(
-        &instrumented,
-        t,
-        SessionConfig::from_check_config(&CheckConfig::default(), ModeSet::all()),
-    );
+    // Path 2: the same batch on a sequential engine (one session).
+    let sequential = run_engine(h, &queries, 1);
     for (i, s) in samples.iter().enumerate() {
-        let legacy = if s.check {
-            fold(
-                session.check_inclusion_toggled(ModelSel::Builtin(s.mode), &spec, &s.toggles),
-                |r| of_outcome(&r.outcome),
-            )
-        } else {
-            fold(
-                session.enumerate_observations_toggled(ModelSel::Builtin(s.mode), &s.toggles),
-                Outcome::Obs,
-            )
-        };
         assert_eq!(
             engine_outcomes[i],
-            legacy,
-            "{}/{} sample {i}: engine and legacy shim disagree (mode {}, toggles {:?})",
+            sequential[i],
+            "{}/{} sample {i}: jobs=3 and jobs=1 engines disagree (mode {}, toggles {:?})",
             h.name,
             t.name,
             s.mode.name(),
@@ -176,7 +167,7 @@ fn assert_three_way_equivalence(h: &Harness, t: &TestSpec, seed: u64, n: usize) 
         );
     }
 
-    // Path 3: the one-shot oracles on concretely mutated builds.
+    // Path 3: the reference oracle on concretely mutated builds.
     for (i, s) in samples.iter().enumerate() {
         let build = match s.toggles.first() {
             None => h.clone(),
@@ -187,14 +178,15 @@ fn assert_three_way_equivalence(h: &Harness, t: &TestSpec, seed: u64, n: usize) 
                 ops: h.ops.clone(),
             },
         };
-        let checker = Checker::new(&build, t).with_memory_model(s.mode);
-        let oneshot = if s.check {
-            fold(checker.check_inclusion_oneshot(&spec), |r| {
-                of_outcome(&r.outcome)
-            })
+        let q = if s.check {
+            Query::check_inclusion(&build, t, spec.clone())
         } else {
-            fold(checker.enumerate_observations_oneshot(s.mode), Outcome::Obs)
+            Query::enumerate(&build, t)
         };
+        let oneshot = fold(
+            oracle::oneshot(&q.on(s.mode), &CheckConfig::default(), &[]),
+            of_verdict,
+        );
         assert_eq!(
             engine_outcomes[i],
             oneshot,
@@ -208,21 +200,21 @@ fn assert_three_way_equivalence(h: &Harness, t: &TestSpec, seed: u64, n: usize) 
 }
 
 #[test]
-fn treiber_random_query_batches_match_legacy_and_oneshot() {
+fn treiber_random_query_batches_match_sequential_and_oneshot() {
     let h = treiber::harness(Variant::Fenced);
     let t = tests::by_name("U0").expect("catalog");
     assert_three_way_equivalence(&h, &t, 0x5EED_CAFE, 10);
 }
 
 #[test]
-fn ms2_random_query_batches_match_legacy_and_oneshot() {
+fn ms2_random_query_batches_match_sequential_and_oneshot() {
     let h = ms2::harness(Variant::Fenced);
     let t = tests::by_name("T0").expect("catalog");
     assert_three_way_equivalence(&h, &t, 0xFACE_FEED, 10);
 }
 
 #[test]
-fn mining_queries_match_the_legacy_and_oneshot_paths() {
+fn mining_queries_match_the_oneshot_path() {
     for h in [
         treiber::harness(Variant::Fenced),
         ms2::harness(Variant::Fenced),
@@ -233,49 +225,33 @@ fn mining_queries_match_the_legacy_and_oneshot_paths() {
             "T0"
         })
         .expect("catalog");
-        let query = Query::mine(&h, &t)
+        let q = Query::mine(&h, &t);
+        let query = q
             .run()
             .expect("engine mining")
             .into_observations()
             .expect("observations");
-        let legacy = CheckSession::new(&h, &t).mine_spec().expect("legacy").spec;
-        let oneshot = Checker::new(&h, &t)
-            .mine_spec_oneshot()
+        let oneshot = oracle::oneshot(&q, &CheckConfig::default(), &[])
             .expect("oneshot")
-            .spec;
-        assert_eq!(query, legacy, "{}: engine vs legacy mining", h.name);
+            .into_observations()
+            .expect("observations");
         assert_eq!(query, oneshot, "{}: engine vs one-shot mining", h.name);
     }
 }
 
 #[test]
-fn commit_queries_match_the_legacy_and_oneshot_paths() {
+fn commit_queries_match_the_oneshot_path() {
     use checkfence::commit::AbstractType;
     let h = treiber::harness(Variant::Fenced);
     let t = tests::by_name("U0").expect("catalog");
     for mode in [Mode::Sc, Mode::Relaxed] {
-        let query = Query::commit_method(&h, &t, AbstractType::Stack)
-            .on(mode)
-            .run()
-            .expect("engine commit");
-        let legacy = CheckSession::new(&h, &t)
-            .check_commit_method(mode, AbstractType::Stack)
-            .expect("legacy commit");
-        let oneshot = Checker::new(&h, &t)
-            .with_memory_model(mode)
-            .check_commit_method_oneshot(AbstractType::Stack)
-            .expect("oneshot commit");
+        let q = Query::commit_method(&h, &t, AbstractType::Stack).on(mode);
+        let query = q.run().expect("engine commit");
+        let oneshot = oracle::oneshot(&q, &CheckConfig::default(), &[]).expect("oneshot commit");
         assert_eq!(
             of_outcome(query.outcome().expect("outcome")),
-            of_outcome(&legacy.outcome),
-            "{}: engine vs legacy commit on {}",
-            h.name,
-            mode.name()
-        );
-        assert_eq!(
-            of_outcome(&legacy.outcome),
-            of_outcome(&oneshot.outcome),
-            "{}: legacy vs one-shot commit on {}",
+            of_outcome(oneshot.outcome().expect("outcome")),
+            "{}: engine vs one-shot commit on {}",
             h.name,
             mode.name()
         );

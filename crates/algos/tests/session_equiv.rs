@@ -1,43 +1,45 @@
-//! Session-vs-oneshot equivalence: a [`CheckSession`] answering the full
-//! `Mode` lattice from one persistent encoding must return exactly the
-//! results of per-configuration one-shot `Checker`s — same mined
+//! Engine-vs-reference equivalence: the pooled all-mode [`Engine`]
+//! answering the full `Mode` lattice from one persistent encoding must
+//! return exactly the results of the one-shot reference oracle
+//! ([`oracle::oneshot`]: a fresh single-model encoding per check) and of
+//! the reference interpreter ([`mine_reference`]) — same mined
 //! observation sets, same pass/fail verdicts, same failure kinds — for
 //! every catalog implementation.
 //!
 //! This is the regression gate of the incremental-session architecture:
 //! any divergence means a mode-selector or activation-literal gating bug.
-//!
-//! This suite (like `mutation_equiv.rs` and `query_equiv.rs`) is the
-//! sanctioned caller of the deprecated method grid: the legacy shims
-//! must keep answering exactly like the query engine and the one-shot
-//! oracles, so the equivalence tests exercise them on purpose.
-#![allow(deprecated)]
 
 use cf_algos::{harris, lazylist, ms2, msn, snark, tests, treiber, Variant};
 use cf_lsl::FenceKind;
 use cf_memmodel::Mode;
 use checkfence::infer::{infer, infer_baseline, InferConfig};
-use checkfence::{CheckOutcome, CheckSession, Checker, Harness};
+use checkfence::{
+    mine_reference, oracle, CheckConfig, CheckOutcome, Engine, EngineConfig, Harness, Query,
+};
 
-/// Mines the spec with the session and the one-shot checker (both SAT
-/// paths plus the reference interpreter) and checks every hardware mode
-/// on both paths, asserting bit-identical observation sets and verdicts.
+/// Mines the spec with the engine, the reference oracle and the
+/// reference interpreter, and checks every hardware mode on the engine
+/// and the oracle, asserting identical observation sets and verdicts.
 fn assert_equivalent(h: &Harness, test_name: &str) {
     let t = tests::by_name(test_name).expect("catalog test");
-    let mut session = CheckSession::new(h, &t);
+    let config = CheckConfig::default();
+    let mut engine = Engine::new(EngineConfig::default());
 
-    let mined = session.mine_spec().expect("session mining").spec;
-    let oneshot = Checker::new(h, &t);
-    let mined_oneshot = oneshot.mine_spec_oneshot().expect("one-shot mining").spec;
+    let mined = engine
+        .run(&Query::mine(h, &t))
+        .expect("engine mining")
+        .into_observations()
+        .expect("observations");
+    let mined_oneshot = oracle::oneshot(&Query::mine(h, &t), &config, &[])
+        .expect("one-shot mining")
+        .into_observations()
+        .expect("observations");
     assert_eq!(
         mined.vectors, mined_oneshot.vectors,
-        "{} / {test_name}: session and one-shot SAT mining disagree",
+        "{} / {test_name}: engine and one-shot SAT mining disagree",
         h.name
     );
-    let reference = oneshot
-        .mine_spec_reference()
-        .expect("reference mining")
-        .spec;
+    let reference = mine_reference(h, &t).expect("reference mining").spec;
     assert_eq!(
         mined.vectors, reference.vectors,
         "{} / {test_name}: SAT mining and reference interpreter disagree",
@@ -45,21 +47,24 @@ fn assert_equivalent(h: &Harness, test_name: &str) {
     );
 
     for mode in Mode::hardware() {
-        let s = session
-            .check_inclusion(mode, &mined)
-            .expect("session inclusion");
-        let o = Checker::new(h, &t)
-            .with_memory_model(mode)
-            .check_inclusion_oneshot(&mined)
-            .expect("one-shot inclusion");
+        let q = Query::check_inclusion(h, &t, mined.clone()).on(mode);
+        let s = engine
+            .run(&q)
+            .expect("engine inclusion")
+            .into_outcome()
+            .expect("outcome");
+        let o = oracle::oneshot(&q, &config, &[])
+            .expect("one-shot inclusion")
+            .into_outcome()
+            .expect("outcome");
         assert_eq!(
-            s.outcome.passed(),
-            o.outcome.passed(),
-            "{} / {test_name} on {}: session and one-shot verdicts disagree",
+            s.passed(),
+            o.passed(),
+            "{} / {test_name} on {}: engine and one-shot verdicts disagree",
             h.name,
             mode.name()
         );
-        if let (CheckOutcome::Fail(sc), CheckOutcome::Fail(oc)) = (&s.outcome, &o.outcome) {
+        if let (CheckOutcome::Fail(sc), CheckOutcome::Fail(oc)) = (&s, &o) {
             assert_eq!(
                 sc.kind,
                 oc.kind,
@@ -70,7 +75,8 @@ fn assert_equivalent(h: &Harness, test_name: &str) {
         }
     }
     // The whole lattice was answered from one persistent solver.
-    let stats = session.stats();
+    let stats = engine.stats();
+    assert_eq!(stats.sessions, 1, "one pooled session");
     assert_eq!(
         stats.symexecs, stats.encodes,
         "every symbolic execution is encoded exactly once"
@@ -160,27 +166,23 @@ fn treiber_inference_is_encode_once_and_matches_baseline() {
 }
 
 /// Commit-point queries ride the same session solver as observation
-/// queries and agree with the one-shot implementation.
+/// queries and agree with the reference oracle.
 #[test]
 fn treiber_commit_method_sessions_match_oneshot() {
     use checkfence::commit::AbstractType;
     let h = treiber::harness(Variant::Fenced);
     let t = tests::by_name("U0").expect("catalog");
-    let mut session = CheckSession::new(&h, &t);
+    let mut engine = Engine::new(EngineConfig::default());
     for mode in [Mode::Sc, Mode::Relaxed] {
-        let s = session
-            .check_commit_method(mode, AbstractType::Stack)
-            .expect("session commit");
-        let o = Checker::new(&h, &t)
-            .with_memory_model(mode)
-            .check_commit_method_oneshot(AbstractType::Stack)
-            .expect("one-shot commit");
+        let q = Query::commit_method(&h, &t, AbstractType::Stack).on(mode);
+        let s = engine.run(&q).expect("engine commit");
+        let o = oracle::oneshot(&q, &CheckConfig::default(), &[]).expect("one-shot commit");
         assert_eq!(
-            s.outcome.passed(),
-            o.outcome.passed(),
+            s.passed(),
+            o.passed(),
             "commit-point verdicts disagree on {}",
             mode.name()
         );
     }
-    assert_eq!(session.stats().encodes, 1, "one encode for both modes");
+    assert_eq!(engine.stats().encodes, 1, "one encode for both modes");
 }

@@ -1,8 +1,9 @@
 //! Batch-throughput benchmark of the query engine: the ablation
 //! (mutant × model) matrices of treiber/ms2 answered three ways —
-//! sequential legacy one-shot calls (a fresh checker per cell, the
-//! pre-session API a user would have written), `Engine::run_batch` on
-//! one worker, and `Engine::run_batch` sharded across 4 workers.
+//! sequential legacy one-shot calls (the reference oracle,
+//! `checkfence::oracle::oneshot`: a fresh encoding and solver per cell
+//! on the concretely mutated build), `Engine::run_batch` on one worker,
+//! and `Engine::run_batch` sharded across 4 workers.
 //!
 //! Run with `cargo bench -p cf-bench --bench query`. Writes
 //! `BENCH_query.json` at the workspace root (override with
@@ -13,25 +14,23 @@
 //!   key / worker shard);
 //! * batched `--jobs 4` at least 3x faster than the sequential legacy
 //!   calls.
-#![allow(deprecated)] // the legacy series deliberately calls the one-shot grid
-
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 use cf_algos::{ms2, tests, treiber, Variant};
 use cf_memmodel::{Mode, ModeSet};
 use checkfence::mutate::{MutationConfig, MutationPlan};
 use checkfence::{
-    mine_reference, CheckConfig, CheckError, Checker, Engine, EngineConfig, Harness, Query,
-    TestSpec,
+    mine_reference, oracle, CheckConfig, CheckError, Engine, EngineConfig, Harness, Query, TestSpec,
 };
 
 struct Subject {
     harness: Harness,
     test: TestSpec,
     plan: MutationPlan,
-    spec: checkfence::ObsSet,
+    spec: Arc<checkfence::ObsSet>,
 }
 
 fn subject(name: &'static str) -> Subject {
@@ -55,7 +54,7 @@ fn subject(name: &'static str) -> Subject {
             ..MutationConfig::default()
         },
     );
-    let spec = mine_reference(&harness, &test).expect("mines").spec;
+    let spec = Arc::new(mine_reference(&harness, &test).expect("mines").spec);
     Subject {
         harness,
         test,
@@ -90,8 +89,8 @@ fn of_result(r: Result<bool, CheckError>) -> CellVerdict {
     }
 }
 
-/// The sequential legacy series: a fresh one-shot checker per cell on
-/// the concretely mutated build — the pre-engine cost model.
+/// The sequential legacy series: the reference oracle per cell on the
+/// concretely mutated build — the pre-engine cost model.
 fn run_legacy(s: &Subject) -> (f64, Vec<CellVerdict>) {
     let t0 = Instant::now();
     let mut verdicts = Vec::new();
@@ -105,11 +104,9 @@ fn run_legacy(s: &Subject) -> (f64, Vec<CellVerdict>) {
                 ops: s.harness.ops.clone(),
             },
         };
-        let checker = Checker::new(&build, &s.test).with_memory_model(mode);
+        let query = Query::check_inclusion(&build, &s.test, Arc::clone(&s.spec)).on(mode);
         verdicts.push(of_result(
-            checker
-                .check_inclusion_oneshot(&s.spec)
-                .map(|r| r.outcome.passed()),
+            oracle::oneshot(&query, &CheckConfig::default(), &[]).map(|v| v.passed()),
         ));
     }
     (t0.elapsed().as_secs_f64() * 1e3, verdicts)
@@ -128,7 +125,7 @@ fn run_engine(s: &Subject, jobs: usize) -> (f64, Vec<CellVerdict>, usize, u32) {
     let mut engine = Engine::new(
         EngineConfig::from_check_config(&CheckConfig::default(), ModeSet::all()).with_jobs(jobs),
     );
-    let base = Query::check_inclusion(&instrumented, &s.test, s.spec.clone());
+    let base = Query::check_inclusion(&instrumented, &s.test, Arc::clone(&s.spec));
     let queries: Vec<Query> = cells(s)
         .into_iter()
         .map(|(toggles, mode)| base.clone().on(mode).with_toggles(&toggles))

@@ -3,9 +3,9 @@
 //!
 //! * **one-shot** — the baseline a driver without the subsystem pays:
 //!   every *generated* bounded shape (no symmetry reduction), each
-//!   (shape, model) cell checked the way the hand-written results
-//!   suites do — re-mine the reference spec, fresh single-model
-//!   encoding, one solve;
+//!   (shape, model) cell re-mined with the reference interpreter and
+//!   checked by the reference oracle (`checkfence::oracle::oneshot`:
+//!   fresh single-model encoding and solver);
 //! * **engine batch** — `cf_synth::run_corpus` on the canonical corpus:
 //!   thread-permutation symmetry reduction, one pooled session per
 //!   harness encoding the whole hardware lattice, ladder rounds that
@@ -34,7 +34,7 @@ use cf_synth::{
     canonicalize, enumerate_ordered, run_corpus, synthesize, CorpusConfig, CorpusReport,
     CorpusVerdict, SynthBounds,
 };
-use checkfence::{mine_reference, CheckError, Harness, Query, TestSpec};
+use checkfence::{mine_reference, oracle, CheckConfig, CheckError, Harness, Query, TestSpec};
 
 fn verdict_of(r: Result<bool, CheckError>) -> CorpusVerdict {
     match r {
@@ -54,10 +54,8 @@ fn run_oneshot(h: &Harness, shapes: &[TestSpec]) -> (f64, Vec<Vec<CorpusVerdict>
         let mut row = Vec::new();
         for &mode in &Mode::hardware() {
             let v = mine_reference(h, test).and_then(|m| {
-                Query::check_inclusion(h, test, m.spec)
-                    .on(mode)
-                    .run()
-                    .map(|v| v.passed())
+                let query = Query::check_inclusion(h, test, m.spec).on(mode);
+                oracle::oneshot(&query, &CheckConfig::default(), &[]).map(|v| v.passed())
             });
             row.push(verdict_of(v));
         }

@@ -1,38 +1,29 @@
-//! The CheckFence verification pipeline.
+//! Configuration, result and error types of the verification pipeline.
 //!
-//! A [`Checker`] binds an implementation ([`Harness`]) to a symbolic test
-//! ([`TestSpec`]) and offers the two phases of the paper's method:
-//!
-//! 1. **Specification mining** (§3.2): enumerate the observation set of
-//!    all serial executions, either with the SAT encoding under the
-//!    Seriality "memory model" ([`Checker::mine_spec`]) or by explicit
-//!    interleaving of the concrete interpreter
-//!    ([`Checker::mine_spec_reference`], the paper's fast "refset" path).
-//! 2. **Inclusion check** (§3.2): solve for an execution on the chosen
-//!    memory model whose observation lies outside the specification (or
-//!    which raises a runtime error), and decode a counterexample trace.
-//!
-//! Both phases run inside the lazy loop-unrolling procedure of §3.3.
+//! The paper's method (§3.2) has two phases — **specification mining**
+//! (the observation set [`ObsSet`] of all serial executions) and the
+//! **inclusion check** (an execution on the chosen memory model whose
+//! observation lies outside the specification, decoded into a
+//! [`Counterexample`]) — both run inside the lazy loop-unrolling
+//! procedure of §3.3. They are asked as [`Query`](crate::Query) values
+//! and answered by the [`Engine`](crate::Engine); the one-shot
+//! reference in [`crate::oracle`] answers the same queries
+//! independently. This module holds the types both paths share.
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cf_lsl::Value;
-use cf_memmodel::{AccessKind, Mode, ModeSet};
-use cf_sat::{Lit, SolveResult};
+use cf_memmodel::AccessKind;
 
 use crate::encode::{Encoding, OrderEncoding};
-use crate::range::analyze;
-use crate::symexec::{execute, LoopBounds, SymExec, SymExecError, UnrollStats};
-use crate::test_spec::{Harness, TestSpec};
+use crate::symexec::{SymExec, SymExecError, UnrollStats};
+use crate::test_spec::TestSpec;
 
 /// Configuration of a verification run.
 #[derive(Clone, Debug)]
 pub struct CheckConfig {
-    /// Memory model for the inclusion check (mining always uses
-    /// Seriality).
-    pub memory_model: Mode,
     /// Memory-order encoding.
     pub order_encoding: OrderEncoding,
     /// Whether the range analysis runs (Fig. 11c ablation).
@@ -83,7 +74,6 @@ pub struct CheckConfig {
 impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
-            memory_model: Mode::Relaxed,
             order_encoding: OrderEncoding::Pairwise,
             range_analysis: true,
             max_bound_rounds: 8,
@@ -171,7 +161,8 @@ pub struct Counterexample {
     /// Executed memory accesses in memory order.
     pub steps: Vec<TraceStep>,
     /// Name of the memory model under which the execution exists (a
-    /// built-in [`Mode`] name or a declarative spec's `model` header).
+    /// built-in [`Mode`](cf_memmodel::Mode) name or a declarative spec's
+    /// `model` header).
     pub model: String,
     /// For failures under a declarative model: the axiom of the bundled
     /// `sc` spec that the witness breaks (by its `as` label), obtained
@@ -281,15 +272,6 @@ pub struct MiningResult {
     pub stats: PhaseStats,
 }
 
-/// Result of an inclusion check.
-#[derive(Clone, Debug)]
-pub struct InclusionResult {
-    /// Pass/fail.
-    pub outcome: CheckOutcome,
-    /// Statistics.
-    pub stats: PhaseStats,
-}
-
 /// Why a query ended without a verdict (graceful degradation instead of
 /// an unbounded solve or a lost batch).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -331,7 +313,7 @@ impl fmt::Display for InconclusiveReason {
 
 /// Maps the solver's reported stop cause to the degradation reason
 /// attached to `CheckError::Exhausted` (shared by the session and the
-/// one-shot paths so both report the same reason for the same stop).
+/// reference oracle so both report the same reason for the same stop).
 pub(crate) fn exhausted_err(solver: &cf_sat::Solver) -> CheckError {
     CheckError::Exhausted(match solver.stop_cause() {
         Some(cf_sat::StopCause::Deadline) => InconclusiveReason::Deadline,
@@ -352,8 +334,9 @@ pub enum CheckError {
     /// A resource limit ran out before the query had an answer. The
     /// engine's retry ladder converts this into
     /// [`Answer::Inconclusive`](crate::query::Answer::Inconclusive) once
-    /// retries are spent; only the deprecated one-shot paths surface it
-    /// as an error.
+    /// retries are spent; only the reference oracle
+    /// ([`crate::oracle::oneshot`]), which has no ladder, surfaces it as
+    /// an error.
     Exhausted(InconclusiveReason),
     /// A serial execution raised a runtime error: the implementation is
     /// broken sequentially, so mining cannot produce a specification.
@@ -387,7 +370,8 @@ impl fmt::Display for CheckError {
 
 /// Rejects test shapes no phase of the pipeline can answer: zero
 /// threads, an empty thread, or zero operations overall. Shared by
-/// [`crate::mine_reference`] and [`crate::query::Engine`] so degenerate
+/// [`crate::mine_reference`], [`crate::query::Engine`] and
+/// [`crate::oracle::oneshot`] so degenerate
 /// inputs fail with a clear [`CheckError::DegenerateTest`] instead of a
 /// panic deep inside symbolic execution.
 pub(crate) fn validate_test_shape(test: &TestSpec) -> Result<(), CheckError> {
@@ -413,474 +397,6 @@ impl std::error::Error for CheckError {}
 impl From<SymExecError> for CheckError {
     fn from(e: SymExecError) -> Self {
         CheckError::SymExec(e)
-    }
-}
-
-/// Whether a payload result depends on the loop bounds being sufficient.
-enum Round<T> {
-    /// Valid regardless of loop bounds (a within-bounds counterexample).
-    Final(T),
-    /// Valid only if no execution exceeds the bounds (a pass / a spec).
-    Bounded(T),
-}
-
-/// A configured verification session for one implementation and one test.
-pub struct Checker<'h> {
-    harness: &'h Harness,
-    test: &'h TestSpec,
-    /// The configuration (freely adjustable between calls).
-    pub config: CheckConfig,
-}
-
-impl<'h> Checker<'h> {
-    pub(crate) fn harness_ref(&self) -> &'h Harness {
-        self.harness
-    }
-
-    pub(crate) fn test_ref(&self) -> &'h TestSpec {
-        self.test
-    }
-
-    /// Creates a checker with default configuration.
-    pub fn new(harness: &'h Harness, test: &'h TestSpec) -> Self {
-        Checker {
-            harness,
-            test,
-            config: CheckConfig::default(),
-        }
-    }
-
-    /// Sets the memory model for inclusion checks.
-    pub fn with_memory_model(mut self, model: Mode) -> Self {
-        self.config.memory_model = model;
-        self
-    }
-
-    /// Sets the memory-order encoding.
-    pub fn with_order_encoding(mut self, enc: OrderEncoding) -> Self {
-        self.config.order_encoding = enc;
-        self
-    }
-
-    /// Enables or disables the range analysis.
-    pub fn with_range_analysis(mut self, on: bool) -> Self {
-        self.config.range_analysis = on;
-        self
-    }
-
-    /// Builds the encoding for a mode with lazily refined loop bounds
-    /// (§3.3). `payload` runs restricted to within-bounds executions and
-    /// reports whether its result is *final* (a counterexample: "the loop
-    /// bounds are irrelevant in that case") or *bound-sensitive* (a pass
-    /// or a mined specification, valid only if the bounds cover all
-    /// executions). For bound-sensitive results the checker then solves
-    /// specifically for executions exceeding the bounds and, if any
-    /// exist, increments the affected loop bounds and repeats.
-    fn with_bounds<T>(
-        &self,
-        mode: Mode,
-        stats: &mut PhaseStats,
-        mut payload: impl FnMut(
-            &SymExec,
-            &mut Encoding,
-            &[Lit],
-            &mut PhaseStats,
-        ) -> Result<Round<T>, CheckError>,
-    ) -> Result<T, CheckError> {
-        let mut bounds = LoopBounds::new();
-        // One deadline covers the whole query, bound-growth rounds
-        // included; tick budgets are per solve call.
-        let deadline_at = self.config.deadline.map(|d| Instant::now() + d);
-        for round in 0..self.config.max_bound_rounds {
-            stats.bound_rounds = round + 1;
-            let sx = execute(self.harness, self.test, &bounds, self.config.spin_bound)?;
-            let t0 = Instant::now();
-            let range = analyze(&sx, self.config.range_analysis);
-            let mut enc = Encoding::build(&sx, &range, mode, self.config.order_encoding);
-            stats.encode_time += t0.elapsed();
-            stats.unrolled = sx.stats;
-            stats.sat_vars = enc.cnf.num_vars();
-            stats.sat_clauses = enc.cnf.num_clauses();
-            enc.cnf
-                .solver
-                .set_conflict_budget(self.config.conflict_budget);
-            enc.cnf.solver.set_tick_budget(self.config.tick_budget);
-            enc.cnf.solver.set_deadline(deadline_at);
-            enc.cnf.solver.set_config(self.config.solver_config);
-
-            // Prepare the bound-overflow query before the payload runs
-            // (the payload may add blocking clauses that must not mask
-            // overflowing executions).
-            let overflow_act = if enc.exceeded.is_empty() {
-                None
-            } else {
-                let act = enc.cnf.fresh();
-                let mut clause = vec![!act];
-                clause.extend(enc.exceeded.iter().map(|(_, l)| *l));
-                enc.cnf.clause(clause);
-                Some(act)
-            };
-            // Check for overflow first so the payload's incremental
-            // clauses cannot hide exceeded executions; a *failing*
-            // payload result is still returned below even when bounds
-            // are insufficient (failures are within-bounds witnesses).
-            let overflow = match overflow_act {
-                None => false,
-                Some(act) => {
-                    let t = Instant::now();
-                    let r = enc.cnf.solver.solve_with(&[act]);
-                    stats.solve_time += t.elapsed();
-                    match r {
-                        SolveResult::Sat => {
-                            for key in enc.exceeded_keys() {
-                                *bounds.entry(key).or_insert(1) += 1;
-                            }
-                            true
-                        }
-                        SolveResult::Unsat => {
-                            enc.cnf.assert_lit(!act);
-                            false
-                        }
-                        SolveResult::Unknown => return Err(exhausted_err(&enc.cnf.solver)),
-                    }
-                }
-            };
-            let assumptions: Vec<Lit> = enc.exceeded.iter().map(|(_, l)| !*l).collect();
-            let result = payload(&sx, &mut enc, &assumptions, stats);
-            let sat = enc.cnf.solver.stats();
-            stats.sat_conflicts += sat.conflicts;
-            stats.sat_propagations += sat.propagations;
-            stats.sat_solves += sat.solves;
-            match result? {
-                Round::Final(t) => return Ok(t),
-                Round::Bounded(t) => {
-                    if !overflow {
-                        return Ok(t);
-                    }
-                    // Bounds insufficient: grow and retry.
-                }
-            }
-        }
-        Err(CheckError::BoundsDiverged {
-            keys: bounds.keys().cloned().collect(),
-        })
-    }
-
-    /// Creates a single-use [`Engine`](crate::query::Engine) for this
-    /// checker's harness, test and configuration, restricted to the
-    /// given built-in universe — the plumbing of the deprecated shims.
-    fn engine(&self, modes: ModeSet) -> crate::query::Engine<'h> {
-        crate::query::Engine::new(crate::query::EngineConfig::from_check_config(
-            &self.config,
-            modes,
-        ))
-    }
-
-    /// Mines the observation set with the SAT encoding under Seriality
-    /// (paper §3.2 "Specification mining").
-    ///
-    /// Since the query refactor this is a thin shim over
-    /// [`Query::mine`](crate::query::Query::mine);
-    /// [`Checker::mine_spec_oneshot`] keeps the pre-session
-    /// implementation as an independent baseline.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckError::SerialBug`] if a serial execution raises a runtime
-    /// error (this is itself a verification result — e.g. the lazy-list
-    /// initialization bug); infrastructure errors otherwise.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::mine(..)` on a `checkfence::query::Engine` instead"
-    )]
-    pub fn mine_spec(&self) -> Result<MiningResult, CheckError> {
-        let v = self
-            .engine(ModeSet::single(Mode::Serial))
-            .run(&crate::query::Query::mine(self.harness, self.test))?
-            .or_exhausted()?;
-        let stats = v.phase.clone();
-        let spec = v.into_observations().expect("mining yields observations");
-        Ok(MiningResult { spec, stats })
-    }
-
-    /// The pre-session one-shot implementation of the mining query:
-    /// builds a fresh encoding and solver. Kept as the independent
-    /// baseline (oracle) for the equivalence tests and benchmarks.
-    ///
-    /// # Errors
-    ///
-    /// As the deprecated [`Checker::mine_spec`] shim.
-    #[deprecated(
-        since = "0.2.0",
-        note = "one-shot oracle for equivalence tests; use the query engine for real checking"
-    )]
-    pub fn mine_spec_oneshot(&self) -> Result<MiningResult, CheckError> {
-        let t0 = Instant::now();
-        let mut stats = PhaseStats::default();
-        let spec = self.with_bounds(Mode::Serial, &mut stats, |sx, enc, assumptions, stats| {
-            // First: any serial execution with an error is a sequential bug.
-            let mut with_err = assumptions.to_vec();
-            with_err.push(enc.error_lit);
-            let t = Instant::now();
-            let r = enc.cnf.solver.solve_with(&with_err);
-            stats.solve_time += t.elapsed();
-            match r {
-                SolveResult::Sat => {
-                    let cx = decode_counterexample(
-                        sx,
-                        enc,
-                        FailureKind::SerialError,
-                        Mode::Serial.name().to_string(),
-                    );
-                    return Err(CheckError::SerialBug(Box::new(cx)));
-                }
-                SolveResult::Unknown => return Err(exhausted_err(&enc.cnf.solver)),
-                SolveResult::Unsat => {}
-            }
-            // Enumerate observations of error-free serial executions.
-            let mut clean = assumptions.to_vec();
-            clean.push(!enc.error_lit);
-            let mut vectors = BTreeSet::new();
-            loop {
-                let t = Instant::now();
-                let r = enc.cnf.solver.solve_with(&clean);
-                stats.solve_time += t.elapsed();
-                match r {
-                    SolveResult::Sat => {
-                        stats.iterations += 1;
-                        let obs = enc.decode_obs();
-                        // Block this observation.
-                        let mut block: Vec<Lit> = Vec::with_capacity(obs.len());
-                        for (i, v) in obs.iter().enumerate() {
-                            let e = enc.obs[i].clone();
-                            let eq = enc.enc_eq_const(&e, v);
-                            block.push(!eq);
-                        }
-                        enc.cnf.clause(block);
-                        vectors.insert(obs);
-                    }
-                    SolveResult::Unsat => break,
-                    SolveResult::Unknown => return Err(exhausted_err(&enc.cnf.solver)),
-                }
-            }
-            Ok(Round::Bounded(ObsSet { vectors }))
-        })?;
-        stats.total_time = t0.elapsed();
-        Ok(MiningResult { spec, stats })
-    }
-
-    /// Enumerates the observations of **all** executions under the given
-    /// memory model (not just serial ones) by iterated solving with
-    /// blocking clauses. Error executions are excluded.
-    ///
-    /// This is primarily a validation device: on litmus-sized programs
-    /// the result must agree with explicit-state enumeration of the
-    /// axioms (`cf-memmodel`), which property tests verify.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::enumerate(..).on(mode)` on a `checkfence::query::Engine` instead"
-    )]
-    pub fn enumerate_observations(&self, mode: Mode) -> Result<ObsSet, CheckError> {
-        let v = self
-            .engine(ModeSet::single(mode))
-            .run(&crate::query::Query::enumerate(self.harness, self.test).on(mode))?
-            .or_exhausted()?;
-        Ok(v.into_observations()
-            .expect("enumeration yields observations"))
-    }
-
-    /// The pre-session one-shot implementation of the enumeration query
-    /// (independent baseline for the equivalence tests).
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only.
-    #[deprecated(
-        since = "0.2.0",
-        note = "one-shot oracle for equivalence tests; use the query engine for real checking"
-    )]
-    pub fn enumerate_observations_oneshot(&self, mode: Mode) -> Result<ObsSet, CheckError> {
-        let mut stats = PhaseStats::default();
-        self.with_bounds(mode, &mut stats, |_sx, enc, assumptions, stats| {
-            let mut clean = assumptions.to_vec();
-            clean.push(!enc.error_lit);
-            let mut vectors = BTreeSet::new();
-            loop {
-                let t = Instant::now();
-                let r = enc.cnf.solver.solve_with(&clean);
-                stats.solve_time += t.elapsed();
-                match r {
-                    SolveResult::Sat => {
-                        let obs = enc.decode_obs();
-                        let mut block: Vec<Lit> = Vec::with_capacity(obs.len());
-                        for (i, v) in obs.iter().enumerate() {
-                            let e = enc.obs[i].clone();
-                            let eq = enc.enc_eq_const(&e, v);
-                            block.push(!eq);
-                        }
-                        enc.cnf.clause(block);
-                        vectors.insert(obs);
-                    }
-                    SolveResult::Unsat => break,
-                    SolveResult::Unknown => return Err(exhausted_err(&enc.cnf.solver)),
-                }
-            }
-            Ok(Round::Bounded(ObsSet { vectors }))
-        })
-    }
-
-    /// Checks that every execution on the configured memory model
-    /// produces an observation in `spec` and raises no runtime error.
-    ///
-    /// Since the query refactor this is a thin shim over
-    /// [`Query::check_inclusion`](crate::query::Query::check_inclusion);
-    /// [`Checker::check_inclusion_oneshot`] keeps the pre-session
-    /// implementation as an independent baseline.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only; verification failures are reported as
-    /// [`CheckOutcome::Fail`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::check_inclusion(..).on(mode)` on a `checkfence::query::Engine` instead"
-    )]
-    pub fn check_inclusion(&self, spec: &ObsSet) -> Result<InclusionResult, CheckError> {
-        let model = self.config.memory_model;
-        let v = self.engine(ModeSet::single(model)).run(
-            &crate::query::Query::check_inclusion(self.harness, self.test, spec.clone()).on(model),
-        )?;
-        v.into_inclusion_result()
-    }
-
-    /// Runs the inclusion check under a declarative memory model
-    /// ([`cf_spec::ModelSpec`]) instead of a built-in [`Mode`]: the spec
-    /// is compiled into the engine's universe as its sole member.
-    ///
-    /// # Errors
-    ///
-    /// As [`Checker::check_inclusion`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::check_inclusion(..).on_model(ModelSel::Spec(i))` on a \
-                `checkfence::query::Engine` configured with the spec instead"
-    )]
-    pub fn check_inclusion_spec(
-        &self,
-        model: &cf_spec::ModelSpec,
-        spec: &ObsSet,
-    ) -> Result<InclusionResult, CheckError> {
-        let config = crate::query::EngineConfig::from_check_config(&self.config, ModeSet::empty())
-            .with_specs(vec![model.clone()]);
-        let v = crate::query::Engine::new(config).run(
-            &crate::query::Query::check_inclusion(self.harness, self.test, spec.clone())
-                .on_model(crate::ModelSel::Spec(0)),
-        )?;
-        v.into_inclusion_result()
-    }
-
-    /// Enumerates the observations of all error-free executions under a
-    /// declarative memory model (the spec analogue of
-    /// [`Checker::enumerate_observations`]).
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::enumerate(..).on_model(ModelSel::Spec(i))` on a \
-                `checkfence::query::Engine` configured with the spec instead"
-    )]
-    pub fn enumerate_observations_spec(
-        &self,
-        model: &cf_spec::ModelSpec,
-    ) -> Result<ObsSet, CheckError> {
-        let config = crate::query::EngineConfig::from_check_config(&self.config, ModeSet::empty())
-            .with_specs(vec![model.clone()]);
-        let v = crate::query::Engine::new(config)
-            .run(
-                &crate::query::Query::enumerate(self.harness, self.test)
-                    .on_model(crate::ModelSel::Spec(0)),
-            )?
-            .or_exhausted()?;
-        Ok(v.into_observations()
-            .expect("enumeration yields observations"))
-    }
-
-    /// The pre-session one-shot implementation of the inclusion query:
-    /// builds a fresh encoding and solver. Kept as the independent
-    /// baseline (oracle) for the equivalence tests and the benchmarks.
-    ///
-    /// # Errors
-    ///
-    /// As the deprecated [`Checker::check_inclusion`] shim.
-    #[deprecated(
-        since = "0.2.0",
-        note = "one-shot oracle for equivalence tests; use the query engine for real checking"
-    )]
-    pub fn check_inclusion_oneshot(&self, spec: &ObsSet) -> Result<InclusionResult, CheckError> {
-        let t0 = Instant::now();
-        let mut stats = PhaseStats::default();
-        let model = self.config.memory_model;
-        let outcome = self.with_bounds(model, &mut stats, |sx, enc, assumptions, stats| {
-            // bad := error ∨ (obs ∉ S)
-            let mut no_match = enc.cnf.tt();
-            for o in &spec.vectors {
-                let mut all_eq = enc.cnf.tt();
-                for (i, v) in o.iter().enumerate() {
-                    let e = enc.obs[i].clone();
-                    let eq = enc.enc_eq_const(&e, v);
-                    all_eq = enc.cnf.and(all_eq, eq);
-                }
-                no_match = enc.cnf.and(no_match, !all_eq);
-            }
-            let bad = enc.cnf.or(enc.error_lit, no_match);
-            let mut a = assumptions.to_vec();
-            a.push(bad);
-            let t = Instant::now();
-            let r = enc.cnf.solver.solve_with(&a);
-            stats.solve_time += t.elapsed();
-            match r {
-                SolveResult::Unsat => Ok(Round::Bounded(CheckOutcome::Pass)),
-                SolveResult::Unknown => Err(exhausted_err(&enc.cnf.solver)),
-                SolveResult::Sat => {
-                    let kind = if enc.cnf.lit_value(enc.error_lit) {
-                        FailureKind::RuntimeError
-                    } else {
-                        FailureKind::InconsistentObservation
-                    };
-                    let cx = decode_counterexample(sx, enc, kind, model.name().to_string());
-                    Ok(Round::Final(CheckOutcome::Fail(Box::new(cx))))
-                }
-            }
-        })?;
-        stats.total_time = t0.elapsed();
-        Ok(InclusionResult { outcome, stats })
-    }
-
-    /// Convenience: mine the specification with the reference
-    /// interpreter, then run the inclusion check.
-    ///
-    /// # Errors
-    ///
-    /// Propagates mining and inclusion errors; a sequential bug surfaces
-    /// as [`CheckError::SerialBug`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "mine with `mine_reference` and run `Query::check_inclusion` on a \
-                `checkfence::query::Engine` instead"
-    )]
-    pub fn check(&self) -> Result<InclusionResult, CheckError> {
-        let mining = self.mine_spec_reference()?;
-        let model = self.config.memory_model;
-        let v = self.engine(ModeSet::single(model)).run(
-            &crate::query::Query::check_inclusion(self.harness, self.test, mining.spec).on(model),
-        )?;
-        v.into_inclusion_result()
     }
 }
 

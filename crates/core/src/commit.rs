@@ -17,19 +17,12 @@
 //! FIFO queue machine, matching the queues studied in the CAV 2006
 //! paper, and a LIFO stack machine for the Treiber extension).
 
-use std::time::Instant;
+use cf_sat::Lit;
 
-use cf_memmodel::Mode;
-use cf_sat::{Lit, SolveResult};
-
-use crate::checker::{
-    decode_counterexample, exhausted_err, CheckError, CheckOutcome, Checker, FailureKind,
-    InclusionResult, PhaseStats,
-};
+use crate::checker::CheckError;
 use crate::cnf::CnfBuilder;
 use crate::encode::{EncVal, Encoding};
-use crate::range::analyze;
-use crate::symexec::{execute, LoopBounds, ObsRole, SymExec, SymExecError};
+use crate::symexec::{ObsRole, SymExec, SymExecError};
 
 /// The abstract data type evaluated over the commit order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -51,140 +44,6 @@ enum AbstractOp {
     Remove,
 }
 
-impl Checker<'_> {
-    /// Runs the commit-point method: one solver query against the
-    /// annotated commit order, without observation enumeration.
-    ///
-    /// Since the query refactor this is a thin shim over
-    /// [`Query::commit_method`](crate::query::Query::commit_method);
-    /// [`Checker::check_commit_method_oneshot`] keeps the pre-session
-    /// implementation as an independent baseline.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckError::SymExec`] if an operation lacks commit annotations;
-    /// the usual infrastructure errors otherwise.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::commit_method(..).on(mode)` on a `checkfence::query::Engine` instead"
-    )]
-    pub fn check_commit_method(&self, ty: AbstractType) -> Result<InclusionResult, CheckError> {
-        let model = self.config.memory_model;
-        let config = crate::query::EngineConfig::from_check_config(
-            &self.config,
-            cf_memmodel::ModeSet::single(model),
-        );
-        let v = crate::query::Engine::new(config).run(
-            &crate::query::Query::commit_method(self.harness_ref(), self.test_ref(), ty).on(model),
-        )?;
-        v.into_inclusion_result()
-    }
-
-    /// The pre-session one-shot implementation of the commit-method
-    /// query (independent baseline for the equivalence tests).
-    ///
-    /// # Errors
-    ///
-    /// As the deprecated [`Checker::check_commit_method`] shim.
-    #[deprecated(
-        since = "0.2.0",
-        note = "one-shot oracle for equivalence tests; use the query engine for real checking"
-    )]
-    pub fn check_commit_method_oneshot(
-        &self,
-        ty: AbstractType,
-    ) -> Result<InclusionResult, CheckError> {
-        let t0 = Instant::now();
-        let mut stats = PhaseStats::default();
-        let model: Mode = self.config.memory_model;
-        let deadline_at = self.config.deadline.map(|d| Instant::now() + d);
-
-        let mut bounds = LoopBounds::new();
-        for round in 0..self.config.max_bound_rounds {
-            stats.bound_rounds = round + 1;
-            let sx = execute(
-                self.harness_ref(),
-                self.test_ref(),
-                &bounds,
-                self.config.spin_bound,
-            )?;
-            let te = Instant::now();
-            let range = analyze(&sx, self.config.range_analysis);
-            let mut enc = Encoding::build(&sx, &range, model, self.config.order_encoding);
-            let tt = enc.cnf.tt();
-            let mismatch = encode_abstract_machine(&sx, &mut enc, ty, tt)?;
-            stats.encode_time += te.elapsed();
-            stats.unrolled = sx.stats;
-            stats.sat_vars = enc.cnf.num_vars();
-            stats.sat_clauses = enc.cnf.num_clauses();
-            enc.cnf
-                .solver
-                .set_conflict_budget(self.config.conflict_budget);
-            enc.cnf.solver.set_tick_budget(self.config.tick_budget);
-            enc.cnf.solver.set_deadline(deadline_at);
-            enc.cnf.solver.set_config(self.config.solver_config);
-
-            let mut assumptions: Vec<Lit> = enc.exceeded.iter().map(|(_, l)| !*l).collect();
-            let bad = enc.cnf.or(enc.error_lit, mismatch);
-            assumptions.push(bad);
-            let ts = Instant::now();
-            let r = enc.cnf.solver.solve_with(&assumptions);
-            stats.solve_time += ts.elapsed();
-            stats.iterations += 1;
-            match r {
-                SolveResult::Sat => {
-                    let kind = if enc.cnf.lit_value(enc.error_lit) {
-                        FailureKind::RuntimeError
-                    } else {
-                        FailureKind::InconsistentObservation
-                    };
-                    let cx = decode_counterexample(&sx, &mut enc, kind, model.name().to_string());
-                    stats.total_time = t0.elapsed();
-                    return Ok(InclusionResult {
-                        outcome: CheckOutcome::Fail(Box::new(cx)),
-                        stats,
-                    });
-                }
-                SolveResult::Unknown => return Err(exhausted_err(&enc.cnf.solver)),
-                SolveResult::Unsat => {}
-            }
-            // Within-bounds executions all match; grow bounds if needed.
-            if enc.exceeded.is_empty() {
-                stats.total_time = t0.elapsed();
-                return Ok(InclusionResult {
-                    outcome: CheckOutcome::Pass,
-                    stats,
-                });
-            }
-            let act = enc.cnf.fresh();
-            let mut clause = vec![!act];
-            clause.extend(enc.exceeded.iter().map(|(_, l)| *l));
-            enc.cnf.clause(clause);
-            let ts = Instant::now();
-            let r = enc.cnf.solver.solve_with(&[act]);
-            stats.solve_time += ts.elapsed();
-            match r {
-                SolveResult::Sat => {
-                    for key in enc.exceeded_keys() {
-                        *bounds.entry(key).or_insert(1) += 1;
-                    }
-                }
-                SolveResult::Unsat => {
-                    stats.total_time = t0.elapsed();
-                    return Ok(InclusionResult {
-                        outcome: CheckOutcome::Pass,
-                        stats,
-                    });
-                }
-                SolveResult::Unknown => return Err(exhausted_err(&enc.cnf.solver)),
-            }
-        }
-        Err(CheckError::BoundsDiverged {
-            keys: bounds.keys().cloned().collect(),
-        })
-    }
-}
-
 struct OpInfo {
     arg: Option<EncVal>,
     ret: Option<EncVal>,
@@ -200,8 +59,9 @@ struct OpInfo {
 /// The machine's only non-definitional constraints ("every operation
 /// commits exactly once") are gated behind `gate`, so the circuit can
 /// live on a shared session solver without constraining other queries:
-/// pass the constant-true literal for a dedicated one-shot encoding, or
-/// a fresh literal (assumed during commit queries) on a session.
+/// pass the constant-true literal for a dedicated encoding (the
+/// reference oracle), or a fresh literal (assumed during commit
+/// queries) on a session.
 pub(crate) fn encode_abstract_machine(
     sx: &SymExec,
     enc: &mut Encoding,

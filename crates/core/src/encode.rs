@@ -22,6 +22,7 @@ use cf_sat::Lit;
 use cf_spec::ModelSpec;
 
 use crate::cnf::CnfBuilder;
+use crate::commit::AbstractType;
 use crate::range::{init_value, RangeInfo, ValueSet};
 use crate::symexec::{ErrorKind, SymExec};
 use crate::term::{BTerm, BTermId, VTerm, VTermId};
@@ -73,7 +74,7 @@ pub struct EncVal {
 pub enum ModelSel {
     /// A built-in mode.
     Builtin(Mode),
-    /// The `i`-th spec passed to [`Encoding::build_with_specs`] (or
+    /// The `i`-th spec passed to [`Encoding::build_full`] (or
     /// [`crate::SessionConfig::specs`]).
     Spec(usize),
 }
@@ -86,8 +87,8 @@ impl From<Mode> for ModelSel {
 
 /// The full encoding of one test under one or more memory models.
 ///
-/// A single-mode encoding ([`Encoding::build`]) is exactly the paper's
-/// Δ ∧ Θ formula. A multi-mode encoding ([`Encoding::build_multi`])
+/// Built by [`Encoding::build_full`]. A single-model encoding is
+/// exactly the paper's Δ ∧ Θ formula. A multi-model encoding
 /// additionally gates every mode-dependent Θ clause behind a per-mode
 /// *selector literal*, so one persistent solver can answer queries for
 /// every mode in the set (selecting a mode is an assumption vector, and
@@ -96,11 +97,10 @@ impl From<Mode> for ModelSel {
 /// per-site *activation literals*, making a fence placement an
 /// assumption vector instead of a re-encode.
 ///
-/// Declarative models ([`cf_spec::ModelSpec`]) join the same machinery
-/// through [`Encoding::build_with_specs`]: each spec's axioms are
-/// compiled to clauses over the shared memory-order variables, gated
-/// behind a per-spec selector literal, so user models toggle as
-/// assumptions alongside the built-ins.
+/// Declarative models ([`cf_spec::ModelSpec`]) join the same machinery:
+/// each spec's axioms are compiled to clauses over the shared
+/// memory-order variables, gated behind a per-spec selector literal, so
+/// user models toggle as assumptions alongside the built-ins.
 pub struct Encoding {
     /// The CNF builder / solver.
     pub cnf: CnfBuilder,
@@ -165,6 +165,10 @@ pub struct Encoding {
     /// definitions reused by session inclusion queries with one spec and
     /// many assumption vectors.
     spec_cache: Vec<(crate::checker::ObsSet, Lit)>,
+    /// Cached commit-point abstract machines `(type, gate, mismatch)`:
+    /// built once per encoding, their constraints gated on `gate` so
+    /// commit and observation queries share one solver.
+    commit_cache: Vec<(AbstractType, Lit, Lit)>,
     /// Selector literal per mode (indexed by [`Mode::index`]): `tt` in a
     /// single-model encoding, `ff` for modes outside the set, a fresh
     /// variable per member otherwise.
@@ -200,47 +204,15 @@ enum OrderVars {
 }
 
 impl Encoding {
-    /// Builds the single-mode encoding of `sx` under `mode` (the paper's
-    /// Δ ∧ Θ formula; mode selectors degenerate to constants).
-    pub fn build(
-        sx: &SymExec,
-        range: &RangeInfo,
-        mode: Mode,
-        order_encoding: OrderEncoding,
-    ) -> Encoding {
-        Self::build_multi(sx, range, ModeSet::single(mode), order_encoding)
-    }
-
-    /// Builds a multi-mode encoding: one CNF answering queries for every
-    /// mode in `modes`, with mode-dependent axioms gated behind selector
-    /// literals (see [`Encoding::mode_assumptions`]).
-    pub fn build_multi(
-        sx: &SymExec,
-        range: &RangeInfo,
-        modes: ModeSet,
-        order_encoding: OrderEncoding,
-    ) -> Encoding {
-        Self::build_with_specs(sx, range, modes, &[], order_encoding)
-    }
-
-    /// Builds a multi-model encoding over built-in modes *and* compiled
-    /// declarative models: every model (either kind) gets a selector
-    /// literal, and a query picks one via [`Encoding::model_assumptions`].
-    pub fn build_with_specs(
-        sx: &SymExec,
-        range: &RangeInfo,
-        modes: ModeSet,
-        specs: &[ModelSpec],
-        order_encoding: OrderEncoding,
-    ) -> Encoding {
-        Self::build_full(sx, range, modes, specs, order_encoding, false)
-    }
-
-    /// [`Encoding::build_with_specs`] with the full option set: when
-    /// `provenance` is on, every spec axiom's clauses are additionally
-    /// gated behind a fresh per-axiom literal so assumption cores
-    /// resolve to axiom names. With `provenance` off the built formula
-    /// is identical to [`Encoding::build_with_specs`].
+    /// Builds the encoding of `sx` over the model universe `modes` +
+    /// `specs`: one CNF answering queries for every model, with
+    /// model-dependent axioms gated behind selector literals (a query
+    /// picks one model via [`Encoding::model_assumptions`]). With a
+    /// single model the selectors are constants, so the formula is the
+    /// paper's Δ ∧ Θ. When `provenance` is on, every spec axiom's
+    /// clauses are additionally gated behind a fresh per-axiom literal
+    /// so assumption cores resolve to axiom names; with it off the
+    /// formula carries no such gates.
     pub fn build_full(
         sx: &SymExec,
         range: &RangeInfo,
@@ -292,6 +264,7 @@ impl Encoding {
             axiom_acts: Vec::new(),
             order: OrderVars::Pairwise(HashMap::new()),
             spec_cache: Vec::new(),
+            commit_cache: Vec::new(),
             mode_sel,
             spec_sel,
             flows: HashMap::new(),
@@ -444,6 +417,19 @@ impl Encoding {
     /// Caches a spec-membership circuit.
     pub(crate) fn spec_cache_insert(&mut self, spec: crate::checker::ObsSet, lit: Lit) {
         self.spec_cache.push((spec, lit));
+    }
+
+    /// Looks up a cached commit-point machine: `(gate, mismatch)`.
+    pub(crate) fn commit_cache_lookup(&self, ty: AbstractType) -> Option<(Lit, Lit)> {
+        self.commit_cache
+            .iter()
+            .find(|(t, _, _)| *t == ty)
+            .map(|&(_, g, m)| (g, m))
+    }
+
+    /// Caches a commit-point machine.
+    pub(crate) fn commit_cache_insert(&mut self, ty: AbstractType, gate: Lit, mismatch: Lit) {
+        self.commit_cache.push((ty, gate, mismatch));
     }
 
     /// The activation literal of candidate fence site `site`, created on

@@ -60,12 +60,14 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cf_lsl::{FenceKind, Procedure, Program, Stmt};
 use cf_memmodel::{Mode, ModeSet};
 
-use crate::checker::{CheckConfig, CheckError, Checker, ObsSet};
+use crate::checker::{CheckConfig, CheckError, ObsSet};
+use crate::mine::mine_reference;
 use crate::query::{Engine, EngineConfig, Query};
 use crate::test_spec::{Harness, TestSpec};
 
@@ -343,8 +345,7 @@ pub fn infer(
     // Mine each test's specification once; fences cannot change it.
     let mut specs: Vec<ObsSet> = Vec::with_capacity(tests.len());
     for t in tests {
-        let c = Checker::new(harness, t);
-        specs.push(c.mine_spec_reference()?.spec);
+        specs.push(mine_reference(harness, t)?.spec);
     }
 
     let all = candidate_sites(&harness.program, config);
@@ -458,18 +459,16 @@ pub fn infer(
     })
 }
 
-/// The pre-session per-candidate baseline: every candidate build is
-/// re-compiled into a fresh harness and checked with a one-shot
-/// [`Checker`] (fresh symbolic execution, encoding and solver per
-/// check). Produces the same 1-minimal placement as [`infer`]; kept for
-/// session-equivalence tests and as the "before" series of the
-/// fence-inference benchmark — which is why it may call the deprecated
-/// one-shot oracle.
+/// The per-candidate baseline: every candidate build is re-compiled
+/// into a fresh harness and checked by the reference oracle
+/// ([`crate::oracle::oneshot`]: fresh symbolic execution, encoding and
+/// solver per check). Produces the same 1-minimal placement as
+/// [`infer`]; kept for session-equivalence tests and as the "before"
+/// series of the fence-inference benchmark.
 ///
 /// # Errors
 ///
 /// As [`infer`].
-#[allow(deprecated)]
 pub fn infer_baseline(
     harness: &Harness,
     tests: &[TestSpec],
@@ -477,10 +476,9 @@ pub fn infer_baseline(
     config: &InferConfig,
 ) -> Result<InferenceResult, InferError> {
     let t0 = Instant::now();
-    let mut specs: Vec<ObsSet> = Vec::with_capacity(tests.len());
+    let mut specs: Vec<Arc<ObsSet>> = Vec::with_capacity(tests.len());
     for t in tests {
-        let c = Checker::new(harness, t);
-        specs.push(c.mine_spec_reference()?.spec);
+        specs.push(Arc::new(mine_reference(harness, t)?.spec));
     }
 
     let all = candidate_sites(&harness.program, config);
@@ -503,13 +501,13 @@ pub fn infer_baseline(
         };
         for (t, spec) in tests.iter().zip(&specs) {
             *checks += 1;
-            let c = Checker::new(&build, t).with_memory_model(mode);
-            let r = c.check_inclusion_oneshot(spec)?;
-            symexecs += r.stats.bound_rounds;
-            sat.conflicts += r.stats.sat_conflicts;
-            sat.propagations += r.stats.sat_propagations;
-            sat.solves += r.stats.sat_solves;
-            if !r.outcome.passed() {
+            let query = Query::check_inclusion(&build, t, Arc::clone(spec)).on(mode);
+            let v = crate::oracle::oneshot(&query, &CheckConfig::default(), &[])?;
+            symexecs += v.phase.bound_rounds;
+            sat.conflicts += v.phase.sat_conflicts;
+            sat.propagations += v.phase.sat_propagations;
+            sat.solves += v.phase.sat_solves;
+            if !v.passed() {
                 return Ok(Some(t.name.clone()));
             }
         }

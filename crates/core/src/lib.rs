@@ -21,20 +21,22 @@
 //! earlier CAV 2006 paper as the baseline for the paper's Fig. 12 speed
 //! comparison.
 //!
-//! ## Beyond the one-shot pipeline
+//! ## The checking surface
 //!
-//! * [`query`] — **the public checking surface**: a composable
-//!   [`Query`] value per question (mine / enumerate / inclusion /
-//!   commit × model × fence and toggle assumption vectors) answered by
-//!   an [`Engine`] pooling incremental [`CheckSession`]s per (harness,
-//!   test, model universe), with batch sharding across worker threads
-//!   and per-query solver attribution ([`QueryStats`]);
+//! * [`query`] — **the one checking path**: a composable [`Query`]
+//!   value per question (mine / enumerate / inclusion / commit × model
+//!   × fence and toggle assumption vectors) answered by an [`Engine`]
+//!   pooling incremental [`CheckSession`]s per (harness, test, model
+//!   universe), with batch sharding across worker threads and
+//!   per-query solver attribution ([`QueryStats`]);
 //! * [`CheckSession`] — the underlying incremental session: one
 //!   persistent solver per (harness, test), with built-in
 //!   [`cf_memmodel::Mode`]s and declarative [`cf_spec::ModelSpec`]s
 //!   selected per query through assumption literals (encode once,
-//!   solve many); its per-question method grid is deprecated in favor
-//!   of [`query`];
+//!   solve many);
+//! * [`oracle`] — the one-shot reference: the same queries answered
+//!   with a fresh encoding and solver per check, kept only as the
+//!   independent baseline for equivalence tests and benchmarks;
 //! * [`infer`] — automatic 1-minimal fence placement, candidate fences
 //!   as activation literals on pooled sessions;
 //! * [`mutate`] — batched Fig. 11-style mutation checking: statement
@@ -93,12 +95,13 @@ pub mod cycles;
 pub mod infer;
 pub mod mutate;
 mod obs_text;
+pub mod oracle;
 pub mod provenance;
 pub mod query;
 
 pub use checker::{
-    CheckConfig, CheckError, CheckOutcome, Checker, Counterexample, FailureKind, InclusionResult,
-    InconclusiveReason, MiningResult, ObsSet, PhaseStats, TraceStep,
+    CheckConfig, CheckError, CheckOutcome, Counterexample, FailureKind, InconclusiveReason,
+    MiningResult, ObsSet, PhaseStats, TraceStep,
 };
 pub use cnf::CnfBuilder;
 pub use encode::{EncVal, Encoding, ModelSel, OrderEncoding};

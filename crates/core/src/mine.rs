@@ -17,30 +17,18 @@ use std::time::Instant;
 
 use cf_lsl::{ExecError, Machine, Value};
 
-use crate::checker::{
-    CheckError, Checker, Counterexample, FailureKind, MiningResult, ObsSet, PhaseStats,
-};
+use crate::checker::{CheckError, Counterexample, FailureKind, MiningResult, ObsSet, PhaseStats};
 use crate::test_spec::{Harness, OpSig, TestSpec};
 
-impl Checker<'_> {
-    /// Mines the observation set by explicit enumeration on the concrete
-    /// interpreter (the paper's "refset" fast path).
-    ///
-    /// # Errors
-    ///
-    /// [`CheckError::SerialBug`] when some serial execution raises a
-    /// runtime error (assertion failure, undefined-value use, bad
-    /// address); such an implementation has no meaningful specification.
-    pub fn mine_spec_reference(&self) -> Result<MiningResult, CheckError> {
-        mine_reference(self.harness_ref(), self.test_ref())
-    }
-}
-
-/// Enumerates serial executions of `test` on the interpreter.
+/// Mines the observation set of `test` by explicit enumeration of its
+/// serial executions on the concrete interpreter (the paper's "refset"
+/// fast path).
 ///
 /// # Errors
 ///
-/// See [`Checker::mine_spec_reference`].
+/// [`CheckError::SerialBug`] when some serial execution raises a
+/// runtime error (assertion failure, undefined-value use, bad
+/// address); such an implementation has no meaningful specification.
 pub fn mine_reference(harness: &Harness, test: &TestSpec) -> Result<MiningResult, CheckError> {
     crate::checker::validate_test_shape(test)?;
     let t0 = Instant::now();

@@ -34,8 +34,9 @@
 //!   sensitivity.
 //!
 //! [`run_mutation_matrix`] produces a [`MutationReport`] (a Fig.
-//! 11-style table); [`run_mutation_matrix_oneshot`] is the independent
-//! per-mutant oracle kept for equivalence tests and the
+//! 11-style table); [`run_mutation_matrix_oneshot`] answers the same
+//! matrix through the reference oracle ([`crate::oracle::oneshot`]) on
+//! concretely mutated programs, for equivalence tests and the
 //! `BENCH_mutate.json` benchmark.
 
 use std::collections::HashSet;
@@ -46,7 +47,7 @@ use cf_lsl::{pretty, FenceKind, Program, Reg, Stmt};
 use cf_memmodel::{Mode, ModeSet};
 use cf_spec::ModelSpec;
 
-use crate::checker::{CheckConfig, CheckError, CheckOutcome, Checker, FailureKind, ObsSet};
+use crate::checker::{CheckConfig, CheckError, CheckOutcome, FailureKind};
 use crate::encode::ModelSel;
 use crate::query::{Engine, EngineConfig, Query, Verdict};
 use crate::session::SessionStats;
@@ -578,8 +579,8 @@ pub struct MatrixConfig {
     /// Declarative models checked alongside the built-ins (compiled
     /// into the same encoding, selected per query).
     pub specs: Vec<ModelSpec>,
-    /// Check settings (order encoding, bounds, budgets); the
-    /// `memory_model` field is ignored — the matrix supplies models.
+    /// Check settings (order encoding, bounds, budgets); the matrix
+    /// supplies the models.
     pub check: CheckConfig,
     /// Worker threads: the mutant × model cells shard across this many
     /// engine workers, one session replica per shard (each replica
@@ -817,23 +818,10 @@ impl MutationReport {
     }
 }
 
-fn verdict_of(
-    r: Result<crate::checker::InclusionResult, CheckError>,
-) -> Result<MutantVerdict, CheckError> {
-    match r {
-        Ok(res) => Ok(match res.outcome {
-            CheckOutcome::Pass => MutantVerdict::Survived,
-            CheckOutcome::Fail(cx) => MutantVerdict::Caught(cx.kind),
-        }),
-        Err(CheckError::BoundsDiverged { .. }) => Ok(MutantVerdict::Diverged),
-        Err(CheckError::Exhausted(reason)) => Ok(MutantVerdict::Inconclusive(reason)),
-        Err(e) => Err(e),
-    }
-}
-
-/// [`verdict_of`] for engine verdicts. Returns the cell verdict plus
-/// the provenance summary (captured *before* the verdict is consumed;
-/// `None` unless the engine ran with provenance and decided the cell).
+/// The cell verdict of a query result (bound divergence and exhaustion
+/// are verdicts, not errors), plus the provenance summary (captured
+/// *before* the verdict is consumed; `None` unless the engine ran with
+/// provenance and decided the cell).
 fn verdict_of_query(
     r: Result<Verdict, CheckError>,
 ) -> Result<(MutantVerdict, Option<String>), CheckError> {
@@ -884,7 +872,7 @@ pub fn run_mutation_matrix(
             ("models", cf_trace::u(config.models().len() as u64)),
         ]
     });
-    let spec = crate::mine::mine_reference(harness, test)?.spec;
+    let spec = std::sync::Arc::new(crate::mine::mine_reference(harness, test)?.spec);
     let instrumented = Harness {
         name: format!("{}+mutants", harness.name),
         program: plan.instrumented.clone(),
@@ -969,11 +957,11 @@ pub fn run_mutation_matrix(
     })
 }
 
-/// The per-mutant oracle: every (mutant, model) cell is a fresh
-/// [`Checker`] run on the concretely mutated program — full symbolic
-/// execution, encoding and cold solver each time. Verdict-equivalent to
-/// [`run_mutation_matrix`] (the equivalence suite asserts it); kept as
-/// the baseline of `BENCH_mutate.json`.
+/// The per-mutant oracle: every (mutant, model) cell is a
+/// [`crate::oracle::oneshot`] run on the concretely mutated program —
+/// full symbolic execution, encoding and cold solver each time.
+/// Verdict-equivalent to [`run_mutation_matrix`] (the equivalence suite
+/// asserts it); kept as the baseline of `BENCH_mutate.json`.
 ///
 /// # Errors
 ///
@@ -985,7 +973,7 @@ pub fn run_mutation_matrix_oneshot(
     config: &MatrixConfig,
 ) -> Result<MutationReport, CheckError> {
     let t0 = Instant::now();
-    let spec = crate::mine::mine_reference(harness, test)?.spec;
+    let spec = std::sync::Arc::new(crate::mine::mine_reference(harness, test)?.spec);
     let models = config.models();
     let mut session = SessionStats::default();
     let mut solver = cf_sat::Stats::default();
@@ -1000,15 +988,16 @@ pub fn run_mutation_matrix_oneshot(
             let mut verdicts = Vec::with_capacity(models.len());
             for (_, sel) in &models {
                 session.queries += 1;
-                let r = oneshot_cell(&build, test, config, *sel, &spec);
-                if let Ok(res) = &r {
-                    session.symexecs += res.stats.bound_rounds;
-                    session.encodes += res.stats.bound_rounds;
-                    solver.conflicts += res.stats.sat_conflicts;
-                    solver.propagations += res.stats.sat_propagations;
-                    solver.solves += res.stats.sat_solves;
+                let query = Query::check_inclusion(&build, test, spec.clone()).on_model(*sel);
+                let r = crate::oracle::oneshot(&query, &config.check, &config.specs);
+                if let Ok(v) = &r {
+                    session.symexecs += v.phase.bound_rounds;
+                    session.encodes += v.phase.bound_rounds;
+                    solver.conflicts += v.phase.sat_conflicts;
+                    solver.propagations += v.phase.sat_propagations;
+                    solver.solves += v.phase.sat_solves;
                 }
-                verdicts.push(verdict_of(r)?);
+                verdicts.push(verdict_of_query(r)?.0);
             }
             Ok(verdicts)
         };
@@ -1041,28 +1030,6 @@ pub fn run_mutation_matrix_oneshot(
         solver,
         elapsed: t0.elapsed(),
     })
-}
-
-/// One one-shot cell: a fresh checker per (build, model). Part of the
-/// oracle apparatus, hence the deliberate calls into the deprecated
-/// one-shot grid.
-#[allow(deprecated)]
-fn oneshot_cell(
-    build: &Harness,
-    test: &TestSpec,
-    config: &MatrixConfig,
-    sel: ModelSel,
-    spec: &ObsSet,
-) -> Result<crate::checker::InclusionResult, CheckError> {
-    let mut checker = Checker::new(build, test);
-    checker.config = config.check.clone();
-    match sel {
-        ModelSel::Builtin(mode) => {
-            checker.config.memory_model = mode;
-            checker.check_inclusion_oneshot(spec)
-        }
-        ModelSel::Spec(i) => checker.check_inclusion_spec(&config.specs[i], spec),
-    }
 }
 
 #[cfg(test)]

@@ -2,11 +2,8 @@
 //! for all of them.
 //!
 //! CheckFence's core loop is *encode once, answer many related
-//! questions* (paper Fig. 6), but the session surface historically grew
-//! one method per question shape: `check_inclusion` /
-//! `enumerate_observations` × `_model` × `_toggled` × `_with_fences` ×
-//! `_oneshot`, doubling with every new axis. This module collapses that
-//! grid into two types:
+//! questions* (paper Fig. 6). Every question, whatever its shape, is
+//! described by one value type and answered by one engine:
 //!
 //! * [`Query`] — a declarative description of one question: the
 //!   implementation ([`Harness`]) and symbolic test ([`TestSpec`]), the
@@ -27,6 +24,10 @@
 //! ([`QueryStats`], computed with [`cf_sat::Stats::since`]) next to the
 //! per-phase [`PhaseStats`], so batch drivers can report cost per
 //! question instead of only session totals.
+//!
+//! The engine is the one checking path. The same [`Query`] values also
+//! run through [`crate::oracle::oneshot`], the independent reference
+//! that equivalence tests and benchmark baselines compare against.
 //!
 //! # Examples
 //!
@@ -83,8 +84,7 @@ use cf_memmodel::{Mode, ModeSet};
 use cf_spec::ModelSpec;
 
 use crate::checker::{
-    CheckConfig, CheckError, CheckOutcome, Counterexample, InclusionResult, InconclusiveReason,
-    ObsSet, PhaseStats,
+    CheckConfig, CheckError, CheckOutcome, Counterexample, InconclusiveReason, ObsSet, PhaseStats,
 };
 use crate::commit::AbstractType;
 use crate::encode::ModelSel;
@@ -142,8 +142,8 @@ pub struct Query<'h> {
     harness: &'h Harness,
     test: &'h TestSpec,
     model: ModelSel,
-    fences: Vec<u32>,
-    toggles: Vec<u32>,
+    pub(crate) fences: Vec<u32>,
+    pub(crate) toggles: Vec<u32>,
     kind: QueryKind,
     budget: Option<u64>,
     deadline: Option<Duration>,
@@ -313,8 +313,8 @@ impl<'h> Query<'h> {
 
     /// Answers this query on a throwaway single-use [`Engine`] whose
     /// universe holds exactly this query's model — the one-off
-    /// convenience for tests and small tools, at the same encoding cost
-    /// as the old one-shot checkers. Batch drivers should build an
+    /// convenience for tests and small tools, at the encoding cost of
+    /// one single-model check. Batch drivers should build an
     /// [`Engine`] and reuse it. Spec models need an engine configured
     /// with [`EngineConfig::specs`], so they cannot run through this
     /// helper.
@@ -380,7 +380,7 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
-    fn from_delta(delta: cf_sat::Stats, wall: Duration, retries: u32) -> QueryStats {
+    pub(crate) fn from_delta(delta: cf_sat::Stats, wall: Duration, retries: u32) -> QueryStats {
         QueryStats {
             solves: delta.solves,
             conflicts: delta.conflicts,
@@ -471,41 +471,6 @@ impl Verdict {
             _ => None,
         }
     }
-
-    /// Converts an inconclusive verdict back into the legacy
-    /// [`CheckError::Exhausted`] error the deprecated one-query shims
-    /// report, passing conclusive verdicts through.
-    pub(crate) fn or_exhausted(self) -> Result<Verdict, CheckError> {
-        match self.answer {
-            Answer::Inconclusive { reason, .. } => Err(CheckError::Exhausted(reason)),
-            _ => Ok(self),
-        }
-    }
-
-    /// Consumes an outcome-shaped verdict into the legacy result type —
-    /// the shared adapter of the deprecated shims.
-    ///
-    /// # Errors
-    ///
-    /// Inconclusive verdicts surface as [`CheckError::Exhausted`], the
-    /// pre-verdict contract of the shims.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an observation-shaped answer (mining/enumeration).
-    pub(crate) fn into_inclusion_result(self) -> Result<InclusionResult, CheckError> {
-        let Verdict { answer, phase, .. } = self;
-        match answer {
-            Answer::Outcome(outcome) => Ok(InclusionResult {
-                outcome,
-                stats: phase,
-            }),
-            Answer::Inconclusive { reason, .. } => Err(CheckError::Exhausted(reason)),
-            Answer::Observations(_) => {
-                unreachable!("outcome-shaped queries only")
-            }
-        }
-    }
 }
 
 /// Configuration of an [`Engine`]: the model universe every pooled
@@ -522,8 +487,8 @@ pub struct EngineConfig {
     /// Declarative models of the universe ([`ModelSel::Spec`] indexes
     /// this list). Compiled into every session next to the built-ins.
     pub specs: Vec<ModelSpec>,
-    /// Check settings (order encoding, bounds, budgets). The
-    /// `memory_model` field is ignored — queries name their models.
+    /// Check settings (order encoding, bounds, budgets); queries name
+    /// their models.
     pub check: CheckConfig,
     /// Worker threads for [`Engine::run_batch`]. `0` and `1` both mean
     /// sequential. With more, large per-session query groups are
@@ -571,7 +536,7 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// A universe holding a single built-in mode (the cheapest session
-    /// for one-model drivers; mirrors the old one-shot encoding cost).
+    /// for one-model drivers: the reference oracle's encoding).
     pub fn single(mode: Mode) -> EngineConfig {
         EngineConfig {
             modes: ModeSet::single(mode),
@@ -579,8 +544,8 @@ impl EngineConfig {
         }
     }
 
-    /// An engine configuration derived from one-shot check settings,
-    /// restricted to the given built-in universe.
+    /// An engine configuration derived from check settings, restricted
+    /// to the given built-in universe.
     pub fn from_check_config(check: &CheckConfig, modes: ModeSet) -> EngineConfig {
         EngineConfig {
             modes,
@@ -1419,5 +1384,34 @@ mod tests {
             )
             .expect_err("commit ignores fences");
         assert!(matches!(err, CheckError::BadQuery(_)), "{err}");
+    }
+
+    #[test]
+    fn the_reference_oracle_refuses_fences_and_toggles() {
+        // The reference checks concrete programs; its callers rebuild
+        // fenced or mutated builds instead of assuming them.
+        let (h, t) = mailbox();
+        let config = CheckConfig::default();
+        let spec = crate::mine::mine_reference(&h, &t).expect("mines").spec;
+        let check = Query::check_inclusion(&h, &t, spec).on(Mode::Tso);
+        for q in [
+            check.clone().with_fences(&[0]),
+            check.clone().with_toggles(&[1]),
+            Query::enumerate(&h, &t).on(Mode::Pso).with_toggles(&[0]),
+            Query::mine(&h, &t).with_fences(&[2]),
+            Query::commit_method(&h, &t, AbstractType::Queue)
+                .on(Mode::Sc)
+                .with_toggles(&[0]),
+        ] {
+            let err = crate::oracle::oneshot(&q, &config, &[]).expect_err("refused");
+            assert!(
+                matches!(err, CheckError::BadQuery(_)),
+                "{}: {err}",
+                q.describe()
+            );
+        }
+        // Without assumption vectors the same questions are answered.
+        let v = crate::oracle::oneshot(&check, &config, &[]).expect("plain check runs");
+        assert!(v.passed(), "the fenced mailbox passes on tso");
     }
 }

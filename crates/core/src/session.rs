@@ -3,19 +3,22 @@
 //! CheckFence's practical cost is dominated by re-checking the same test
 //! under slightly different configurations: fence inference re-checks one
 //! test per candidate placement (§4.2), spec mining solves once per
-//! observation (§3.2), and model sweeps re-check per memory model. The
-//! one-shot [`Checker`](crate::Checker) pays a full symbolic execution, a
-//! full CNF encode and a cold SAT solver for each of those checks, even
-//! though the formula differs only marginally between them.
+//! observation (§3.2), and model sweeps re-check per memory model. A
+//! one-shot check ([`crate::oracle::oneshot`], the reference) pays a
+//! full symbolic execution, a full CNF encode and a cold SAT solver for
+//! each of those checks, even though the formula differs only
+//! marginally between them.
 //!
 //! A [`CheckSession`] binds one (harness, test) pair to one *persistent*
-//! incremental solver and answers every query through assumptions:
+//! incremental solver and answers every query through assumptions (the
+//! [`Engine`](crate::query::Engine) pools sessions and is their only
+//! driver):
 //!
 //! * **Candidate fences** ([`cf_lsl::Stmt::CandidateFence`]) are encoded
 //!   once, with each site's ordering clauses gated behind an *activation
 //!   literal*. A candidate placement is then just an assumption vector —
 //!   no program rebuild, no re-encode, no cold solver.
-//! * **Memory models** are encoded together ([`Encoding::build_multi`]):
+//! * **Memory models** are encoded together ([`Encoding::build_full`]):
 //!   the mode-dependent Θ axioms are gated behind per-mode *selector
 //!   literals*, grouped by mode delta ([`cf_memmodel::ModeSet`]), so a
 //!   lattice sweep reuses the thread-local Δ circuits and all learnt
@@ -26,10 +29,11 @@
 //!   added permanently and cached — or gated behind a per-query literal
 //!   that is retired when the query completes.
 //!
-//! The lazy loop-unrolling of §3.3 still applies: when a query discovers
-//! executions exceeding the current loop bounds, the session re-executes
-//! and re-encodes at larger bounds (this is the only event that discards
-//! solver state; [`SessionStats`] counts it).
+//! The lazy loop-unrolling of §3.3 still applies, in one loop every
+//! query kind runs through: when a query discovers executions exceeding
+//! the current loop bounds, the session re-executes and re-encodes at
+//! larger bounds (this is the only event that discards solver state;
+//! [`SessionStats`] counts it).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
@@ -41,7 +45,7 @@ use cf_spec::ModelSpec;
 
 use crate::checker::{
     decode_counterexample, exhausted_err, CheckConfig, CheckError, CheckOutcome, FailureKind,
-    InclusionResult, MiningResult, ObsSet, PhaseStats,
+    ObsSet, PhaseStats,
 };
 use crate::commit::{encode_abstract_machine, AbstractType};
 use crate::encode::{Encoding, ModelSel, OrderEncoding};
@@ -55,8 +59,8 @@ use crate::test_spec::{Harness, TestSpec};
 pub struct SessionConfig {
     /// The built-in memory models the session can answer queries for.
     /// Encoding only the modes you need keeps the formula smaller; a
-    /// single-model session costs exactly what the one-shot encoding
-    /// did.
+    /// single-model session costs exactly what the reference oracle's
+    /// encoding does.
     pub modes: ModeSet,
     /// Declarative models encoded alongside the built-ins, addressed by
     /// index ([`ModelSel::Spec`]). Compiled once into the shared
@@ -105,8 +109,8 @@ impl Default for SessionConfig {
 }
 
 impl SessionConfig {
-    /// Derives a session configuration from a one-shot [`CheckConfig`],
-    /// encoding the given mode set.
+    /// Derives a session configuration from a [`CheckConfig`], encoding
+    /// the given mode set.
     pub fn from_check_config(config: &CheckConfig, modes: ModeSet) -> SessionConfig {
         SessionConfig {
             modes,
@@ -159,12 +163,12 @@ struct State {
     /// Activation literal of the bound-overflow query clause, if the
     /// encoding has loop-bound-exceeded flags.
     overflow_act: Option<Lit>,
-    /// Cached commit-point abstract machines: `(type, gate, mismatch)`.
-    commit_cache: Vec<(AbstractType, Lit, Lit)>,
 }
 
-/// Whether a query result depends on the loop bounds being sufficient.
-enum Round<T> {
+/// Whether a query result depends on the loop bounds being sufficient
+/// (the payload contract of both lazy-unrolling loops: this module's
+/// and the reference oracle's).
+pub(crate) enum Round<T> {
     /// Valid regardless of loop bounds (a within-bounds counterexample).
     Final(T),
     /// Valid only if no execution exceeds the bounds.
@@ -173,12 +177,9 @@ enum Round<T> {
 
 /// An incremental checking session for one implementation and one test.
 ///
-/// Sessions are the unit of encoding reuse. Drivers should not call the
-/// per-question methods directly anymore: describe questions as
-/// [`Query`](crate::query::Query) values and let an
-/// [`Engine`](crate::query::Engine) pool and schedule the sessions —
-/// the method grid below survives only as deprecated shims over the
-/// same internals.
+/// Sessions are the unit of encoding reuse. Drivers describe questions
+/// as [`Query`](crate::query::Query) values and let an
+/// [`Engine`](crate::query::Engine) pool and schedule the sessions.
 ///
 /// # Examples
 ///
@@ -245,12 +246,6 @@ pub struct CheckSession<'h> {
 }
 
 impl<'h> CheckSession<'h> {
-    /// Creates a session answering every memory model, with default
-    /// configuration.
-    pub fn new(harness: &'h Harness, test: &'h TestSpec) -> Self {
-        Self::with_config(harness, test, SessionConfig::default())
-    }
-
     /// Creates a session with an explicit configuration.
     pub fn with_config(harness: &'h Harness, test: &'h TestSpec, config: SessionConfig) -> Self {
         CheckSession {
@@ -287,80 +282,16 @@ impl<'h> CheckSession<'h> {
             .unwrap_or_default()
     }
 
-    /// The candidate fence sites present in the encoded program, in
-    /// ascending site order (empty unless the program contains
-    /// [`cf_lsl::Stmt::CandidateFence`] statements).
-    ///
-    /// # Errors
-    ///
-    /// Propagates symbolic-execution failures from building the encoding.
-    pub fn candidate_sites(&mut self) -> Result<Vec<u32>, CheckError> {
-        let mut stats = PhaseStats::default();
-        self.ensure_state(&mut stats)?;
-        Ok(self
-            .state
-            .as_ref()
-            .expect("state built")
-            .enc
-            .fence_acts
-            .keys()
-            .copied()
-            .collect())
-    }
-
-    /// The mutation toggle sites present in the encoded program, in
-    /// ascending site order (empty unless the program contains
-    /// [`cf_lsl::Stmt::Toggle`] statements). A site whose mutant branch
-    /// has no encodable effect (e.g. it only touches dead registers) may
-    /// be absent even though the plan lists it; activating such a site
-    /// is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Propagates symbolic-execution failures from building the encoding.
-    pub fn toggle_sites(&mut self) -> Result<Vec<u32>, CheckError> {
-        let mut stats = PhaseStats::default();
-        self.ensure_state(&mut stats)?;
-        Ok(self
-            .state
-            .as_ref()
-            .expect("state built")
-            .enc
-            .toggle_acts
-            .keys()
-            .copied()
-            .collect())
-    }
-
-    /// Mines the observation set with the SAT encoding under Seriality
-    /// (§3.2), reusing the persistent encoding. Candidate fences are
-    /// irrelevant here: fences are no-ops under the Seriality model.
+    /// The [`QueryKind::Mine`](crate::query::QueryKind::Mine) body:
+    /// the SAT-enumerated observation set of all error-free serial
+    /// executions (§3.2). Phase timings accumulate into `stats` — also
+    /// on the error path, so exhausted queries keep their partial
+    /// attribution (the caller stamps `total_time`).
     ///
     /// # Errors
     ///
     /// [`CheckError::SerialBug`] if a serial execution raises a runtime
-    /// error; infrastructure errors otherwise. Panics if the session was
-    /// configured without the `Serial` mode.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::mine(..)` on a `checkfence::query::Engine` instead"
-    )]
-    pub fn mine_spec(&mut self) -> Result<MiningResult, CheckError> {
-        let t0 = Instant::now();
-        let mut stats = PhaseStats::default();
-        let spec = self.query_mine(&mut stats)?;
-        stats.total_time = t0.elapsed();
-        Ok(MiningResult { spec, stats })
-    }
-
-    /// The [`QueryKind::Mine`](crate::query::QueryKind::Mine) body.
-    /// Phase timings accumulate into `stats` — also on the error path,
-    /// so exhausted queries keep their partial attribution (the caller
-    /// stamps `total_time`).
-    ///
-    /// # Errors
-    ///
-    /// As the deprecated [`CheckSession::mine_spec`] shim above.
+    /// error; infrastructure errors otherwise.
     pub(crate) fn query_mine(&mut self, stats: &mut PhaseStats) -> Result<ObsSet, CheckError> {
         self.stats.queries += 1;
         let serial = ModelSel::Builtin(Mode::Serial);
@@ -384,74 +315,6 @@ impl<'h> CheckSession<'h> {
             let vectors = Self::enumerate_gated(enc, asm, stats)?;
             Ok(Round::Bounded(ObsSet { vectors }))
         })
-    }
-
-    /// Mines the observation set by explicit enumeration on the concrete
-    /// interpreter (the paper's "refset" fast path; does not touch the
-    /// solver).
-    ///
-    /// # Errors
-    ///
-    /// See [`crate::mine_reference`].
-    pub fn mine_spec_reference(&self) -> Result<MiningResult, CheckError> {
-        crate::mine::mine_reference(self.harness, self.test)
-    }
-
-    /// Enumerates the observations of all error-free executions under
-    /// `mode` by iterated solving with gated blocking clauses.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only. Panics if `mode` is not in the
-    /// session's mode set.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::enumerate(..).on(mode)` on a `checkfence::query::Engine` instead"
-    )]
-    pub fn enumerate_observations(&mut self, mode: Mode) -> Result<ObsSet, CheckError> {
-        self.query_enumerate(
-            ModelSel::Builtin(mode),
-            &[],
-            &[],
-            &mut PhaseStats::default(),
-        )
-    }
-
-    /// [`CheckSession::enumerate_observations`] for any encoded model —
-    /// a built-in mode or a declarative spec of the session's universe.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only. Panics if the model is not part of
-    /// the session's universe.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::enumerate(..).on_model(model)` on a `checkfence::query::Engine` instead"
-    )]
-    pub fn enumerate_observations_model(&mut self, model: ModelSel) -> Result<ObsSet, CheckError> {
-        self.query_enumerate(model, &[], &[], &mut PhaseStats::default())
-    }
-
-    /// [`CheckSession::enumerate_observations_model`] with exactly the
-    /// mutation toggle sites in `active_toggles` switched to their
-    /// mutant branch — the observable behavior of one program mutant
-    /// under one model, answered from the shared encoding.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only. Panics if the model is not part of
-    /// the session's universe.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::enumerate(..).on_model(model).with_toggles(sites)` on a \
-                `checkfence::query::Engine` instead"
-    )]
-    pub fn enumerate_observations_toggled(
-        &mut self,
-        model: ModelSel,
-        active_toggles: &[u32],
-    ) -> Result<ObsSet, CheckError> {
-        self.query_enumerate(model, &[], active_toggles, &mut PhaseStats::default())
     }
 
     /// The [`QueryKind::Enumerate`](crate::query::QueryKind::Enumerate)
@@ -526,136 +389,10 @@ impl<'h> CheckSession<'h> {
         Ok(vectors)
     }
 
-    /// Checks that every execution under `mode` produces an observation
-    /// in `spec` and raises no runtime error, with every candidate fence
-    /// site inactive.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only; verification failures are reported as
-    /// [`CheckOutcome::Fail`]. Panics if `mode` is not in the session's
-    /// mode set.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::check_inclusion(..).on(mode)` on a `checkfence::query::Engine` instead"
-    )]
-    pub fn check_inclusion(
-        &mut self,
-        mode: Mode,
-        spec: &ObsSet,
-    ) -> Result<InclusionResult, CheckError> {
-        self.inclusion_result(ModelSel::Builtin(mode), spec, &[], &[])
-    }
-
-    /// Like [`CheckSession::check_inclusion`], with exactly the candidate
-    /// fence sites in `active_sites` activated — the fence-inference
-    /// inner loop: one assumption vector per candidate build.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only. Panics if `mode` is not in the
-    /// session's mode set.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::check_inclusion(..).on(mode).with_fences(sites)` on a \
-                `checkfence::query::Engine` instead"
-    )]
-    pub fn check_inclusion_with_fences(
-        &mut self,
-        mode: Mode,
-        spec: &ObsSet,
-        active_sites: &[u32],
-    ) -> Result<InclusionResult, CheckError> {
-        self.inclusion_result(ModelSel::Builtin(mode), spec, active_sites, &[])
-    }
-
-    /// [`CheckSession::check_inclusion`] for any encoded model — a
-    /// built-in mode or a declarative spec of the session's universe.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only. Panics if the model is not part of
-    /// the session's universe.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::check_inclusion(..).on_model(model)` on a \
-                `checkfence::query::Engine` instead"
-    )]
-    pub fn check_inclusion_model(
-        &mut self,
-        model: ModelSel,
-        spec: &ObsSet,
-    ) -> Result<InclusionResult, CheckError> {
-        self.inclusion_result(model, spec, &[], &[])
-    }
-
-    /// [`CheckSession::check_inclusion_with_fences`] for any encoded
-    /// model: declarative specs see candidate fences through their
-    /// `fence` relation, so spec models drive fence-inference sessions
-    /// exactly like built-ins.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only. Panics if the model is not part of
-    /// the session's universe.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::check_inclusion(..).on_model(model).with_fences(sites)` on a \
-                `checkfence::query::Engine` instead"
-    )]
-    pub fn check_inclusion_model_with_fences(
-        &mut self,
-        model: ModelSel,
-        spec: &ObsSet,
-        active_sites: &[u32],
-    ) -> Result<InclusionResult, CheckError> {
-        self.inclusion_result(model, spec, active_sites, &[])
-    }
-
-    /// [`CheckSession::check_inclusion_model`] with exactly the mutation
-    /// toggle sites in `active_toggles` switched to their mutant branch
-    /// — the batched-mutation inner loop: one assumption vector per
-    /// mutant, no re-encode, no cold solver (see [`crate::mutate`]).
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure errors only. Panics if the model is not part of
-    /// the session's universe.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::check_inclusion(..).on_model(model).with_toggles(sites)` on a \
-                `checkfence::query::Engine` instead"
-    )]
-    pub fn check_inclusion_toggled(
-        &mut self,
-        model: ModelSel,
-        spec: &ObsSet,
-        active_toggles: &[u32],
-    ) -> Result<InclusionResult, CheckError> {
-        self.inclusion_result(model, spec, &[], active_toggles)
-    }
-
-    /// The legacy adapter of the inclusion shims: runs the query body
-    /// with a local accumulator and wraps it into an [`InclusionResult`].
-    fn inclusion_result(
-        &mut self,
-        model: ModelSel,
-        spec: &ObsSet,
-        active_sites: &[u32],
-        active_toggles: &[u32],
-    ) -> Result<InclusionResult, CheckError> {
-        let t0 = Instant::now();
-        let mut stats = PhaseStats::default();
-        let outcome =
-            self.query_inclusion(model, spec, active_sites, active_toggles, &mut stats)?;
-        stats.total_time = t0.elapsed();
-        Ok(InclusionResult { outcome, stats })
-    }
-
     /// The
     /// [`QueryKind::CheckInclusion`](crate::query::QueryKind::CheckInclusion)
-    /// body, shared by every inclusion shim: candidate-fence sites and
-    /// mutation toggles are both just assumption polarities. Phase
+    /// body: candidate-fence sites and mutation toggles are both just
+    /// assumption polarities. Phase
     /// timings accumulate into `stats` — also on the error path — and
     /// the caller stamps `total_time`.
     pub(crate) fn query_inclusion(
@@ -768,40 +505,19 @@ impl<'h> CheckSession<'h> {
         result
     }
 
-    /// Runs the commit-point method (the Fig. 12 baseline) under `mode`,
-    /// reusing the persistent encoding; the abstract machine circuit is
-    /// built once per session and gated on a per-machine literal, so
-    /// commit queries coexist with observation queries on one solver.
+    /// The
+    /// [`QueryKind::CommitMethod`](crate::query::QueryKind::CommitMethod)
+    /// body: the commit-point method (the Fig. 12 baseline) under
+    /// `mode`. The abstract machine is built once per encoding and gated
+    /// on a per-machine literal, so commit queries coexist with
+    /// observation queries on one solver. Phase timings accumulate into
+    /// `stats` — also on the error path — and the caller stamps
+    /// `total_time`.
     ///
     /// # Errors
     ///
     /// [`CheckError::SymExec`] if an operation lacks commit annotations;
-    /// the usual infrastructure errors otherwise. Panics if `mode` is not
-    /// in the session's mode set.
-    #[deprecated(
-        since = "0.2.0",
-        note = "run `Query::commit_method(..).on(mode)` on a `checkfence::query::Engine` instead"
-    )]
-    pub fn check_commit_method(
-        &mut self,
-        mode: Mode,
-        ty: AbstractType,
-    ) -> Result<InclusionResult, CheckError> {
-        let t0 = Instant::now();
-        let mut stats = PhaseStats::default();
-        let outcome = self.query_commit(mode, ty, &mut stats)?;
-        stats.total_time = t0.elapsed();
-        Ok(InclusionResult { outcome, stats })
-    }
-
-    /// The
-    /// [`QueryKind::CommitMethod`](crate::query::QueryKind::CommitMethod)
-    /// body. Phase timings accumulate into `stats` — also on the error
-    /// path — and the caller stamps `total_time`.
-    ///
-    /// # Errors
-    ///
-    /// As the deprecated [`CheckSession::check_commit_method`] shim.
+    /// the usual infrastructure errors otherwise.
     pub(crate) fn query_commit(
         &mut self,
         mode: Mode,
@@ -809,7 +525,42 @@ impl<'h> CheckSession<'h> {
         stats: &mut PhaseStats,
     ) -> Result<CheckOutcome, CheckError> {
         self.stats.queries += 1;
-        self.with_bounds_commit(mode, ty, stats)
+        let model = ModelSel::Builtin(mode);
+        self.with_bounds(model, &[], &[], stats, |sx, enc, asm, stats| {
+            let (gate, mismatch) = match enc.commit_cache_lookup(ty) {
+                Some(cached) => cached,
+                None => {
+                    let te = Instant::now();
+                    let gate = enc.cnf.fresh();
+                    let mismatch = encode_abstract_machine(sx, enc, ty, gate)?;
+                    stats.encode_time += te.elapsed();
+                    enc.commit_cache_insert(ty, gate, mismatch);
+                    (gate, mismatch)
+                }
+            };
+            let mut a = asm.to_vec();
+            a.push(gate);
+            let bad = enc.cnf.or(enc.error_lit, mismatch);
+            a.push(bad);
+            let t = Instant::now();
+            let r = enc.cnf.solver.solve_with(&a);
+            stats.solve_time += t.elapsed();
+            stats.iterations += 1;
+            match r {
+                SolveResult::Sat => {
+                    let kind = if enc.cnf.lit_value(enc.error_lit) {
+                        FailureKind::RuntimeError
+                    } else {
+                        FailureKind::InconsistentObservation
+                    };
+                    let name = enc.model_name(model);
+                    let cx = decode_counterexample(sx, enc, kind, name);
+                    Ok(Round::Final(CheckOutcome::Fail(Box::new(cx))))
+                }
+                SolveResult::Unknown => Err(exhausted_err(&enc.cnf.solver)),
+                SolveResult::Unsat => Ok(Round::Bounded(CheckOutcome::Pass)),
+            }
+        })
     }
 
     // ------------------------------------------------------------ internals
@@ -863,7 +614,6 @@ impl<'h> CheckSession<'h> {
                 sx,
                 enc,
                 overflow_act,
-                commit_cache: Vec::new(),
             });
         }
         let st = self.state.as_mut().expect("state built");
@@ -969,9 +719,13 @@ impl<'h> CheckSession<'h> {
         self.state = None;
     }
 
-    /// The session analogue of the one-shot lazy-bounds loop (§3.3):
-    /// reuse the persistent encoding, re-encoding only when a query
-    /// discovers executions past the current bounds.
+    /// The lazy loop-unrolling procedure of §3.3, shared by every query
+    /// kind: reuse the persistent encoding, re-encoding only when a query
+    /// discovers executions past the current bounds. `payload` runs
+    /// restricted to within-bounds executions and says whether its
+    /// result is final (a counterexample) or bound-sensitive (a pass or
+    /// an observation set, valid only if no execution escapes the
+    /// bounds).
     fn with_bounds<T>(
         &mut self,
         model: ModelSel,
@@ -1009,71 +763,6 @@ impl<'h> CheckSession<'h> {
                 Round::Final(t) => return Ok(t),
                 Round::Bounded(t) => match overflow {
                     None => return Ok(t),
-                    Some(keys) => self.grow_bounds(keys),
-                },
-            }
-        }
-        Err(CheckError::BoundsDiverged {
-            keys: self.bounds.keys().cloned().collect(),
-        })
-    }
-
-    /// The commit-point query body (separate from [`Self::with_bounds`]
-    /// because the machine circuit is cached in session state).
-    fn with_bounds_commit(
-        &mut self,
-        mode: Mode,
-        ty: AbstractType,
-        stats: &mut PhaseStats,
-    ) -> Result<CheckOutcome, CheckError> {
-        for round in 0..self.config.max_bound_rounds {
-            stats.bound_rounds = round + 1;
-            self.ensure_state(stats)?;
-            let st = self.state.as_mut().expect("state built");
-            let sat0 = *st.enc.cnf.solver.stats();
-            let base = Self::base_assumptions(&st.enc, ModelSel::Builtin(mode), &[], &[]);
-            let overflow = Self::overflow_keys(st, &base, stats)?;
-            let (gate, mismatch) = match st.commit_cache.iter().find(|(t, _, _)| *t == ty) {
-                Some(&(_, g, m)) => (g, m),
-                None => {
-                    let te = Instant::now();
-                    let gate = st.enc.cnf.fresh();
-                    let mismatch = encode_abstract_machine(&st.sx, &mut st.enc, ty, gate)?;
-                    stats.encode_time += te.elapsed();
-                    st.commit_cache.push((ty, gate, mismatch));
-                    (gate, mismatch)
-                }
-            };
-            let mut asm = base;
-            asm.extend(st.enc.exceeded.iter().map(|(_, l)| !*l));
-            asm.push(gate);
-            let bad = st.enc.cnf.or(st.enc.error_lit, mismatch);
-            asm.push(bad);
-            let t = Instant::now();
-            let r = st.enc.cnf.solver.solve_with(&asm);
-            stats.solve_time += t.elapsed();
-            stats.iterations += 1;
-            stats.unrolled = st.sx.stats;
-            stats.sat_vars = st.enc.cnf.num_vars();
-            stats.sat_clauses = st.enc.cnf.num_clauses();
-            let sat1 = st.enc.cnf.solver.stats().since(&sat0);
-            stats.sat_conflicts += sat1.conflicts;
-            stats.sat_propagations += sat1.propagations;
-            stats.sat_solves += sat1.solves;
-            match r {
-                SolveResult::Sat => {
-                    let kind = if st.enc.cnf.lit_value(st.enc.error_lit) {
-                        FailureKind::RuntimeError
-                    } else {
-                        FailureKind::InconsistentObservation
-                    };
-                    let name = mode.name().to_string();
-                    let cx = decode_counterexample(&st.sx, &mut st.enc, kind, name);
-                    return Ok(CheckOutcome::Fail(Box::new(cx)));
-                }
-                SolveResult::Unknown => return Err(exhausted_err(&st.enc.cnf.solver)),
-                SolveResult::Unsat => match overflow {
-                    None => return Ok(CheckOutcome::Pass),
                     Some(keys) => self.grow_bounds(keys),
                 },
             }

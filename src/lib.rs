@@ -36,8 +36,9 @@
 //! A command-line front end is available as the `checkfence` binary
 //! (`cargo run --release --bin checkfence -- --help`).
 //!
-//! See the `examples/` directory for runnable entry points and
-//! `EXPERIMENTS.md` for the paper-versus-measured record.
+//! See the `examples/` directory for runnable entry points, and
+//! `perfbench/BASELINE.md` and the `BENCH_*.json` records for the
+//! measured numbers.
 //!
 //! ## Quick start
 //!
@@ -46,10 +47,12 @@
 //!
 //! let harness = cf_algos::msn::harness(cf_algos::Variant::Fenced);
 //! let test = cf_algos::tests::by_name("T0").expect("catalog test");
-//! let checker = Checker::new(&harness, &test).with_memory_model(Mode::Relaxed);
-//! let spec = checker.mine_spec_reference().expect("mining").spec;
-//! let result = checker.check_inclusion(&spec).expect("checking");
-//! assert!(result.outcome.passed());
+//! let spec = mine_reference(&harness, &test).expect("mining").spec;
+//! let mut engine = Engine::new(EngineConfig::default());
+//! let verdict = engine
+//!     .run(&Query::check_inclusion(&harness, &test, spec).on(Mode::Relaxed))
+//!     .expect("checking");
+//! assert!(verdict.passed());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -104,8 +107,8 @@ pub mod prelude {
     pub use checkfence::commit::AbstractType;
     pub use checkfence::infer::{infer, InferConfig};
     pub use checkfence::{
-        mine_reference, Answer, CheckError, CheckOutcome, CheckSession, Checker, Counterexample,
-        Engine, EngineConfig, Harness, ModelSel, ObsSet, OpSig, OrderEncoding, Query, QueryKind,
+        mine_reference, Answer, CheckError, CheckOutcome, CheckSession, Counterexample, Engine,
+        EngineConfig, Harness, ModelSel, ObsSet, OpSig, OrderEncoding, Query, QueryKind,
         QueryStats, SessionConfig, TestSpec, Verdict,
     };
 }
