@@ -137,9 +137,9 @@ impl From<CheckError> for AblationError {
 
 /// Runs the full mutant matrix of one subject under every built-in
 /// model plus the given declarative specs, one report per catalog test.
-/// With `jobs > 1` the session path shards each matrix across that many
-/// engine workers (one session replica per shard); verdicts are
-/// identical at any job count.
+/// `jobs` is the engine's [`MatrixConfig::jobs`]; each matrix is one
+/// session, so verdicts and session counts are identical at any job
+/// count.
 ///
 /// # Errors
 ///

@@ -1,7 +1,7 @@
 //! Randomized engine/reference equivalence: mixed [`Query`] batches
-//! over treiber/ms2 answered by [`Engine::run_batch`] sharded across
-//! workers must return exactly the verdicts of (a) the same batch on a
-//! sequential engine and (b) the one-shot reference oracle
+//! over treiber/ms2 answered by [`Engine::run_batch`] at `jobs` 3 must
+//! return exactly the verdicts of (a) the same batch on a sequential
+//! engine and (b) the one-shot reference oracle
 //! ([`oracle::oneshot`]) on concretely mutated builds — on every
 //! sampled point of the (kind × model × toggles) space.
 //!
@@ -85,7 +85,7 @@ fn run_engine(h: &Harness, queries: &[Query], jobs: usize) -> Vec<Outcome> {
             fold(v, of_verdict)
         })
         .collect();
-    // One pool key, sharded: every session encodes exactly once.
+    // One pool key: its one session encodes exactly once at any jobs.
     let stats = engine.stats();
     assert_eq!(stats.encodes as usize, stats.sessions, "{}", h.name);
     outcomes
@@ -138,8 +138,8 @@ fn assert_three_way_equivalence(h: &Harness, t: &TestSpec, seed: u64, n: usize) 
         .map(|_| sample(&mut rng, plan.points.len() as u32))
         .collect();
 
-    // Path 1: the engine, batch-scheduled across 3 workers (also
-    // exercising the shard scheduler's determinism).
+    // Path 1: the engine at jobs 3 (one pool key, so one session; the
+    // job count must not change a verdict).
     let queries: Vec<Query> = samples
         .iter()
         .map(|s| {

@@ -62,8 +62,10 @@ fn treiber_fenced_mixed_session_matches() {
 #[test]
 fn ms2_fenced_mixed_session_matches() {
     let h = ms2::harness(Variant::Fenced);
-    let t = tests::by_name("T0").expect("catalog test");
-    assert_mixed_session_equivalence(&h, &t);
+    for name in ["T0", "Ti2"] {
+        let t = tests::by_name(name).expect("catalog test");
+        assert_mixed_session_equivalence(&h, &t);
+    }
 }
 
 #[test]

@@ -2,16 +2,17 @@
 //! (mutant × model) matrices of treiber/ms2 answered three ways —
 //! sequential legacy one-shot calls (the reference oracle,
 //! `checkfence::oracle::oneshot`: a fresh encoding and solver per cell
-//! on the concretely mutated build), `Engine::run_batch` on one worker,
-//! and `Engine::run_batch` sharded across 4 workers.
+//! on the concretely mutated build), `Engine::run_batch` at `jobs` 1,
+//! and `Engine::run_batch` at `jobs` 4 (the same one session: a matrix
+//! is one pool key).
 //!
 //! Run with `cargo bench -p cf-bench --bench query`. Writes
 //! `BENCH_query.json` at the workspace root (override with
 //! `CHECKFENCE_BENCH_OUT`). Asserts:
 //!
 //! * verdicts identical across all three paths, cell for cell;
-//! * `encodes == sessions` on both engine paths (one encoding per pool
-//!   key / worker shard);
+//! * `encodes == sessions == 1` on both engine paths (one encoding per
+//!   pool key);
 //! * batched `--jobs 4` at least 3x faster than the sequential legacy
 //!   calls.
 use std::fmt::Write as _;
@@ -112,8 +113,8 @@ fn run_legacy(s: &Subject) -> (f64, Vec<CellVerdict>) {
     (t0.elapsed().as_secs_f64() * 1e3, verdicts)
 }
 
-/// The engine series: the whole matrix as one batch over `jobs` workers
-/// on the toggle-instrumented build.
+/// The engine series: the whole matrix as one batch at `jobs` on the
+/// toggle-instrumented build.
 fn run_engine(s: &Subject, jobs: usize) -> (f64, Vec<CellVerdict>, usize, u32) {
     let instrumented = Harness {
         name: format!("{}+mutants", s.harness.name),
@@ -153,6 +154,7 @@ fn main() {
         assert_eq!(seq_encodes as usize, seq_sessions, "{name}: jobs=1");
         assert_eq!(par_encodes as usize, par_sessions, "{name}: jobs=4");
         assert_eq!(seq_sessions, 1, "{name}: sequential batch pools once");
+        assert_eq!(par_sessions, 1, "{name}: jobs=4 batch pools once");
         let speedup = legacy_ms / par_ms.max(0.001);
         println!(
             "{name:<10} cells {:>4}  legacy {legacy_ms:>8.1} ms  engine j1 {seq_ms:>7.1} ms \

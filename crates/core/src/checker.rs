@@ -66,9 +66,6 @@ pub struct CheckConfig {
     /// element loses unsatisfiability). Costs extra solves; default
     /// `false`.
     pub verify_cores: bool,
-    /// Feature toggles of the underlying SAT solver (for the solver
-    /// ablation bench; the default enables everything).
-    pub solver_config: cf_sat::SolverConfig,
 }
 
 impl Default for CheckConfig {
@@ -85,7 +82,6 @@ impl Default for CheckConfig {
             spin_bound: 3,
             core_minimize_ticks: None,
             verify_cores: false,
-            solver_config: cf_sat::SolverConfig::default(),
         }
     }
 }
@@ -282,9 +278,10 @@ pub enum InconclusiveReason {
     Budget,
     /// The wall-clock deadline passed. Machine-dependent by nature.
     Deadline,
-    /// The worker shard running the query crashed, and so did the retry
-    /// on a freshly rebuilt session. Only this query's cell is lost; the
-    /// rest of the batch is unaffected.
+    /// The worker running the query crashed, and so did the retry on a
+    /// freshly rebuilt session. Only this query's cell is lost; the rest
+    /// of the batch is unaffected. (The name and its `shard-crashed`
+    /// slug are trace and metrics schema, so they stay fixed.)
     ShardCrashed,
 }
 

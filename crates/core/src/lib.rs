@@ -26,9 +26,10 @@
 //! * [`query`] — **the one checking path**: a composable [`Query`]
 //!   value per question (mine / enumerate / inclusion / commit × model
 //!   × fence and toggle assumption vectors) answered by an [`Engine`]
-//!   pooling incremental [`CheckSession`]s per (harness, test, model
-//!   universe), with batch sharding across worker threads and
-//!   per-query solver attribution ([`QueryStats`]);
+//!   pooling one incremental [`CheckSession`] per (harness, test)
+//!   under an engine-wide model universe, running up to `jobs`
+//!   sessions at once, with per-query solver attribution
+//!   ([`QueryStats`]);
 //! * [`CheckSession`] — the underlying incremental session: one
 //!   persistent solver per (harness, test), with built-in
 //!   [`cf_memmodel::Mode`]s and declarative [`cf_spec::ModelSpec`]s
@@ -109,7 +110,9 @@ pub use fxhash::{FxHashMap, FxHasher};
 pub use mine::mine_reference;
 pub use obs_text::ParseObsError;
 pub use provenance::{Provenance, ProvenanceKind};
-pub use query::{Answer, Engine, EngineConfig, EngineStats, Query, QueryKind, QueryStats, Verdict};
+pub use query::{
+    run_indexed, Answer, Engine, EngineConfig, EngineStats, Query, QueryKind, QueryStats, Verdict,
+};
 pub use range::{analyze, RangeInfo, ValueSet};
 pub use session::{CheckSession, SessionConfig, SessionStats};
 pub use symexec::{

@@ -582,10 +582,9 @@ pub struct MatrixConfig {
     /// Check settings (order encoding, bounds, budgets); the matrix
     /// supplies the models.
     pub check: CheckConfig,
-    /// Worker threads: the mutant × model cells shard across this many
-    /// engine workers, one session replica per shard (each replica
-    /// encodes once). `1` answers the whole matrix from a single
-    /// encoding.
+    /// The engine's [`EngineConfig::jobs`]: how many sessions run at
+    /// once. A matrix is one (harness, test) key and so one session,
+    /// answered from one encoding on one thread at any job count.
     pub jobs: usize,
     /// Attach verdict provenance to every cell: surviving cells carry a
     /// proof core, caught cells the witness environment, rendered by
@@ -641,7 +640,7 @@ pub enum MutantVerdict {
     /// caught.
     Diverged,
     /// The cell ran out of resources (solver budget, deadline, or a
-    /// crashed worker shard) before deciding — nothing is known about
+    /// crashed worker) before deciding — nothing is known about
     /// this mutant on this model.
     Inconclusive(crate::checker::InconclusiveReason),
 }
@@ -698,9 +697,8 @@ pub struct MutationReport {
     pub baseline_explains: Vec<Option<String>>,
     /// One row per planned mutation.
     pub rows: Vec<MutationRow>,
-    /// Sessions the engine pooled for this matrix (1 at `jobs == 1`;
-    /// one replica per worker shard otherwise; the one-shot oracle
-    /// reports one "session" per cell).
+    /// Sessions the engine pooled for this matrix (1 at any `jobs`; the
+    /// one-shot oracle reports one "session" per cell).
     pub sessions: usize,
     /// Session amortization counters summed over the pool (`encodes ==
     /// sessions` unless loop bounds grew; the one-shot oracle reports
@@ -846,12 +844,12 @@ fn verdict_of_query(
 }
 
 /// Runs the whole mutant matrix on an [`Engine`] batch: every (mutant,
-/// model) cell is one [`Query`] with a toggle assumption, grouped onto
-/// pooled sessions — one symbolic execution and one encoding for the
-/// entire model universe at `jobs == 1`, one encoding per worker shard
-/// otherwise. The specification is mined once from the unmutated build
-/// with the reference interpreter (mutations must be judged against the
-/// original semantics).
+/// model) cell is one [`Query`] with a toggle assumption on one pooled
+/// session — one symbolic execution and one encoding for the entire
+/// model universe, at any [`MatrixConfig::jobs`] (unless lazy
+/// unrolling grows a loop bound). The specification is mined once from
+/// the unmutated build with the reference interpreter (mutations must
+/// be judged against the original semantics).
 ///
 /// # Errors
 ///
@@ -930,10 +928,7 @@ pub fn run_mutation_matrix(
             ("matrix_us", cf_trace::u(t0.elapsed().as_micros() as u64)),
         ]
     });
-    // Pool shape (session replicas, encodes) legitimately varies with
-    // the worker count, so it rides the nd side channel — the
-    // deterministic stream must stay jobs-independent.
-    cf_trace::emit_nd("pool_stats", || {
+    cf_trace::emit("pool_stats", || {
         vec![
             ("sessions", cf_trace::u(stats.sessions as u64)),
             ("encodes", cf_trace::u(u64::from(stats.encodes))),

@@ -186,7 +186,6 @@ fn with_bounds(
         enc.cnf.solver.set_conflict_budget(config.conflict_budget);
         enc.cnf.solver.set_tick_budget(config.tick_budget);
         enc.cnf.solver.set_deadline(deadline_at);
-        enc.cnf.solver.set_config(config.solver_config);
 
         // Solve for overflowing executions before the payload adds its
         // clauses, so those cannot hide them; a failing payload result

@@ -17,8 +17,8 @@
 //!   ([`EngineConfig::modes`] + [`EngineConfig::specs`]).
 //!   [`Engine::run`] answers one query; [`Engine::run_batch`] groups a
 //!   mixed batch by session key, reuses live encodings across calls,
-//!   and fans large groups out across worker threads (one session per
-//!   worker shard, so every session still encodes exactly once).
+//!   and runs up to [`EngineConfig::jobs`] keys' sessions at once (one
+//!   session per key at any job count, so every key encodes once).
 //!
 //! Every [`Verdict`] carries per-query solver attribution
 //! ([`QueryStats`], computed with [`cf_sat::Stats::since`]) next to the
@@ -77,7 +77,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cf_memmodel::{Mode, ModeSet};
@@ -490,11 +490,12 @@ pub struct EngineConfig {
     /// Check settings (order encoding, bounds, budgets); queries name
     /// their models.
     pub check: CheckConfig,
-    /// Worker threads for [`Engine::run_batch`]. `0` and `1` both mean
-    /// sequential. With more, large per-session query groups are
-    /// sharded round-robin across workers, one session replica per
-    /// shard (each replica encodes once — parallelism trades redundant
-    /// encodings for wall-clock time).
+    /// How many sessions [`Engine::run_batch`] runs at once, one worker
+    /// thread each. `0` and `1` both mean sequential. A key's queries
+    /// always run in order on the key's one session, so the pool shape
+    /// (sessions, symbolic executions, encodes) and every verdict are
+    /// the same at any job count; only batches spanning several keys
+    /// run in parallel.
     pub jobs: usize,
     /// Discharge inclusion checks on built-in models without solving
     /// when the static critical-cycle analysis ([`crate::cycles`])
@@ -564,7 +565,8 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the worker-thread count (chainable).
+    /// Sets how many sessions run at once (chainable); see
+    /// [`EngineConfig::jobs`].
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> EngineConfig {
         self.jobs = jobs;
@@ -591,8 +593,8 @@ impl EngineConfig {
 /// Aggregated pool counters: the amortization ledger of the engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Live sessions in the pool (one per (harness, test, model
-    /// universe, shard) key).
+    /// Live sessions in the pool: one per (harness, test, provenance)
+    /// key the engine has answered, at any [`EngineConfig::jobs`].
     pub sessions: usize,
     /// Symbolic executions across all sessions.
     pub symexecs: u32,
@@ -603,14 +605,13 @@ pub struct EngineStats {
     pub queries: u32,
 }
 
-/// One pooled session: the key identifies the (harness, test, shard)
-/// cell it answers (the model universe is engine-wide).
+/// One pooled session: the key identifies the (harness, test) cell it
+/// answers (the model universe is engine-wide).
 struct Slot<'h> {
     /// Address-identity of the harness (stable while the caller holds
     /// the `&'h` borrows the engine requires).
     hkey: usize,
     tkey: usize,
-    shard: usize,
     /// Whether the session was built with provenance instrumentation.
     /// Part of the pool key: provenance queries must never reuse a
     /// plain session (no gates to extract) and plain queries must never
@@ -621,8 +622,8 @@ struct Slot<'h> {
 
 /// A pool of [`CheckSession`]s answering [`Query`] values.
 ///
-/// Sessions are created lazily, keyed by (harness identity, test
-/// identity, worker shard) — the model universe is fixed per engine —
+/// Sessions are created lazily, one per (harness identity, test
+/// identity, provenance) key — the model universe is fixed per engine —
 /// and persist across [`Engine::run`] / [`Engine::run_batch`] calls,
 /// so repeated batches on the same key reuse the live encoding.
 pub struct Engine<'h> {
@@ -677,7 +678,7 @@ impl<'h> Engine<'h> {
         out
     }
 
-    /// Answers one query (on worker shard 0 of its pool key).
+    /// Answers one query on its key's pooled session.
     ///
     /// # Errors
     ///
@@ -693,13 +694,13 @@ impl<'h> Engine<'h> {
 
     /// Answers a batch, returning verdicts in query order.
     ///
-    /// Queries are grouped by (harness, test, model universe); each
-    /// group runs on one pooled session, and with [`EngineConfig::jobs`]
-    /// workers large groups are sharded round-robin across session
-    /// replicas so a single big matrix parallelizes too. Per-query
-    /// failures (including [`CheckError::BoundsDiverged`], which
-    /// mutation drivers treat as a verdict) are returned in place, not
-    /// propagated.
+    /// Queries are grouped by (harness, test, provenance); each group
+    /// runs in query order on its key's one pooled session, and up to
+    /// [`EngineConfig::jobs`] groups run at once. A single group — one
+    /// mutation matrix, say — therefore runs on one thread at any job
+    /// count. Per-query failures (including
+    /// [`CheckError::BoundsDiverged`], which mutation drivers treat as a
+    /// verdict) are returned in place, not propagated.
     pub fn run_batch(&mut self, queries: &[Query<'h>]) -> Vec<Result<Verdict, CheckError>> {
         let batch = cf_trace::next_batch();
         let batch_t0 = Instant::now();
@@ -722,8 +723,9 @@ impl<'h> Engine<'h> {
         // inclusion checks whose test has no critical cycle at all —
         // conflict-serializable under every built-in model, hence PASS
         // against its mined serial spec. Runs sequentially before any
-        // sharding, so triage decisions and their trace events carry
-        // the same deterministic coordinates at every `--jobs` level.
+        // worker starts, so triage decisions and their trace events
+        // carry the same deterministic coordinates at every `--jobs`
+        // level.
         if self.config.static_triage {
             let mut cache: Vec<(usize, usize, bool)> = Vec::new();
             valid.retain(|&i| {
@@ -796,53 +798,17 @@ impl<'h> Engine<'h> {
             });
         }
 
-        // Group by (harness, test, provenance) identity; the model
+        // One task per (harness, test, provenance) identity; the model
         // universe is engine-wide, so the pool key reduces to identity
-        // + provenance bit + shard. Provenance queries get their own
+        // + provenance bit. Provenance queries get their own
         // (instrumented) sessions so plain queries keep byte-identical
-        // formulas and stats.
-        struct Group {
-            hkey: usize,
-            tkey: usize,
-            prov: bool,
-            members: Vec<usize>,
-        }
-        let mut groups: Vec<Group> = Vec::new();
-        for &i in &valid {
-            let q = &queries[i];
-            let (hkey, tkey) = (
-                std::ptr::from_ref(q.harness) as usize,
-                std::ptr::from_ref(q.test) as usize,
-            );
-            let prov = self.config.provenance || q.provenance;
-            let group = match groups
-                .iter_mut()
-                .find(|g| g.hkey == hkey && g.tkey == tkey && g.prov == prov)
-            {
-                Some(g) => g,
-                None => {
-                    groups.push(Group {
-                        hkey,
-                        tkey,
-                        prov,
-                        members: Vec::new(),
-                    });
-                    groups.last_mut().expect("just pushed")
-                }
-            };
-            group.members.push(i);
-        }
-
-        // Shard each group across workers. Every task *owns* its
-        // session for the duration of the batch (taken out of the pool,
-        // returned afterwards), so a worker panic can poison at most
-        // its own task's cell — never a neighbour's session.
-        let jobs = self.config.jobs.max(1);
-        let shard_size = valid.len().div_ceil(jobs).max(1);
+        // formulas and stats. Every task *owns* its session for the
+        // duration of the batch (taken out of the pool, returned
+        // afterwards), so a worker panic can poison at most its own
+        // task's cell — never a neighbour's session.
         struct Task<'h> {
             hkey: usize,
             tkey: usize,
-            shard: usize,
             prov: bool,
             /// `None` after a panic discarded the session; the task
             /// loop rebuilds it from the query's key.
@@ -850,48 +816,40 @@ impl<'h> Engine<'h> {
             members: Vec<usize>,
         }
         let mut tasks: Vec<Task<'h>> = Vec::new();
-        for g in &groups {
-            let shards = g
-                .members
-                .len()
-                .div_ceil(shard_size)
-                .clamp(1, jobs.min(g.members.len().max(1)));
-            for shard in 0..shards {
-                let session =
-                    self.take_session(g.hkey, g.tkey, shard, g.prov, &queries[g.members[0]]);
-                let members: Vec<usize> = g
-                    .members
-                    .iter()
-                    .enumerate()
-                    .filter(|(pos, _)| pos % shards == shard)
-                    .map(|(_, &i)| i)
-                    .collect();
-                cf_trace::emit_nd("shard_spawn", || {
-                    vec![
-                        ("shard", cf_trace::u(shard as u64)),
-                        ("members", cf_trace::u(members.len() as u64)),
-                    ]
-                });
-                tasks.push(Task {
-                    hkey: g.hkey,
-                    tkey: g.tkey,
-                    shard,
-                    prov: g.prov,
-                    session: Mutex::new(Some(session)),
-                    members,
-                });
-            }
+        for &i in &valid {
+            let q = &queries[i];
+            let (hkey, tkey) = (
+                std::ptr::from_ref(q.harness) as usize,
+                std::ptr::from_ref(q.test) as usize,
+            );
+            let prov = self.config.provenance || q.provenance;
+            let t = match tasks
+                .iter()
+                .position(|t| t.hkey == hkey && t.tkey == tkey && t.prov == prov)
+            {
+                Some(t) => t,
+                None => {
+                    let session = self.take_session(hkey, tkey, prov, q);
+                    tasks.push(Task {
+                        hkey,
+                        tkey,
+                        prov,
+                        session: Mutex::new(Some(session)),
+                        members: Vec::new(),
+                    });
+                    tasks.len() - 1
+                }
+            };
+            tasks[t].members.push(i);
         }
 
-        // Results travel over a channel: unlike a shared Vec under a
-        // Mutex, a panicking worker cannot poison the collection path —
-        // everything sent before the unwind still arrives.
-        let (tx, rx) = mpsc::channel::<(usize, Result<Verdict, CheckError>)>();
         let config = &self.config;
-        let run_task =
-            |task: &Task<'h>, tx: &mpsc::Sender<(usize, Result<Verdict, CheckError>)>| {
-                let mut slot = task.session.lock().unwrap_or_else(|p| p.into_inner());
-                for &i in &task.members {
+        let answered = run_indexed(config.jobs, tasks.len(), |t| {
+            let task = &tasks[t];
+            let mut slot = task.session.lock().unwrap_or_else(|p| p.into_inner());
+            task.members
+                .iter()
+                .map(|&i| {
                     // Item lane i+1: lane 0 is the coordinator. The scope
                     // pins every event of this query to its canonical
                     // (batch, item) coordinate regardless of which worker
@@ -899,31 +857,11 @@ impl<'h> Engine<'h> {
                     // `--jobs` level.
                     let _scope = cf_trace::enabled()
                         .then(|| cf_trace::scope(batch, i as u64 + 1, queries[i].describe()));
-                    let _ = tx.send((i, exec_isolated(&mut slot, &queries[i], config)));
-                }
-            };
-        if jobs <= 1 || tasks.len() <= 1 {
-            for task in &tasks {
-                run_task(task, &tx);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..jobs.min(tasks.len()) {
-                    let tx = tx.clone();
-                    let (next, tasks, run_task) = (&next, &tasks, &run_task);
-                    scope.spawn(move || loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(task) = tasks.get(t) else {
-                            break;
-                        };
-                        run_task(task, &tx);
-                    });
-                }
-            });
-        }
-        drop(tx);
-        for (i, r) in rx.try_iter() {
+                    (i, exec_isolated(&mut slot, &queries[i], config))
+                })
+                .collect::<Vec<_>>()
+        });
+        for (i, r) in answered.into_iter().flatten() {
             results[i] = Some(r);
         }
 
@@ -936,7 +874,6 @@ impl<'h> Engine<'h> {
                 self.pool.push(Slot {
                     hkey: task.hkey,
                     tkey: task.tkey,
-                    shard: task.shard,
                     prov: task.prov,
                     session,
                 });
@@ -1008,14 +945,13 @@ impl<'h> Engine<'h> {
         &mut self,
         hkey: usize,
         tkey: usize,
-        shard: usize,
         prov: bool,
         query: &Query<'h>,
     ) -> CheckSession<'h> {
         if let Some(i) = self
             .pool
             .iter()
-            .position(|s| s.hkey == hkey && s.tkey == tkey && s.shard == shard && s.prov == prov)
+            .position(|s| s.hkey == hkey && s.tkey == tkey && s.prov == prov)
         {
             return self.pool.swap_remove(i).session;
         }
@@ -1023,13 +959,45 @@ impl<'h> Engine<'h> {
     }
 }
 
+/// Runs `work(0)`, …, `work(n - 1)` on up to `jobs` scoped worker
+/// threads pulling indices from one atomic queue, and returns the
+/// results in index order. At one job (or one item) it runs inline on
+/// the calling thread and spawns nothing. [`Engine::run_batch`] runs
+/// its per-session tasks through it; batch drivers use it to fan out
+/// work the engine does not cover, such as reference mining.
+pub fn run_indexed<R: Send>(jobs: usize, n: usize, work: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    if jobs <= 1 || n <= 1 {
+        return (0..n).map(work).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
+    std::thread::scope(|scope| {
+        for _ in 0..jobs.min(n) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let r = work(i);
+                results
+                    .lock()
+                    .expect("no worker panics holding the lock")
+                    .push((i, r));
+            });
+        }
+    });
+    let mut indexed = results.into_inner().expect("workers joined");
+    indexed.sort_by_key(|(i, _)| *i);
+    indexed.into_iter().map(|(_, r)| r).collect()
+}
+
 /// Builds a fresh session for a query's (harness, test) key under the
 /// engine's model universe — session creation and post-panic rebuild
 /// share this path.
 fn build_session<'h>(query: &Query<'h>, config: &EngineConfig) -> CheckSession<'h> {
-    // Which thread (and when) a session gets built depends on shard
-    // scheduling, so this is a non-deterministic detail event.
-    cf_trace::emit_nd("session_spawn", || {
+    // Deterministic: sessions are built on the coordinator lane in group
+    // order, or rebuilt after a panic in the crashed query's own lane.
+    cf_trace::emit("session_spawn", || {
         vec![(
             "key",
             cf_trace::s(format!("{}/{}", query.harness.name, query.test.name)),
@@ -1037,7 +1005,7 @@ fn build_session<'h>(query: &Query<'h>, config: &EngineConfig) -> CheckSession<'
     });
     // Recomputing the provenance bit here (instead of threading it in)
     // keeps the post-panic rebuild path honest: a resubmitted provenance
-    // query gets an instrumented session again, so a shard crash never
+    // query gets an instrumented session again, so a worker crash never
     // silently drops provenance.
     let sc = SessionConfig::from_check_config(&config.check, config.modes)
         .with_specs(config.specs.clone())
@@ -1057,7 +1025,7 @@ fn exec_isolated<'h>(
     config: &EngineConfig,
 ) -> Result<Verdict, CheckError> {
     // The phase accumulator lives outside the resubmit loop so a
-    // crashed-shard verdict still reports the encode/solve work done
+    // crashed-worker verdict still reports the encode/solve work done
     // before the panic instead of an all-zero placeholder.
     let mut phase = PhaseStats::default();
     for resubmit in 0..2u64 {
@@ -1340,6 +1308,53 @@ mod tests {
         };
         let test = TestSpec::parse("pg", "( p | g )").expect("parses");
         (harness, test)
+    }
+
+    /// Everything a verdict decides, plus the solver work it took: equal
+    /// summaries mean the same answer reached the same way.
+    fn summary(r: &Result<Verdict, CheckError>) -> String {
+        match r {
+            Ok(v) => format!(
+                "{:?} solves={} conflicts={} propagations={}",
+                v.answer, v.stats.solves, v.stats.conflicts, v.stats.propagations
+            ),
+            Err(e) => format!("error: {e}"),
+        }
+    }
+
+    #[test]
+    fn one_session_per_key_at_any_jobs_level() {
+        let (h, t) = mailbox();
+        let t2 = TestSpec::parse("pgg", "( p | g g )").expect("parses");
+        let spec = Arc::new(crate::mine::mine_reference(&h, &t).expect("mines").spec);
+        let spec2 = Arc::new(crate::mine::mine_reference(&h, &t2).expect("mines").spec);
+        // Nine queries on one key: a mine, then an enumeration and a
+        // check per hardware model.
+        let mut one_key = vec![Query::mine(&h, &t)];
+        for &m in Mode::hardware().iter() {
+            one_key.push(Query::enumerate(&h, &t).on(m));
+            one_key.push(Query::check_inclusion(&h, &t, spec.clone()).on(m));
+        }
+        // Two keys, interleaved in the batch.
+        let mut two_keys = Vec::new();
+        for &m in Mode::hardware().iter() {
+            two_keys.push(Query::check_inclusion(&h, &t, spec.clone()).on(m));
+            two_keys.push(Query::check_inclusion(&h, &t2, spec2.clone()).on(m));
+        }
+        let run = |jobs: usize, batch: &[Query<'_>]| {
+            let mut engine = Engine::new(EngineConfig::default().with_jobs(jobs));
+            let verdicts: Vec<String> = engine.run_batch(batch).iter().map(summary).collect();
+            (verdicts, engine.stats())
+        };
+        for (batch, keys) in [(&one_key, 1), (&two_keys, 2)] {
+            let (seq, seq_stats) = run(1, batch);
+            let (par, par_stats) = run(4, batch);
+            assert_eq!(seq, par, "verdicts at jobs 1 and jobs 4");
+            assert_eq!(seq_stats, par_stats, "pool shape at jobs 1 and jobs 4");
+            assert_eq!(seq_stats.sessions, keys, "one session per key");
+            assert_eq!(seq_stats.encodes as usize, keys, "one encoding per key");
+            assert_eq!(seq_stats.queries as usize, batch.len());
+        }
     }
 
     #[test]

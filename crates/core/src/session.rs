@@ -98,8 +98,6 @@ pub struct SessionConfig {
     pub core_minimize_ticks: Option<u64>,
     /// Core re-solving self-check (see [`CheckConfig::verify_cores`]).
     pub verify_cores: bool,
-    /// Feature toggles of the underlying SAT solver.
-    pub solver_config: cf_sat::SolverConfig,
 }
 
 impl Default for SessionConfig {
@@ -125,7 +123,6 @@ impl SessionConfig {
             provenance: false,
             core_minimize_ticks: config.core_minimize_ticks,
             verify_cores: config.verify_cores,
-            solver_config: config.solver_config,
         }
     }
 
@@ -623,7 +620,6 @@ impl<'h> CheckSession<'h> {
             .set_conflict_budget(self.config.conflict_budget);
         st.enc.cnf.solver.set_tick_budget(self.config.tick_budget);
         st.enc.cnf.solver.set_deadline(self.config.deadline_at);
-        st.enc.cnf.solver.set_config(self.config.solver_config);
         // The trace observer on the solver: re-armed on every query so
         // enabling/disabling tracing between batches takes effect. Each
         // solve call reports its result and counter deltas into the

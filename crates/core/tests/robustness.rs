@@ -138,7 +138,7 @@ fn expired_deadline_reports_deadline_not_budget() {
 
 /// Tick budgets are deterministic: the same starved matrix renders the
 /// same `?` cells byte for byte at `jobs = 1` and `jobs = 4` (every
-/// cell exhausts at its first budget checkpoint, independent of shard
+/// cell exhausts at its first budget checkpoint, independent of session
 /// state), and the cells do not count as caught.
 #[test]
 fn starved_mutation_matrix_renders_question_cells_identically_across_jobs() {

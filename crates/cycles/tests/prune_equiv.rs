@@ -129,7 +129,7 @@ fn repo_dir(rel: &str) -> PathBuf {
 }
 
 /// Triage must be invisible in the verdicts: for every corpus entry the
-/// coverage table with static triage (at sequential *and* sharded job
+/// coverage table with static triage (at sequential *and* parallel job
 /// counts) is byte-identical to the table the solver produces alone.
 /// `table()` excludes the summary line, so the comparison is exact.
 fn assert_triage_equiv(dir: &str) {

@@ -222,11 +222,6 @@ impl Solver {
         self.config
     }
 
-    /// Replaces the feature toggles (takes effect on the next solve).
-    pub fn set_config(&mut self, config: SolverConfig) {
-        self.config = config;
-    }
-
     /// Creates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.assigns.len() as u32);

@@ -33,15 +33,13 @@
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use cf_memmodel::{Mode, ModeSet};
 use cf_spec::ModelSpec;
 use checkfence::{
-    mine_reference, CheckConfig, CheckError, Engine, EngineConfig, Harness, ModelSel, ObsSet,
-    Query, TestSpec,
+    mine_reference, run_indexed, CheckConfig, CheckError, Engine, EngineConfig, Harness, ModelSel,
+    ObsSet, Query, TestSpec,
 };
 
 /// Configuration of a corpus run.
@@ -54,8 +52,9 @@ pub struct CorpusConfig {
     pub specs: Vec<ModelSpec>,
     /// Check settings shared by every session.
     pub check: CheckConfig,
-    /// Worker threads for mining and for the engine batch. The report
-    /// is identical at any job count; only wall-clock time varies.
+    /// How many tests mine at once, and how many test sessions the
+    /// engine runs at once. The report and the pool shape are identical
+    /// at any job count; only wall-clock time varies.
     pub jobs: usize,
     /// Discharge cells statically via the critical-cycle analysis
     /// before solving (default on; `--no-static-triage` forces the
@@ -104,7 +103,7 @@ pub enum CorpusVerdict {
     /// The cell could not be answered (infrastructure error).
     Error(String),
     /// The cell ran out of resources (budget, deadline, or a crashed
-    /// worker shard) before deciding.
+    /// worker) before deciding.
     Inconclusive,
 }
 
@@ -328,29 +327,6 @@ impl CorpusReport {
     }
 }
 
-/// Runs `n` jobs on up to `jobs` worker threads, results in index
-/// order (the engine cannot help with reference mining, so the fan-out
-/// lives here).
-fn fan_out<R: Send>(jobs: usize, n: usize, work: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.clamp(1, n.max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = work(i);
-                results.lock().expect("no poisoned worker").push((i, r));
-            });
-        }
-    });
-    let mut indexed = results.into_inner().expect("workers joined");
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, r)| r).collect()
-}
-
 /// Checks every test of a corpus against one harness across the
 /// configured model universe, as one engine batch.
 ///
@@ -384,7 +360,7 @@ pub fn run_corpus(harness: &Harness, tests: &[TestSpec], config: &CorpusConfig) 
         .collect();
 
     // Mine each test's reference specification once, in parallel.
-    let mined: Vec<Result<ObsSet, String>> = fan_out(config.jobs, tests.len(), |i| {
+    let mined: Vec<Result<ObsSet, String>> = run_indexed(config.jobs, tests.len(), |i| {
         mine_reference(harness, &tests[i])
             .map(|m| m.spec)
             .map_err(|e| e.to_string())
@@ -622,10 +598,7 @@ pub fn run_corpus(harness: &Harness, tests: &[TestSpec], config: &CorpusConfig) 
             ("corpus_us", cf_trace::u(t0.elapsed().as_micros() as u64)),
         ]
     });
-    // Pool shape (session replicas, encodes) legitimately varies with
-    // the worker count, so it rides the nd side channel — the
-    // deterministic stream must stay jobs-independent.
-    cf_trace::emit_nd("pool_stats", || {
+    cf_trace::emit("pool_stats", || {
         vec![
             ("sessions", cf_trace::u(stats.sessions as u64)),
             ("encodes", cf_trace::u(u64::from(stats.encodes))),

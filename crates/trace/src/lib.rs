@@ -26,9 +26,11 @@
 //!
 //! * wall-clock durations live in fields whose names end in `_us`
 //!   (microseconds) and are removed by [`strip`];
-//! * scheduling events (session spawns, shard layout) are emitted with
-//!   [`emit_nd`], rendered with an `"nd":1` marker, and dropped as
-//!   whole lines by [`strip`].
+//! * scheduling events (reference mining fanned out across worker
+//!   threads, outside any item lane) are emitted with [`emit_nd`],
+//!   rendered with an `"nd":1` marker, and dropped as whole lines by
+//!   [`strip`]. Session spawns and pool statistics are deterministic:
+//!   the engine keeps one session per key at any `--jobs` level.
 //!
 //! After stripping, a JSONL trace of a corpus sweep is byte-identical
 //! at `--jobs 1` and `--jobs 4` (asserted in `tests/trace.rs`).
@@ -306,9 +308,10 @@ pub fn emit(kind: &'static str, fields: impl FnOnce() -> Vec<(&'static str, Fiel
     }
 }
 
-/// Records a *nondeterministic* (scheduling) event — session spawns,
-/// shard layout, anything whose presence or order depends on `--jobs`.
-/// Rendered with an `"nd":1` marker and dropped by [`strip`].
+/// Records a *nondeterministic* (scheduling) event — anything whose
+/// presence or order depends on `--jobs`, such as reference mining on
+/// worker threads outside any item lane. Rendered with an `"nd":1`
+/// marker and dropped by [`strip`].
 #[inline]
 pub fn emit_nd(kind: &'static str, fields: impl FnOnce() -> Vec<(&'static str, Field)>) {
     if enabled() {
@@ -800,7 +803,7 @@ mod tests {
             emit("span", || {
                 vec![("ticks", u(5)), ("wall_us", u(1234)), ("n", u(2))]
             });
-            emit_nd("session_spawn", || vec![("key", s("k"))]);
+            emit_nd("mine_reference", || vec![("key", s("k"))]);
             emit("tail", || vec![("solve_us", u(9))]);
         }
         let trace = render_jsonl(&take());
@@ -808,7 +811,7 @@ mod tests {
         let stripped = strip(&trace);
         assert!(stripped.contains("\"ticks\":5,\"n\":2"));
         assert!(!stripped.contains("_us"));
-        assert!(!stripped.contains("session_spawn"));
+        assert!(!stripped.contains("mine_reference"));
         assert!(stripped.contains("\"schema_version\":3"));
         // Stripping is idempotent.
         assert_eq!(strip(&stripped), stripped);

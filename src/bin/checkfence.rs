@@ -54,9 +54,9 @@
 //!                               solver, even cells the critical-cycle
 //!                               analysis discharges statically (the
 //!                               verdict table is identical either way)
-//!   --jobs N                    run checks on N engine workers; shards
-//!                               tests, and with --ablate the mutant ×
-//!                               model matrix itself  [1]
+//!   --jobs N                    mine and check up to N tests at once,
+//!                               one session per test at any N (an
+//!                               --ablate matrix is one session)  [1]
 //!   --budget TICKS              initial solver tick budget per query
 //!                               (ticks = propagations + conflicts, so
 //!                               the cutoff is machine-independent);
@@ -85,7 +85,7 @@
 //!   --cx                        print full counterexample traces
 //!   --trace FILE                write a structured JSONL event trace
 //!                               (spans for encodes, solver calls,
-//!                               retries, shard lifecycle); stripped of
+//!                               retries, session lifecycle); stripped of
 //!                               timing fields it is byte-identical at
 //!                               any --jobs count
 //!   --metrics FILE              write a Prometheus-style text metrics
@@ -239,9 +239,8 @@ fn usage() -> &'static str {
      \x20 --ops K                    synthesis bound: ops per thread [2]\n\
      \x20 --no-static-triage         answer every corpus cell from the\n\
      \x20                            solver (skip static triage)\n\
-     \x20 --jobs N                   run checks on N engine workers [1]\n\
-     \x20                            (shards tests, and with --ablate the\n\
-     \x20                            mutant x model matrix itself)\n\
+     \x20 --jobs N                   mine and check up to N tests at once\n\
+     \x20                            (one session per test at any N) [1]\n\
      \x20 --budget TICKS             initial solver tick budget per query\n\
      \x20                            (deterministic; exhausted cells\n\
      \x20                            render as `?`)\n\
@@ -701,8 +700,8 @@ fn run_with(opts: &Options) -> Result<RunStatus, String> {
     // Check / mine mode: mine every test's specification up front
     // (reference interpreter, optionally cached) — only where the spec
     // is actually consumed, i.e. not for the commit-point method — then
-    // answer the whole battery as one engine batch, sharded across
-    // --jobs workers.
+    // answer the whole battery as one engine batch, one session per
+    // test, up to --jobs sessions at once.
     if matches!(opts.method, Method::Commit(_)) && matches!(opts.model, ModelArg::Spec(_)) {
         return Err("--method commit-* requires a built-in --model".into());
     }
@@ -718,7 +717,7 @@ fn run_with(opts: &Options) -> Result<RunStatus, String> {
         // Mining fans out across --jobs workers too (reference-
         // interpreter enumeration can dominate; the cache path is safe
         // because --spec-cache implies exactly one test).
-        cf_bench::parallel::run_indexed(opts.jobs, tests.len(), |i| {
+        checkfence::run_indexed(opts.jobs, tests.len(), |i| {
             mined_spec(&harness, &tests[i], opts.spec_cache.as_ref())
         })
         .into_iter()
@@ -944,9 +943,8 @@ fn run_analyze(harness: &Harness, tests: &[TestSpec]) -> Result<RunStatus, Strin
 
 /// The `--ablate` mode: plan statement mutations over the whole
 /// implementation, then answer the mutant × model matrix for each test
-/// from the engine — one incremental encoding per test at `--jobs 1`,
-/// the matrix sharded across worker sessions otherwise (identical
-/// tables either way). Succeeds when the *unmutated* build passes every
+/// from the engine — one session and one incremental encoding per test
+/// at any `--jobs`. Succeeds when the *unmutated* build passes every
 /// model (mutant verdicts are the experiment's data, not a pass/fail
 /// criterion).
 fn run_ablate(opts: &Options, harness: &Harness, tests: &[TestSpec]) -> Result<RunStatus, String> {

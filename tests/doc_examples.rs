@@ -230,9 +230,9 @@ fn usage_documents_the_exit_code_contract() {
 
 #[test]
 fn ablate_accepts_the_jobs_flag() {
-    // `--jobs` composes with `--ablate` (the matrix shards across
-    // engine workers); the combination must not be a usage error.
-    // tests/cli.rs asserts the sharded table is identical — this
+    // `--jobs` composes with `--ablate` (each test's matrix is still
+    // one session); the combination must not be a usage error.
+    // tests/cli.rs asserts the table is identical across jobs — this
     // cross-check only guards the flag grammar.
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("assets/mailbox.c");
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_checkfence"))

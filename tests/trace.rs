@@ -61,6 +61,10 @@ fn stripped_synth_traces_are_identical_across_jobs() {
     assert!(stripped.contains("\"k\":\"query_done\""));
     assert!(stripped.contains("\"k\":\"sat_solve\""));
     assert!(stripped.contains("\"k\":\"corpus_done\""));
+    // The pool shape no longer depends on `--jobs`, so its events are
+    // part of the compared stream.
+    assert!(stripped.contains("\"k\":\"pool_stats\""));
+    assert!(stripped.contains("\"k\":\"session_spawn\""));
     assert!(stripped.contains("\"ticks\":"));
     assert!(!stripped.contains("_us\":"), "wall clock is stripped");
     assert!(!stripped.contains("\"nd\":1"), "nd events are stripped");
@@ -103,7 +107,7 @@ fn profile_attributes_at_least_95_percent_of_solver_ticks() {
 }
 
 /// Degraded runs stay in the determinism contract: starved cells,
-/// retries, and crashed shards all surface as trace events, and the
+/// retries, and crashed workers all surface as trace events, and the
 /// stripped stream still compares bit for bit across `--jobs` levels.
 #[cfg(feature = "faults")]
 mod degraded {
@@ -192,13 +196,11 @@ mod degraded {
         assert!(seq.contains("\"outcome\":\"inconclusive\""));
     }
 
-    /// A mutation matrix is one big (harness, test) group, so its shard
-    /// count — and with it the session-pool shape — follows `jobs`.
-    /// Starving *every* cell (the solve hook fires before any encode)
-    /// leaves only the deterministic per-lane retry ladders in the
-    /// stream, which must still compare bit for bit across jobs; the
-    /// jobs-dependent pool shape rides the stripped `pool_stats` nd
-    /// event instead.
+    /// A mutation matrix is one big (harness, test) group, answered on
+    /// one session at any `jobs`. Starving *every* cell (the solve hook
+    /// fires before any encode) leaves only the per-lane retry ladders
+    /// and the pool events in the stream, which must still compare bit
+    /// for bit across jobs.
     #[test]
     fn starved_matrix_traces_are_identical_across_jobs() {
         let _g = locked();
