@@ -1,14 +1,9 @@
 //! Static critical-cycle analysis benchmark: what the delay-set
-//! analysis buys each of its two consumers.
-//!
-//! * **Candidate pruning** — fence inference with statically-irrelevant
-//!   candidate sites dropped before encoding, against the full
-//!   saturated candidate space. Placements must match exactly; the win
-//!   is the smaller activation-literal space and the wall-clock delta.
-//! * **Sweep triage** — synthesized corpus sweeps with static triage
-//!   (engine discharge + robust-column copying) against the all-solver
-//!   ladder. Tables must match byte for byte; the win is solver cells
-//!   answered for free.
+//! analysis buys candidate pruning — fence inference with
+//! statically-irrelevant candidate sites dropped before encoding,
+//! against the full saturated candidate space. Placements must match
+//! exactly; the win is the smaller activation-literal space and the
+//! wall-clock delta.
 //!
 //! Run with `cargo bench -p cf-bench --bench cycles`. Writes
 //! `BENCH_cycles.json` at the workspace root (override the path with
@@ -22,7 +17,6 @@ use std::time::Instant;
 use cf_algos::{lamport, tests, treiber, Variant};
 use cf_memmodel::Mode;
 use cf_synth::corpus::load_dir;
-use cf_synth::{run_corpus, synthesize, CorpusConfig, CorpusReport, SynthBounds};
 use checkfence::infer::{infer, InferConfig};
 use checkfence::{Harness, TestSpec};
 
@@ -86,41 +80,8 @@ fn infer_cases() -> Vec<InferCase> {
     ]
 }
 
-struct CorpusCase {
-    name: String,
-    harness: Harness,
-    tests: Vec<TestSpec>,
-}
-
-/// Two triage sweeps over synthesized lamport corpora. Both builds hold
-/// tests that fail on *every* model while staying robust (two-producer
-/// shapes break the SPSC contract even on SC), which exercises the FAIL
-/// transfer — the verdict copy the model lattice can never make.
-fn corpus_cases() -> Vec<CorpusCase> {
-    [Variant::Fenced, Variant::Unfenced]
-        .into_iter()
-        .map(|variant| {
-            let harness = lamport::harness(variant);
-            let synthesized = synthesize(&harness.ops, &SynthBounds::new(2, 1));
-            CorpusCase {
-                name: format!("{}-2x1", harness.name),
-                harness,
-                tests: synthesized.tests,
-            }
-        })
-        .collect()
-}
-
-fn corpus_side(report: &CorpusReport, wall_ms: f64) -> String {
-    format!(
-        "{{\"wall_ms\": {:.1}, \"encodes\": {}, \"solved\": {}, \"inferred\": {}, \
-         \"triaged\": {}}}",
-        wall_ms, report.encodes, report.queries, report.inferred, report.triaged,
-    )
-}
-
 fn main() {
-    let mut infer_rows = Vec::new();
+    let mut rows = Vec::new();
     let mut big_reductions = 0usize;
     for case in infer_cases() {
         let t0 = Instant::now();
@@ -182,73 +143,12 @@ fn main() {
             full.encodes,
             speedup,
         );
-        infer_rows.push(row);
+        rows.push(row);
     }
     assert!(
         big_reductions >= 2,
         "expected >= 2 harnesses with a >= 2x encoded-candidate reduction, got {big_reductions}"
     );
 
-    let mut corpus_rows = Vec::new();
-    for case in corpus_cases() {
-        let run_with = |static_triage: bool| {
-            let config = CorpusConfig {
-                static_triage,
-                ..CorpusConfig::default()
-            };
-            let t0 = Instant::now();
-            let report = run_corpus(&case.harness, &case.tests, &config);
-            (report, t0.elapsed().as_secs_f64() * 1e3)
-        };
-        let (triage, triage_ms) = run_with(true);
-        let (solver, solver_ms) = run_with(false);
-        assert_eq!(
-            triage.table(),
-            solver.table(),
-            "{}: triage changed a verdict cell",
-            case.name
-        );
-        assert!(
-            triage.triaged > 0,
-            "{}: the triage sweep discharged nothing",
-            case.name
-        );
-        let cells = triage.rows.len() * triage.model_names.len();
-        let speedup = solver_ms / triage_ms.max(0.001);
-        println!(
-            "{:<16} cells {:>3}  triaged {:>3} (solver cells {:>3} -> {:>3})  \
-             triage {:>7.1} ms  solver {:>7.1} ms  speedup {speedup:.2}x",
-            case.name, cells, triage.triaged, solver.queries, triage.queries, triage_ms, solver_ms,
-        );
-        let mut row = String::new();
-        let _ = write!(
-            row,
-            "    {{\"name\": \"{}\", \"cells\": {}, \"triage\": {}, \"solver\": {}, \
-             \"speedup\": {:.3}}}",
-            case.name,
-            cells,
-            corpus_side(&triage, triage_ms),
-            corpus_side(&solver, solver_ms),
-            speedup,
-        );
-        corpus_rows.push(row);
-    }
-
-    let json = format!(
-        "{{\n  \"schema_version\": {},\n  \"benchmark\": \"critical_cycle_analysis\",\n  \
-         \"infer_cases\": [\n{}\n  ],\n  \"corpus_cases\": [\n{}\n  ]\n}}\n",
-        cf_trace::SCHEMA_VERSION,
-        infer_rows.join(",\n"),
-        corpus_rows.join(",\n")
-    );
-    let out = std::env::var("CHECKFENCE_BENCH_OUT").map_or_else(
-        |_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_cycles.json")
-        },
-        PathBuf::from,
-    );
-    std::fs::write(&out, json).unwrap_or_else(|e| panic!("cannot write {}: {e}", out.display()));
-    println!("wrote {}", out.display());
+    cf_bench::write_record("BENCH_cycles.json", "critical_cycle_analysis", &[], &rows);
 }

@@ -12,7 +12,6 @@
 //! gap being measured.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
 use cf_algos::{ms2, tests, treiber, Variant};
@@ -135,20 +134,5 @@ fn main() {
         rows.push(row);
     }
 
-    let json = format!(
-        "{{\n  \"schema_version\": {},\n  \"benchmark\": \"fence_inference_sessions\",\n  \
-         \"cases\": [\n{}\n  ]\n}}\n",
-        cf_trace::SCHEMA_VERSION,
-        rows.join(",\n")
-    );
-    let out = std::env::var("CHECKFENCE_BENCH_OUT").map_or_else(
-        |_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_infer.json")
-        },
-        PathBuf::from,
-    );
-    std::fs::write(&out, json).unwrap_or_else(|e| panic!("cannot write {}: {e}", out.display()));
-    println!("wrote {}", out.display());
+    cf_bench::write_record("BENCH_infer.json", "fence_inference_sessions", &[], &rows);
 }

@@ -10,7 +10,6 @@
 //! encoding, land on identical verdicts, and beat the oracle by ≥ 10x.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
 use cf_algos::ablation::{run_ablation, Oracle};
@@ -104,21 +103,10 @@ fn main() {
         );
     }
 
-    let json = format!(
-        "{{\n  \"schema_version\": {},\n  \
-         \"benchmark\": \"batched_mutation_matrix\",\n  \"target_speedup\": 10.0,\n  \
-         \"cases\": [\n{}\n  ]\n}}\n",
-        cf_trace::SCHEMA_VERSION,
-        rows.join(",\n")
+    cf_bench::write_record(
+        "BENCH_mutate.json",
+        "batched_mutation_matrix",
+        &[("target_speedup", "10.0".into())],
+        &rows,
     );
-    let out = std::env::var("CHECKFENCE_BENCH_OUT").map_or_else(
-        |_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_mutate.json")
-        },
-        PathBuf::from,
-    );
-    std::fs::write(&out, json).unwrap_or_else(|e| panic!("cannot write {}: {e}", out.display()));
-    println!("wrote {}", out.display());
 }

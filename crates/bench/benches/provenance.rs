@@ -20,7 +20,6 @@
 //!   that every PASS core comes back locally minimal.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
 use cf_algos::{ms2, tests, treiber, Variant};
@@ -186,21 +185,10 @@ fn main() {
         );
     }
 
-    let json = format!(
-        "{{\n  \"schema_version\": {},\n  \
-         \"benchmark\": \"verdict_provenance_overhead\",\n  \"max_on_ratio\": 1.5,\n  \
-         \"cases\": [\n{}\n  ]\n}}\n",
-        cf_trace::SCHEMA_VERSION,
-        rows.join(",\n")
+    cf_bench::write_record(
+        "BENCH_provenance.json",
+        "verdict_provenance_overhead",
+        &[("max_on_ratio", "1.5".into())],
+        &rows,
     );
-    let out = std::env::var("CHECKFENCE_BENCH_OUT").map_or_else(
-        |_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_provenance.json")
-        },
-        PathBuf::from,
-    );
-    std::fs::write(&out, json).unwrap_or_else(|e| panic!("cannot write {}: {e}", out.display()));
-    println!("wrote {}", out.display());
 }

@@ -16,7 +16,6 @@
 //! * batched `--jobs 4` at least 3x faster than the sequential legacy
 //!   calls.
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -182,21 +181,10 @@ fn main() {
         );
     }
 
-    let json = format!(
-        "{{\n  \"schema_version\": {},\n  \
-         \"benchmark\": \"query_batch_throughput\",\n  \"target_speedup\": 3.0,\n  \
-         \"cases\": [\n{}\n  ]\n}}\n",
-        cf_trace::SCHEMA_VERSION,
-        rows.join(",\n")
+    cf_bench::write_record(
+        "BENCH_query.json",
+        "query_batch_throughput",
+        &[("target_speedup", "3.0".into())],
+        &rows,
     );
-    let out = std::env::var("CHECKFENCE_BENCH_OUT").map_or_else(
-        |_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_query.json")
-        },
-        PathBuf::from,
-    );
-    std::fs::write(&out, json).unwrap_or_else(|e| panic!("cannot write {}: {e}", out.display()));
-    println!("wrote {}", out.display());
 }

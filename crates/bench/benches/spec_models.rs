@@ -13,7 +13,6 @@
 //! equivalence check on the benchmark workloads.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
 use cf_algos::{ms2, tests, treiber, Variant};
@@ -138,17 +137,5 @@ fn main() {
         rows.push(row);
     }
 
-    let out_path = std::env::var("CHECKFENCE_BENCH_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_spec.json")
-        });
-    let json = format!(
-        "{{\n  \"schema_version\": {},\n  \"benchmark\": \"spec_vs_builtin_models\",\n  \
-         \"cases\": [\n{}\n  ]\n}}\n",
-        cf_trace::SCHEMA_VERSION,
-        rows.join(",\n")
-    );
-    std::fs::write(&out_path, json).expect("benchmark record written");
-    println!("\nrecorded {}", out_path.display());
+    cf_bench::write_record("BENCH_spec.json", "spec_vs_builtin_models", &[], &rows);
 }

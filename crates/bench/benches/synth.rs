@@ -25,7 +25,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 
 use cf_algos::{ms2, treiber, Variant};
@@ -176,23 +175,19 @@ fn main() {
          per-harness one-shot path overall (got {overall:.2}x)"
     );
 
-    let json = format!(
-        "{{\n  \"schema_version\": {schema},\n  \
-         \"benchmark\": \"synth_corpus_throughput\",\n  \"target_speedup\": 5.0,\n  \
-         \"overall\": {{\"oneshot_wall_ms\": {total_oneshot_ms:.1}, \
-         \"engine_wall_ms\": {total_engine_ms:.1}, \"speedup\": {overall:.3}}},\n  \
-         \"cases\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n"),
-        schema = cf_trace::SCHEMA_VERSION
+    cf_bench::write_record(
+        "BENCH_synth.json",
+        "synth_corpus_throughput",
+        &[
+            ("target_speedup", "5.0".into()),
+            (
+                "overall",
+                format!(
+                    "{{\"oneshot_wall_ms\": {total_oneshot_ms:.1}, \
+                     \"engine_wall_ms\": {total_engine_ms:.1}, \"speedup\": {overall:.3}}}"
+                ),
+            ),
+        ],
+        &rows,
     );
-    let out = std::env::var("CHECKFENCE_BENCH_OUT").map_or_else(
-        |_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_synth.json")
-        },
-        PathBuf::from,
-    );
-    std::fs::write(&out, json).unwrap_or_else(|e| panic!("cannot write {}: {e}", out.display()));
-    println!("wrote {}", out.display());
 }

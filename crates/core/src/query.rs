@@ -373,10 +373,6 @@ pub struct QueryStats {
     pub wall: Duration,
     /// Budget-escalation retries the engine spent on this query.
     pub retries: u32,
-    /// The query never reached the solver: the static critical-cycle
-    /// analysis discharged it ([`EngineConfig::static_triage`]). All
-    /// solver counters are zero on a discharged query.
-    pub statically_discharged: bool,
 }
 
 impl QueryStats {
@@ -389,7 +385,6 @@ impl QueryStats {
             assumed_literals: delta.assumed_literals,
             wall,
             retries,
-            statically_discharged: false,
         }
     }
 }
@@ -407,9 +402,8 @@ pub struct Verdict {
     /// What the verdict leaned on, when provenance was requested
     /// ([`Query::with_provenance`] / [`EngineConfig::provenance`]) and
     /// the query produced a pass/fail outcome. `None` for
-    /// observation-shaped answers, inconclusive verdicts, statically
-    /// discharged queries (their explanation is the cycle analysis, not
-    /// an assumption core) and whenever provenance is off.
+    /// observation-shaped answers, inconclusive verdicts and whenever
+    /// provenance is off.
     pub provenance: Option<Provenance>,
 }
 
@@ -497,23 +491,6 @@ pub struct EngineConfig {
     /// the same at any job count; only batches spanning several keys
     /// run in parallel.
     pub jobs: usize,
-    /// Discharge inclusion checks on built-in models without solving
-    /// when the static critical-cycle analysis ([`crate::cycles`])
-    /// proves the test has **no critical cycle at all**: every
-    /// execution under every built-in model is then
-    /// conflict-serializable, so it reproduces the observations and
-    /// error behavior of some serial execution and the check passes.
-    ///
-    /// **Opt-in**, default `false`: the argument is only sound when the
-    /// query's spec is the *complete* serial observation set of the
-    /// same (harness, test) — exactly what sweep drivers mine — not a
-    /// hand-narrowed spec a serializable execution could still violate.
-    /// A discharged verdict is always `Pass` with
-    /// [`QueryStats::statically_discharged`] set; cells the analysis
-    /// cannot prove robust fall through to the solver unchanged, and
-    /// queries with fence/toggle assumption vectors or declarative
-    /// models are never triaged.
-    pub static_triage: bool,
     /// Engine-wide provenance: every query behaves as if it had
     /// [`Query::with_provenance`] set. Off by default; with it off,
     /// queries that do not individually request provenance run on
@@ -529,7 +506,6 @@ impl Default for EngineConfig {
             specs: Vec::new(),
             check: CheckConfig::default(),
             jobs: 1,
-            static_triage: false,
             provenance: false,
         }
     }
@@ -553,7 +529,6 @@ impl EngineConfig {
             specs: Vec::new(),
             check: check.clone(),
             jobs: 1,
-            static_triage: false,
             provenance: false,
         }
     }
@@ -570,14 +545,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> EngineConfig {
         self.jobs = jobs;
-        self
-    }
-
-    /// Enables static critical-cycle triage (chainable); see
-    /// [`EngineConfig::static_triage`] for the soundness contract.
-    #[must_use]
-    pub fn with_static_triage(mut self, on: bool) -> EngineConfig {
-        self.static_triage = on;
         self
     }
 
@@ -717,85 +684,6 @@ impl<'h> Engine<'h> {
                 Ok(()) => valid.push(i),
                 Err(e) => results[i] = Some(Err(e)),
             }
-        }
-
-        // Static triage (planning phase, coordinator lane): discharge
-        // inclusion checks whose test has no critical cycle at all —
-        // conflict-serializable under every built-in model, hence PASS
-        // against its mined serial spec. Runs sequentially before any
-        // worker starts, so triage decisions and their trace events
-        // carry the same deterministic coordinates at every `--jobs`
-        // level.
-        if self.config.static_triage {
-            let mut cache: Vec<(usize, usize, bool)> = Vec::new();
-            valid.retain(|&i| {
-                let q = &queries[i];
-                if !matches!(q.kind, QueryKind::CheckInclusion { .. })
-                    || !matches!(q.model, ModelSel::Builtin(_))
-                    || !q.fences.is_empty()
-                    || !q.toggles.is_empty()
-                {
-                    return true;
-                }
-                let (hkey, tkey) = (
-                    std::ptr::from_ref(q.harness) as usize,
-                    std::ptr::from_ref(q.test) as usize,
-                );
-                let robust = match cache.iter().find(|c| c.0 == hkey && c.1 == tkey) {
-                    Some(c) => c.2,
-                    None => {
-                        let analysis = crate::cycles::analyze(q.harness, q.test);
-                        let robust = analysis.robust_serializable();
-                        cf_trace::emit("cycle_analysis", || {
-                            vec![
-                                ("consumer", cf_trace::s("triage")),
-                                (
-                                    "target",
-                                    cf_trace::s(format!("{}/{}", q.harness.name, q.test.name)),
-                                ),
-                                ("cycles", cf_trace::u(analysis.cycles().len() as u64)),
-                                ("reliable", cf_trace::u(analysis.reliable() as u64)),
-                            ]
-                        });
-                        cache.push((hkey, tkey, robust));
-                        robust
-                    }
-                };
-                if !robust {
-                    return true;
-                }
-                cf_trace::emit("triage", || {
-                    vec![
-                        ("query", cf_trace::u(i as u64 + 1)),
-                        ("outcome", cf_trace::s("pass")),
-                    ]
-                });
-                // Discharged queries close the `--profile` ledger: they
-                // appear in the query_done stream as a zero-tick class
-                // of their own instead of silently vanishing from it.
-                cf_trace::emit("query_done", || {
-                    vec![
-                        ("class", cf_trace::s("discharged")),
-                        ("outcome", cf_trace::s("pass")),
-                        ("ticks", cf_trace::u(0)),
-                        ("conflicts", cf_trace::u(0)),
-                        ("propagations", cf_trace::u(0)),
-                        ("solves", cf_trace::u(0)),
-                        ("retries", cf_trace::u(0)),
-                        ("wall_us", cf_trace::u(0)),
-                    ]
-                });
-                results[i] = Some(Ok(Verdict {
-                    answer: Answer::Outcome(CheckOutcome::Pass),
-                    phase: PhaseStats::default(),
-                    stats: QueryStats {
-                        statically_discharged: true,
-                        ..QueryStats::default()
-                    },
-                    provenance: None,
-                }));
-                false
-            });
         }
 
         // One task per (harness, test, provenance) identity; the model

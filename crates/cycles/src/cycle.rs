@@ -9,7 +9,8 @@
 //! most once and all conflict edges are distinct as unordered pairs.
 //! If every chord of every critical cycle is enforced under a model,
 //! all of that model's executions are conflict-serializable — the
-//! delay-set argument the triage and pruning consumers rest on.
+//! delay-set argument candidate pruning and the robustness report rest
+//! on.
 
 use std::collections::BTreeSet;
 

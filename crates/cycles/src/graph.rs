@@ -7,9 +7,9 @@
 //! other value is `Unknown`. Branches are not split: both arms of every
 //! conditional contribute their events in program order, so the event
 //! stream *over*-approximates what any execution performs. That is the
-//! right direction for both consumers: extra events can only add
-//! critical cycles, which makes triage refuse (sound) and pruning keep
-//! more candidates (sound).
+//! right direction for both uses: extra events can only add critical
+//! cycles, which makes the robustness report more cautious (sound) and
+//! pruning keep more candidates (sound).
 
 use cf_lsl::{FenceKind, FenceSem, MemOrder, PrimOp, ProcId, Program, Stmt, Value};
 use cf_memmodel::AccessKind;
@@ -82,8 +82,8 @@ pub struct AccessEvent {
     /// Abstract target location.
     pub loc: AbsLoc,
     /// Per-access C11 ordering annotation (recorded for reporting; the
-    /// built-in hardware models ignore annotations, so triage never
-    /// credits them).
+    /// built-in hardware models ignore annotations, so chord
+    /// enforcement never credits them).
     pub ord: MemOrder,
     /// Originating operation, e.g. `push_op#0`.
     pub op: String,
@@ -334,8 +334,8 @@ impl Builder<'_> {
                 });
                 self.pos += 1;
             }
-            // Mutation toggles run their original branch: triage never
-            // answers toggled queries, so the mutant arm is out of scope.
+            // Mutation toggles run their original branch: the analysis
+            // describes the program as written, not its mutants.
             Stmt::Toggle { orig, .. } => self.exec_body(orig, regs, depth),
             Stmt::Atomic(body) => {
                 let prev = self.atomic;

@@ -12,26 +12,24 @@
 //! built-in models; a program whose every cycle chord is enforced under
 //! model `M` behaves identically to sequential consistency under `M`.
 //!
-//! Two consumers sit on this analysis:
+//! Two uses sit on this analysis:
 //!
-//! * **sweep triage** ([`CycleAnalysis::robust_serializable`],
-//!   [`CycleAnalysis::robust_under`]) — corpus/synth planners discharge
-//!   PASS cells without touching the solver, with the same soundness
-//!   discipline as the model-lattice ladder: a triaged cell is never
-//!   guessed FAIL, and chord enforcement is judged *conservatively*
-//!   (under-credited), so a wrong answer can only send a cell back to
-//!   the solver.
 //! * **candidate pruning** ([`CycleAnalysis::useful_sites`]) — fence
 //!   inference drops candidate sites that could not repair any
 //!   relaxable chord of any cycle. Coverage here is judged *liberally*
 //!   (over-credited), so a pruned site is guaranteed irrelevant and the
 //!   inferred placement is unchanged.
+//! * **the robustness report** ([`CycleAnalysis::report`],
+//!   [`CycleAnalysis::robust_under`]) — the CLI's `--analyze` mode
+//!   prints each cycle, the ordering each chord needs and the models
+//!   that relax it. Chord enforcement is judged *conservatively*
+//!   (under-credited), so a model reported robust is robust.
 //!
 //! The analysis is deliberately execution-free: both arms of every
 //! branch contribute events, loop bodies contribute one iteration plus
 //! wrap-around chords, and unknown addresses alias everything. All of
 //! that over-approximates the conflict graph, which is the sound
-//! direction for both consumers.
+//! direction for both uses.
 //!
 //! # Example
 //!
@@ -58,7 +56,6 @@
 //! assert!(!analysis.cycles().is_empty()); // the SB cycle is critical
 //! assert!(analysis.robust_under(Mode::Sc));
 //! assert!(!analysis.robust_under(Mode::Tso)); // store→load chords relax
-//! assert!(!analysis.robust_serializable());
 //! ```
 
 #![warn(missing_docs)]
@@ -143,8 +140,7 @@ impl CycleAnalysis {
     /// `true` when the analysis saw the whole program and all of its
     /// cycles. Every consumer must check this before drawing *negative*
     /// conclusions (no cycle ⇒ robust, no coverage ⇒ prunable); when
-    /// `false`, triage must fall back to the solver and pruning must
-    /// keep every candidate.
+    /// `false`, pruning must keep every candidate.
     pub fn reliable(&self) -> bool {
         !self.graph.gave_up && !self.truncated
     }
@@ -156,7 +152,7 @@ impl CycleAnalysis {
 
     /// Is the chord of `leg` ordered under `mode` on every execution?
     ///
-    /// Judged **conservatively** (for triage): a chord is credited only
+    /// Judged **conservatively** (for robustness): a chord is credited only
     /// when (a) it is a single access, (b) both ends share an atomic
     /// group, (c) the model's program-order axiom keeps the pair in
     /// order (same-address credit requires *must*-alias), or (d) a real
@@ -203,15 +199,6 @@ impl CycleAnalysis {
     /// one the model could exhibit, i.e. a potential SC violation.
     pub fn cycle_relaxable(&self, cycle: &Cycle, mode: Mode) -> bool {
         cycle.legs.iter().any(|leg| !self.chord_enforced(leg, mode))
-    }
-
-    /// `true` when the program has **no** critical cycle at all (and
-    /// the analysis is [reliable](CycleAnalysis::reliable)): every
-    /// execution under every built-in model is conflict-serializable at
-    /// operation granularity, so it produces the observations and error
-    /// behavior of some serial execution.
-    pub fn robust_serializable(&self) -> bool {
-        self.reliable() && self.cycles.is_empty()
     }
 
     /// `true` when every chord of every critical cycle is enforced
@@ -396,7 +383,7 @@ mod tests {
         let id = p.proc_id("w_op").unwrap();
         let a = analyze(&p, &[vec![id]]);
         assert!(a.reliable());
-        assert!(a.robust_serializable());
+        assert!(a.cycles().is_empty());
     }
 
     #[test]
@@ -410,7 +397,8 @@ mod tests {
         "#,
         );
         let a = two_threads(&p, "a_op", "b_op");
-        assert!(a.robust_serializable());
+        assert!(a.reliable());
+        assert!(a.cycles().is_empty());
     }
 
     #[test]

@@ -1,21 +1,12 @@
-//! The two consumers of the critical-cycle analysis are *optimizations*,
-//! not approximations — this harness proves it end to end:
-//!
-//! * **candidate pruning** (`InferConfig::prune`): inference with
-//!   statically-irrelevant candidate sites dropped before encoding must
-//!   keep the exact placement the unpruned search keeps, on every
-//!   bundled data type;
-//! * **sweep triage** (`CorpusConfig::static_triage`): corpus verdict
-//!   tables with triage on must be byte-identical to the all-solver
-//!   tables, cell for cell, at any job count.
-
-use std::path::{Path, PathBuf};
+//! Candidate pruning (`InferConfig::prune`) is an *optimization*, not
+//! an approximation — this harness proves it end to end: inference with
+//! statically-irrelevant candidate sites dropped before encoding must
+//! keep the exact placement the unpruned search keeps, on every bundled
+//! data type.
 
 use cf_algos::{lamport, tests, treiber, Algo, Variant};
 use cf_lsl::FenceKind;
 use cf_memmodel::Mode;
-use cf_synth::corpus::load_dir;
-use cf_synth::{run_corpus, CorpusConfig};
 use checkfence::infer::{infer, InferConfig};
 use checkfence::{Harness, TestSpec};
 
@@ -120,48 +111,4 @@ fn lazylist_pruned_inference_keeps_the_same_fences() {
         vec![FenceKind::StoreStore],
         None,
     );
-}
-
-fn repo_dir(rel: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(rel)
-}
-
-/// Triage must be invisible in the verdicts: for every corpus entry the
-/// coverage table with static triage (at sequential *and* parallel job
-/// counts) is byte-identical to the table the solver produces alone.
-/// `table()` excludes the summary line, so the comparison is exact.
-fn assert_triage_equiv(dir: &str) {
-    let entries = load_dir(&repo_dir(dir)).expect("corpus loads");
-    assert!(!entries.is_empty(), "{dir} lost its entries?");
-    for entry in &entries {
-        let table_with = |static_triage: bool, jobs: usize| {
-            let config = CorpusConfig {
-                jobs,
-                static_triage,
-                ..CorpusConfig::default()
-            };
-            run_corpus(&entry.harness, &entry.tests, &config).table()
-        };
-        let solver = table_with(false, 1);
-        for jobs in [1, 4] {
-            assert_eq!(
-                table_with(true, jobs),
-                solver,
-                "{dir}/{}: triage changed a verdict cell at jobs {jobs}",
-                entry.name
-            );
-        }
-    }
-}
-
-#[test]
-fn triage_matches_solver_verdicts_on_the_scenario_corpus() {
-    assert_triage_equiv("corpus");
-}
-
-#[test]
-fn triage_matches_solver_verdicts_on_the_c11_corpus() {
-    assert_triage_equiv("corpus/c11");
 }

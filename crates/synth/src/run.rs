@@ -56,25 +56,11 @@ pub struct CorpusConfig {
     /// engine runs at once. The report and the pool shape are identical
     /// at any job count; only wall-clock time varies.
     pub jobs: usize,
-    /// Discharge cells statically via the critical-cycle analysis
-    /// before solving (default on; `--no-static-triage` forces the
-    /// solver path). Two sound rules apply, and the verdict grid is
-    /// byte-identical either way:
-    ///
-    /// 1. a test with **no critical cycle** passes on every built-in
-    ///    model (conflict-serializable — the engine-level discharge,
-    ///    [`checkfence::EngineConfig::static_triage`], valid here
-    ///    because corpus specs are freshly mined full serial
-    ///    observation sets);
-    /// 2. two built-in models under which the test is **robust** (no
-    ///    relaxable cycle chord) share one verdict — solve one cell,
-    ///    copy the conclusive result to the others.
-    pub static_triage: bool,
     /// Attach verdict provenance to every *solved* cell (proof cores on
     /// passes, witness environments on failures), rendered by
-    /// [`CorpusReport::explain`]. Inferred and triaged cells carry no
-    /// provenance — no solve ran for them. Off by default; provenance
-    /// queries run on their own session pool.
+    /// [`CorpusReport::explain`]. Inferred cells carry no provenance —
+    /// no solve ran for them. Off by default; provenance queries run on
+    /// their own session pool.
     pub provenance: bool,
 }
 
@@ -85,7 +71,6 @@ impl Default for CorpusConfig {
             specs: Vec::new(),
             check: CheckConfig::default(),
             jobs: 1,
-            static_triage: true,
             provenance: false,
         }
     }
@@ -134,8 +119,7 @@ pub struct CorpusRow {
     pub verdicts: Vec<CorpusVerdict>,
     /// Provenance summaries parallel to `verdicts` — `Some` only for
     /// cells a solver actually answered under
-    /// [`CorpusConfig::provenance`] (inferred/triaged cells stay
-    /// `None`).
+    /// [`CorpusConfig::provenance`] (inferred cells stay `None`).
     pub explains: Vec<Option<String>>,
     /// `false` when subsumption pruning dropped this test from the
     /// shrunk corpus.
@@ -192,10 +176,8 @@ pub struct CorpusReport {
     /// SAT query (a pass on a weaker model implies a pass on every
     /// stronger one).
     pub inferred: usize,
-    /// Built-in cells filled by static critical-cycle triage: verdicts
-    /// copied between models the test is robust under, plus solver
-    /// queries the engine discharged outright
-    /// ([`checkfence::QueryStats::statically_discharged`]).
+    /// Always 0: every built-in cell is solved or lattice-inferred.
+    /// The field stays so that code reading it keeps compiling.
     pub triaged: usize,
     /// End-to-end wall-clock time (mining + checking).
     pub elapsed: Duration,
@@ -277,12 +259,12 @@ impl CorpusReport {
     }
 
     /// Renders the per-cell provenance report: one line per solved
-    /// cell naming the assumptions its verdict leaned on. Inferred and
-    /// triaged cells are omitted — their verdicts were copied, not
-    /// solved, so they have no core. Like [`CorpusReport::table`] this
-    /// is a pure function of the verdict grid: the ladder schedule is
-    /// deterministic, so `--explain` output compares bit for bit
-    /// across job counts. Empty without [`CorpusConfig::provenance`].
+    /// cell naming the assumptions its verdict leaned on. Inferred
+    /// cells are omitted — their verdicts were copied, not solved, so
+    /// they have no core. Like [`CorpusReport::table`] this is a pure
+    /// function of the verdict grid: the ladder schedule is
+    /// deterministic, so `--explain` output compares bit for bit across
+    /// job counts. Empty without [`CorpusConfig::provenance`].
     pub fn explain(&self) -> String {
         let mut out = String::new();
         for row in &self.rows {
@@ -305,21 +287,19 @@ impl CorpusReport {
         if out.is_empty() {
             return out;
         }
-        format!("provenance — solved cells (inferred/triaged cells carry no core)\n{out}")
+        format!("provenance — solved cells (inferred cells carry no core)\n{out}")
     }
 
     /// The timing/amortization line (deliberately not part of
     /// [`CorpusReport::table`], so tables compare bit for bit across
-    /// job counts *and* across static-triage settings — the triaged
-    /// count varies with `--no-static-triage`, the verdicts do not).
+    /// job counts).
     pub fn summary(&self) -> String {
         format!(
-            "{} cells: {} solved, {} inferred from the model lattice, {} triaged; \
+            "{} cells: {} solved, {} inferred from the model lattice; \
              sessions {}  encodes {}  wall {:.2?}",
             self.rows.len() * self.model_names.len(),
             self.queries,
             self.inferred,
-            self.triaged,
             self.sessions,
             self.encodes,
             self.elapsed
@@ -393,45 +373,12 @@ pub fn run_corpus(harness: &Harness, tests: &[TestSpec], config: &CorpusConfig) 
     let engine_config = EngineConfig::from_check_config(&config.check, mode_set)
         .with_specs(config.specs.clone())
         .with_jobs(config.jobs)
-        // Sound here: every inclusion spec below is the complete serial
-        // observation set just mined for the same (harness, test).
-        .with_static_triage(config.static_triage)
         .with_provenance(config.provenance);
     let mut engine = Engine::new(engine_config);
     let mut grids: Vec<Vec<Option<CorpusVerdict>>> = vec![vec![None; sels.len()]; tests.len()];
     let mut explains: Vec<Vec<Option<String>>> = vec![vec![None; sels.len()]; tests.len()];
     let mut inferred = 0usize;
-    let mut triaged = 0usize;
 
-    // Per-row robustness over the built-in columns (ladder triage,
-    // rule 2): models under which a test has no relaxable cycle chord
-    // all share one verdict, so one conclusive cell decides the rest.
-    // `None` = analysis unreliable or triage disabled; solve normally.
-    let robust: Vec<Option<Vec<bool>>> = tests
-        .iter()
-        .map(|test| {
-            if !config.static_triage {
-                return None;
-            }
-            let analysis = checkfence::cycles::analyze(harness, test);
-            let per_mode = analysis.reliable().then(|| {
-                config
-                    .modes
-                    .iter()
-                    .map(|&m| analysis.robust_under(m))
-                    .collect()
-            });
-            cf_trace::emit("cycle_analysis", || {
-                vec![
-                    ("consumer", cf_trace::s("corpus")),
-                    ("test", cf_trace::s(test.name.clone())),
-                    ("cycles", cf_trace::u(analysis.cycles().len() as u64)),
-                    ("reliable", cf_trace::u(analysis.reliable() as u64)),
-                ]
-            });
-            per_mode
-        })
-        .collect();
     let convert = |verdict: Result<checkfence::Verdict, CheckError>| match verdict {
         Ok(v) => {
             if v.inconclusive().is_some() {
@@ -483,13 +430,10 @@ pub fn run_corpus(harness: &Harness, tests: &[TestSpec], config: &CorpusConfig) 
         });
         for (row, verdict) in round_rows.into_iter().zip(engine.run_batch(&queries)) {
             if let Ok(v) = &verdict {
-                if v.stats.statically_discharged {
-                    triaged += 1;
-                }
                 // Capture the provenance summary before `convert`
-                // consumes the verdict; copies made below (lattice
-                // inference, robustness transfer) deliberately carry
-                // none — no solve ran for those cells.
+                // consumes the verdict; lattice-inferred copies made
+                // below deliberately carry none — no solve ran for
+                // those cells.
                 explains[row][col] = v.provenance.as_ref().map(|p| p.summary());
             }
             let v = convert(verdict);
@@ -500,32 +444,6 @@ pub fn run_corpus(harness: &Harness, tests: &[TestSpec], config: &CorpusConfig) 
                     if grids[row][other].is_none() && mode.at_most_as_strong_as(m) && m != mode {
                         grids[row][other] = Some(CorpusVerdict::Pass);
                         inferred += 1;
-                    }
-                }
-            }
-            // Ladder triage rule 2: a conclusive verdict on a robust
-            // column transfers to every other robust column (their
-            // executions all look sequentially consistent, so every
-            // robust cell shares the SC verdict). Pass cells are
-            // usually already lattice-inferred; the new information is
-            // the FAIL transfer, which the lattice can never make.
-            if let Some(rob) = &robust[row] {
-                if rob[col] && matches!(v, CorpusVerdict::Pass | CorpusVerdict::Fail) {
-                    for other in 0..config.modes.len() {
-                        // `other != col`: this verdict's own cell is
-                        // solved (or engine-discharged), not a copy.
-                        if other != col && rob[other] && grids[row][other].is_none() {
-                            grids[row][other] = Some(v.clone());
-                            triaged += 1;
-                            cf_trace::emit("triage", || {
-                                vec![
-                                    ("test", cf_trace::s(tests[row].name.clone())),
-                                    ("model", cf_trace::s(config.modes[other].name())),
-                                    ("from", cf_trace::s(mode.name())),
-                                    ("verdict", cf_trace::s(v.cell())),
-                                ]
-                            });
-                        }
                     }
                 }
             }
@@ -594,7 +512,6 @@ pub fn run_corpus(harness: &Harness, tests: &[TestSpec], config: &CorpusConfig) 
         vec![
             ("queries", cf_trace::u(u64::from(stats.queries))),
             ("inferred", cf_trace::u(inferred as u64)),
-            ("triaged", cf_trace::u(triaged as u64)),
             ("corpus_us", cf_trace::u(t0.elapsed().as_micros() as u64)),
         ]
     });
@@ -611,7 +528,7 @@ pub fn run_corpus(harness: &Harness, tests: &[TestSpec], config: &CorpusConfig) 
         encodes: stats.encodes,
         queries: stats.queries,
         inferred,
-        triaged,
+        triaged: 0,
         elapsed: t0.elapsed(),
     }
 }

@@ -72,17 +72,23 @@ use std::time::Instant;
 /// CLI's `--stats-json` document and the `BENCH_*.json` writers.
 ///
 /// Version 2 added the static critical-cycle analysis vocabulary: the
-/// `cycle_analysis` and `triage` trace events, the
-/// `statically_discharged` per-query stats field, and the
-/// pruned-candidate counters in the inference artifacts.
+/// `cycle_analysis` and `triage` trace events, a per-query
+/// static-discharge stats field, and the pruned-candidate counters in
+/// the inference artifacts.
 ///
 /// Version 3 added verdict provenance: the `provenance` trace event,
-/// the `discharged` query class in the `query_done` stream (so the
-/// `--profile` ledger closes at 100% under static triage), the
+/// the `discharged` query class in the `query_done` stream, the
 /// `checkfence_queries_by_class` and per-reason inconclusive metrics,
 /// and the `cores_extracted`/`core_size` ledger in the metrics,
 /// profile, `--stats-json` and `BENCH_*.json` artifacts.
-pub const SCHEMA_VERSION: u32 = 3;
+///
+/// Version 4 removed the static triage vocabulary: the `triage`
+/// event, `cycle_analysis` events with consumer `triage` or `corpus`
+/// (only `infer` remains), the `discharged` query class, the `triaged`
+/// field of `corpus_done`, and the static-discharge field of
+/// `--stats-json` and column of `--stats`. `BENCH_*.json` records
+/// gained the host core count `nproc`.
+pub const SCHEMA_VERSION: u32 = 4;
 
 // ---------------------------------------------------------------------
 // Events
@@ -524,7 +530,7 @@ pub fn render_prom(events: &[Event]) -> String {
     }
     let _ = writeln!(
         out,
-        "# HELP checkfence_queries_by_class finished queries, by class (incl. `discharged` for statically triaged queries)"
+        "# HELP checkfence_queries_by_class finished queries, by class"
     );
     let _ = writeln!(out, "# TYPE checkfence_queries_by_class counter");
     for (class, n) in &by_class {
@@ -812,7 +818,7 @@ mod tests {
         assert!(stripped.contains("\"ticks\":5,\"n\":2"));
         assert!(!stripped.contains("_us"));
         assert!(!stripped.contains("mine_reference"));
-        assert!(stripped.contains("\"schema_version\":3"));
+        assert!(stripped.contains("\"schema_version\":4"));
         // Stripping is idempotent.
         assert_eq!(strip(&stripped), stripped);
     }
@@ -852,7 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn discharged_queries_close_the_profile_ledger() {
+    fn crashed_queries_close_the_profile_ledger() {
         let _g = locked();
         enable();
         let b = next_batch();
@@ -869,12 +875,14 @@ mod tests {
         }
         {
             let _s = scope(b, 2, "q2");
-            // A statically discharged query: no solver work at all, but
-            // it must still appear in the ledger as its own class.
+            // A query whose worker crashed twice: no solver ticks are
+            // attributed to it, but it must still appear in the ledger
+            // as its own row.
             emit("query_done", || {
                 vec![
-                    ("class", s("discharged")),
-                    ("outcome", s("pass")),
+                    ("class", s("check")),
+                    ("outcome", s("inconclusive")),
+                    ("reason", s("shard-crashed")),
                     ("ticks", u(0)),
                 ]
             });
@@ -884,17 +892,15 @@ mod tests {
         let p = profile(&events);
         assert!(
             (p.attributed_fraction() - 1.0).abs() < 1e-9,
-            "the ledger closes at 100% even with discharged queries"
+            "the ledger closes at 100% even with zero-tick queries"
         );
-        let discharged = p
+        let crashed = p
             .rows
             .iter()
-            .find(|r| r.class == "discharged")
-            .expect("discharged row present");
-        assert_eq!(discharged.queries, 1);
-        assert_eq!(discharged.ticks, 0);
-        let prom = render_prom(&events);
-        assert!(prom.contains("checkfence_queries_by_class{class=\"discharged\"} 1"));
+            .find(|r| r.class == "check")
+            .expect("crashed query row present");
+        assert_eq!(crashed.queries, 1);
+        assert_eq!(crashed.ticks, 0);
     }
 
     #[test]

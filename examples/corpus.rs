@@ -23,7 +23,6 @@ fn main() {
     let mut dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
     let mut jobs = 2usize;
     let mut with_ordering_specs = false;
-    let mut static_triage = true;
     let mut explain = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -34,13 +33,12 @@ fn main() {
                 assert!(jobs > 0, "--jobs expects a positive integer");
             }
             "--with-ordering-specs" => with_ordering_specs = true,
-            "--no-static-triage" => static_triage = false,
             "--explain" => explain = true,
             other => {
                 assert!(
                     !other.starts_with('-'),
                     "unknown flag `{other}` (expected [DIR] [--jobs N] \
-                     [--with-ordering-specs] [--no-static-triage] [--explain])"
+                     [--with-ordering-specs] [--explain])"
                 );
                 dir = PathBuf::from(other);
             }
@@ -55,7 +53,6 @@ fn main() {
     );
     let mut config = CorpusConfig {
         jobs,
-        static_triage,
         provenance: explain,
         ..CorpusConfig::default()
     };

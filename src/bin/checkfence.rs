@@ -23,11 +23,13 @@
 //!   --mine-only                 print the observation set and exit
 //!   --infer                     infer a minimal fence placement instead
 //!                               of checking
-//!   --infer-procs A,B           restrict inference candidates
+//!   --infer-procs A,B           restrict inference candidates; needs
+//!                               --infer
 //!   --no-prune                  encode every inference candidate, even
 //!                               sites the static critical-cycle
 //!                               analysis proves irrelevant (the kept
-//!                               placement is identical either way)
+//!                               placement is identical either way);
+//!                               needs --infer
 //!   --analyze                   print the static critical-cycle report
 //!                               for each test instead of checking:
 //!                               every cycle with, per leg, the ordering
@@ -50,10 +52,6 @@
 //!   --threads T                 synthesis bound: threads per test  [2]
 //!   --ops K                     synthesis bound: operations per
 //!                               thread  [2]
-//!   --no-static-triage          answer every corpus cell from the
-//!                               solver, even cells the critical-cycle
-//!                               analysis discharges statically (the
-//!                               verdict table is identical either way)
 //!   --jobs N                    mine and check up to N tests at once,
 //!                               one session per test at any N (an
 //!                               --ablate matrix is one session)  [1]
@@ -77,10 +75,9 @@
 //!                               count
 //!   --stats                     print a per-query solver-statistics
 //!                               table (solves, conflicts, restarts,
-//!                               retries, assumed literals, wall time,
-//!                               static discharge)
+//!                               retries, assumed literals, wall time)
 //!   --stats-json FILE           write the --stats table as versioned
-//!                               JSON (`schema_version` 3; includes the
+//!                               JSON (`schema_version` 4; includes the
 //!                               cores_extracted/core_size ledger)
 //!   --cx                        print full counterexample traces
 //!   --trace FILE                write a structured JSONL event trace
@@ -152,7 +149,6 @@ struct Options {
     run_ablate: bool,
     run_analyze: bool,
     no_prune: bool,
-    no_static_triage: bool,
     infer_procs: Option<Vec<String>>,
     synth: Option<String>,
     threads: usize,
@@ -225,9 +221,10 @@ fn usage() -> &'static str {
      \x20 --spec-cache FILE          cache the mined observation set\n\
      \x20 --mine-only                print the observation set and exit\n\
      \x20 --infer                    infer a minimal fence placement\n\
-     \x20 --infer-procs A,B          restrict inference candidates\n\
+     \x20 --infer-procs A,B          restrict inference candidates;\n\
+     \x20                            needs --infer\n\
      \x20 --no-prune                 encode even statically-irrelevant\n\
-     \x20                            inference candidates\n\
+     \x20                            inference candidates; needs --infer\n\
      \x20 --analyze                  print the static critical-cycle report\n\
      \x20                            for each test instead of checking\n\
      \x20 --ablate                   run a mutant matrix (Fig. 11 ablations)\n\
@@ -237,8 +234,6 @@ fn usage() -> &'static str {
      \x20                            replaces <SOURCE.c>\n\
      \x20 --threads T                synthesis bound: threads per test [2]\n\
      \x20 --ops K                    synthesis bound: ops per thread [2]\n\
-     \x20 --no-static-triage         answer every corpus cell from the\n\
-     \x20                            solver (skip static triage)\n\
      \x20 --jobs N                   mine and check up to N tests at once\n\
      \x20                            (one session per test at any N) [1]\n\
      \x20 --budget TICKS             initial solver tick budget per query\n\
@@ -330,7 +325,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         run_ablate: false,
         run_analyze: false,
         no_prune: false,
-        no_static_triage: false,
         infer_procs: None,
         synth: None,
         threads: 2,
@@ -401,7 +395,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--ablate" => opts.run_ablate = true,
             "--analyze" => opts.run_analyze = true,
             "--no-prune" => opts.no_prune = true,
-            "--no-static-triage" => opts.no_static_triage = true,
             "--infer-procs" => {
                 opts.infer_procs = Some(
                     value("--infer-procs")?
@@ -473,6 +466,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
         }
     }
+    // Inference tuning flags mean nothing without --infer (which
+    // --synth rejects); accepting them would misreport what ran.
+    if opts.no_prune && !opts.run_infer {
+        return Err("--no-prune governs inference candidates; it needs --infer".into());
+    }
+    if opts.infer_procs.is_some() && !opts.run_infer {
+        return Err("--infer-procs restricts inference candidates; it needs --infer".into());
+    }
     if opts.synth.is_some() {
         // Synthesis mode generates its own harness and tests.
         if source.is_some() {
@@ -510,12 +511,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     if opts.bounds_explicit {
         return Err("--threads/--ops are synthesis bounds; they need --synth".into());
-    }
-    if opts.no_static_triage {
-        return Err("--no-static-triage governs corpus triage; it needs --synth".into());
-    }
-    if opts.no_prune && !opts.run_infer {
-        return Err("--no-prune governs inference candidates; it needs --infer".into());
     }
     // Silently ignoring --explain in modes that never produce verdicts
     // would misreport what the run did.
@@ -840,7 +835,7 @@ fn run_with(opts: &Options) -> Result<RunStatus, String> {
 
 /// Renders the `--stats-json` export: the `--stats` table's rows as
 /// versioned JSON, one object per query in batch order, plus the
-/// schema-v3 core ledger (`cores_extracted`/`core_size` — zero unless
+/// core ledger (`cores_extracted`/`core_size` — zero unless
 /// the run asked for `--explain`). The `schema_version` field is
 /// shared with the trace/metrics sinks and the benchmark JSON
 /// artifacts.
@@ -871,7 +866,7 @@ fn stats_json(rows: &[(String, QueryStats)], cores_extracted: u64, core_size: u6
             out,
             "    {{\"query\": \"{}\", \"solves\": {}, \"conflicts\": {}, \"restarts\": {}, \
              \"propagations\": {}, \"assumed_literals\": {}, \"retries\": {}, \
-             \"wall_us\": {}, \"statically_discharged\": {}}}{comma}",
+             \"wall_us\": {}}}{comma}",
             escape(label),
             s.solves,
             s.conflicts,
@@ -880,7 +875,6 @@ fn stats_json(rows: &[(String, QueryStats)], cores_extracted: u64, core_size: u6
             s.assumed_literals,
             s.retries,
             s.wall.as_micros(),
-            s.statically_discharged,
         );
     }
     out.push_str("  ]\n}\n");
@@ -898,24 +892,19 @@ fn stats_table(rows: &[(String, QueryStats)]) -> String {
         .unwrap_or(8);
     let _ = writeln!(
         out,
-        "per-query stats:\n  {:<w$} {:>7} {:>10} {:>9} {:>7} {:>9} {:>10} {:>10}",
-        "query", "solves", "conflicts", "restarts", "retries", "assumed", "wall", "discharged"
+        "per-query stats:\n  {:<w$} {:>7} {:>10} {:>9} {:>7} {:>9} {:>10}",
+        "query", "solves", "conflicts", "restarts", "retries", "assumed", "wall"
     );
     for (label, s) in rows {
         let _ = writeln!(
             out,
-            "  {label:<w$} {:>7} {:>10} {:>9} {:>7} {:>9} {:>8.1}ms {:>10}",
+            "  {label:<w$} {:>7} {:>10} {:>9} {:>7} {:>9} {:>8.1}ms",
             s.solves,
             s.conflicts,
             s.restarts,
             s.retries,
             s.assumed_literals,
             s.wall.as_secs_f64() * 1e3,
-            if s.statically_discharged {
-                "static"
-            } else {
-                "-"
-            },
         );
     }
     out
@@ -1028,7 +1017,6 @@ fn run_synth(opts: &Options, name: &str) -> Result<RunStatus, String> {
     );
     let mut config = CorpusConfig {
         jobs: opts.jobs,
-        static_triage: !opts.no_static_triage,
         provenance: opts.explain,
         ..CorpusConfig::default()
     };

@@ -17,8 +17,8 @@
 //!   counterexample traces, the commit-point baseline, and automatic
 //!   fence inference;
 //! * [`cycles`] — static critical-cycle analysis (the delay-set view):
-//!   per-model robustness verdicts that prune inference candidates and
-//!   triage corpus cells without touching the solver
+//!   per-model robustness reports (`--analyze`) and the pruning of
+//!   inference candidates before encoding
 //!   (see `docs/static-analysis.md`);
 //! * [`algos`] — the five studied implementations (two-lock queue,
 //!   nonblocking queue, lazy list set, Harris set, snark deque) plus a

@@ -491,8 +491,7 @@ fn starved_synth_table_renders_question_cells_with_exit_three() {
     // The lamport corpus under a 1-tick budget: every solved cell
     // degrades to `?`, nothing is inferred (an inconclusive cell proves
     // nothing, so the model lattice must not propagate it), and the
-    // run exits 3. Static triage is off: it needs no solver budget, so
-    // it would rescue cells this test wants to see starve.
+    // run exits 3.
     let out = run(cli().args([
         "--synth",
         "lamport",
@@ -504,7 +503,6 @@ fn starved_synth_table_renders_question_cells_with_exit_three() {
         "1",
         "--retries",
         "0",
-        "--no-static-triage",
     ]));
     assert_eq!(out.status.code(), Some(3), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -523,9 +521,9 @@ fn stats_json_matches_the_stats_table() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let json = std::fs::read_to_string(&path).expect("stats json written");
     std::fs::remove_file(&path).ok();
-    assert!(json.contains("\"schema_version\": 3"), "{json}");
-    // The schema-v3 core ledger is always present; without --explain no
-    // cores are extracted.
+    assert!(json.contains("\"schema_version\": 4"), "{json}");
+    // The core ledger is always present; without --explain no cores
+    // are extracted.
     assert!(json.contains("\"cores_extracted\": 0"), "{json}");
     assert!(json.contains("\"core_size\": 0"), "{json}");
     // The text table's row and the JSON export must agree on the
@@ -601,7 +599,7 @@ fn observability_sinks_leave_stdout_unchanged() {
     let out = run(mailbox_args(&mut cli()).args(["--model", "tso", "--profile"]));
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("cost profile (schema 3):"), "{stdout}");
+    assert!(stdout.contains("cost profile (schema 4):"), "{stdout}");
     assert!(stdout.contains("attributed"), "{stdout}");
 }
 
@@ -731,6 +729,41 @@ fn explain_conflicts_with_non_checking_modes() {
             "{extra:?}: {out:?}"
         );
     }
+}
+
+// --infer-procs and --no-prune tune fence inference; anywhere else they
+// would be silently ignored, so they are usage errors in every mode.
+fn assert_needs_infer(cmd: &mut Command, flag: &str) {
+    let out = run(cmd);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(flag) && stderr.contains("needs --infer"),
+        "{out:?}"
+    );
+}
+
+const SYNTH_MS2: [&str; 6] = ["--synth", "ms2", "--threads", "1", "--ops", "1"];
+
+#[test]
+fn infer_procs_without_infer_is_a_usage_error() {
+    assert_needs_infer(
+        mailbox_args(&mut cli()).args(["--model", "tso", "--infer-procs", "put"]),
+        "--infer-procs",
+    );
+}
+
+#[test]
+fn synth_rejects_no_prune_without_infer() {
+    assert_needs_infer(cli().args(SYNTH_MS2).arg("--no-prune"), "--no-prune");
+}
+
+#[test]
+fn synth_rejects_infer_procs_without_infer() {
+    assert_needs_infer(
+        cli().args(SYNTH_MS2).args(["--infer-procs", "a,b"]),
+        "--infer-procs",
+    );
 }
 
 #[test]

@@ -19,11 +19,25 @@ fn c11_corpus() -> Vec<CorpusEntry> {
     load_dir(&dir).expect("c11 corpus loads")
 }
 
-/// Runs every entry under `config` and asserts that mining succeeds, no
+/// Runs every entry under `config` at jobs 1 and at jobs 4, and asserts
+/// that both coverage tables are byte-identical, mining succeeds, no
 /// model column errors out, and every declared verdict is reproduced.
 fn assert_verdicts(entries: &[CorpusEntry], config: &CorpusConfig) {
     for entry in entries {
-        let report = run_corpus(&entry.harness, &entry.tests, config);
+        let run_at = |jobs: usize| {
+            let config = CorpusConfig {
+                jobs,
+                ..config.clone()
+            };
+            run_corpus(&entry.harness, &entry.tests, &config)
+        };
+        let report = run_at(1);
+        assert_eq!(
+            run_at(4).table(),
+            report.table(),
+            "{}: the coverage table differs between jobs 1 and jobs 4",
+            entry.name
+        );
         for row in &report.rows {
             assert!(
                 row.mine_error.is_none(),
@@ -112,11 +126,7 @@ fn every_entry_declares_checked_expectations() {
 
 #[test]
 fn declared_verdicts_are_reproduced() {
-    let config = CorpusConfig {
-        jobs: 2,
-        ..CorpusConfig::default()
-    };
-    assert_verdicts(&corpus(), &config);
+    assert_verdicts(&corpus(), &CorpusConfig::default());
 }
 
 /// `// cf: explain` pins are machine-checked too: re-running the entry
@@ -181,7 +191,6 @@ fn c11_config() -> CorpusConfig {
     ];
     CorpusConfig {
         specs,
-        jobs: 2,
         ..CorpusConfig::default()
     }
 }
