@@ -1,7 +1,7 @@
 //! Fence inference on the real algorithms: the automated version of the
 //! paper's manual derive-by-counterexample loop (§4.2–4.3).
 
-use cf_algos::{lazylist, msn, tests, Variant};
+use cf_algos::{lamport, lazylist, msn, tests, treiber, Algo, Variant};
 use cf_lsl::FenceKind;
 use cf_memmodel::Mode;
 use checkfence::infer::{infer, InferConfig, InferError};
@@ -18,7 +18,6 @@ fn msn_on_pso_needs_exactly_one_store_store_fence() {
     let config = InferConfig {
         kinds: vec![FenceKind::StoreStore],
         procs: Some(vec!["enqueue".into(), "dequeue".into()]),
-        ..InferConfig::default()
     };
     let r = infer(&h, &t0, Mode::Pso, &config).expect("inference succeeds");
     assert_eq!(r.kept.len(), 1, "kept: {:?}", r.kept);
@@ -51,7 +50,6 @@ fn msn_on_tso_needs_no_fences() {
     let config = InferConfig {
         kinds: vec![FenceKind::StoreStore, FenceKind::LoadLoad],
         procs: Some(vec!["enqueue".into(), "dequeue".into()]),
-        ..InferConfig::default()
     };
     let r = infer(&h, &t0, Mode::Tso, &config).expect("inference succeeds");
     assert!(r.kept.is_empty(), "kept: {:?}", r.kept);
@@ -73,4 +71,106 @@ fn lazylist_marked_bug_surfaces_during_inference() {
         }
         other => panic!("expected the serial bug, got {other:?}"),
     }
+}
+
+/// One single-kind inference run and the placement it must keep.
+struct Placement {
+    harness: Harness,
+    test: &'static str,
+    mode: Mode,
+    kind: FenceKind,
+    procs: Option<Vec<String>>,
+    candidates: usize,
+    kept: &'static [&'static str],
+}
+
+/// Runs `case` and asserts its exact placement: every kept site and the
+/// size of the single-kind candidate space searched. Every candidate is
+/// encoded, so this pins what the session search keeps over the whole
+/// space.
+fn assert_placement(case: Placement) {
+    let tests = vec![tests::by_name(case.test).expect("catalog")];
+    let config = InferConfig {
+        kinds: vec![case.kind],
+        procs: case.procs,
+    };
+    let r = infer(&case.harness, &tests, case.mode, &config).expect("inference succeeds");
+    let kept: Vec<String> = r.kept.iter().map(|s| s.to_string()).collect();
+    let what = format!(
+        "{} {} on {}",
+        case.harness.name,
+        case.test,
+        case.mode.name()
+    );
+    assert_eq!(kept, case.kept, "{what}");
+    assert_eq!(r.candidates, case.candidates, "{what}");
+}
+
+fn queue_ops() -> Option<Vec<String>> {
+    Some(vec!["enqueue".to_string(), "dequeue".to_string()])
+}
+
+#[test]
+fn treiber_placement_over_the_full_candidate_space() {
+    assert_placement(Placement {
+        harness: treiber::harness(Variant::Unfenced),
+        test: "U0",
+        mode: Mode::Pso,
+        kind: FenceKind::StoreStore,
+        procs: None,
+        candidates: 114,
+        kept: &["push@0.4.11 (store-store)"],
+    });
+}
+
+#[test]
+fn lamport_placement_over_the_full_candidate_space() {
+    assert_placement(Placement {
+        harness: lamport::harness(Variant::Unfenced),
+        test: "L0",
+        mode: Mode::Tso,
+        kind: FenceKind::StoreLoad,
+        procs: None,
+        candidates: 142,
+        kept: &[],
+    });
+}
+
+#[test]
+fn ms2_placement_over_the_full_candidate_space() {
+    assert_placement(Placement {
+        harness: Algo::Ms2.harness(Variant::Unfenced),
+        test: "T0",
+        mode: Mode::Pso,
+        kind: FenceKind::StoreStore,
+        procs: queue_ops(),
+        candidates: 69,
+        kept: &["enqueue@0.14 (store-store)"],
+    });
+}
+
+#[test]
+fn msn_placement_over_the_full_candidate_space() {
+    assert_placement(Placement {
+        harness: Algo::Msn.harness(Variant::Unfenced),
+        test: "T0",
+        mode: Mode::Pso,
+        kind: FenceKind::StoreStore,
+        procs: queue_ops(),
+        candidates: 142,
+        kept: &["enqueue@0.7.15.4.0.2 (store-store)"],
+    });
+}
+
+#[test]
+fn lazylist_placement_over_the_full_candidate_space() {
+    assert_placement(Placement {
+        harness: Algo::Lazylist.harness(Variant::Unfenced),
+        test: "Sac",
+        mode: Mode::Pso,
+        kind: FenceKind::StoreStore,
+        procs: None,
+        candidates: 289,
+        kept: &["add@0.0.25.5.14 (store-store)"],
+    });
 }

@@ -136,7 +136,6 @@ fn treiber_inference_is_encode_once_and_matches_baseline() {
     let config = InferConfig {
         kinds: vec![FenceKind::LoadLoad, FenceKind::StoreStore],
         procs: Some(vec!["push".into(), "pop".into()]),
-        ..InferConfig::default()
     };
     let session = infer(&h, &u0, Mode::Relaxed, &config).expect("session inference");
     // One test, stable spin-loop bounds: exactly one symbolic execution

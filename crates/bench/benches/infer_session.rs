@@ -78,7 +78,6 @@ fn main() {
             config: InferConfig {
                 kinds: vec![FenceKind::LoadLoad, FenceKind::StoreStore],
                 procs: Some(vec!["push".into(), "pop".into()]),
-                ..InferConfig::default()
             },
         },
         Case {
@@ -89,7 +88,6 @@ fn main() {
             config: InferConfig {
                 kinds: vec![FenceKind::StoreStore],
                 procs: Some(vec!["enqueue".into(), "dequeue".into()]),
-                ..InferConfig::default()
             },
         },
     ];

@@ -17,21 +17,17 @@ use std::time::Duration;
 use cf_lsl::Value;
 use cf_memmodel::AccessKind;
 
-use crate::encode::{Encoding, OrderEncoding};
+use crate::encode::Encoding;
 use crate::symexec::{SymExec, SymExecError, UnrollStats};
 use crate::test_spec::TestSpec;
 
 /// Configuration of a verification run.
 #[derive(Clone, Debug)]
 pub struct CheckConfig {
-    /// Memory-order encoding.
-    pub order_encoding: OrderEncoding,
     /// Whether the range analysis runs (Fig. 11c ablation).
     pub range_analysis: bool,
     /// Maximum lazy-unrolling refinements before giving up.
     pub max_bound_rounds: u32,
-    /// Optional SAT conflict budget per solve call.
-    pub conflict_budget: Option<u64>,
     /// Optional deterministic tick budget (propagations + conflicts) per
     /// solve call. Ticks depend only on the formula and the solver state,
     /// so exhaustion reproduces exactly on any machine — prefer this over
@@ -71,10 +67,8 @@ pub struct CheckConfig {
 impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
-            order_encoding: OrderEncoding::Pairwise,
             range_analysis: true,
             max_bound_rounds: 8,
-            conflict_budget: None,
             tick_budget: None,
             deadline: None,
             max_retries: 2,

@@ -8,11 +8,9 @@
 //!   analysis; every load result and test argument is a vector of fresh
 //!   SAT variables.
 //! * **Memory-model formula Θ** — the axioms of §2.3.2. The total memory
-//!   order `<M` is encoded either *pairwise* (variables `Mxy` with
-//!   explicit transitivity clauses, the paper's encoding) or via
-//!   per-event *timestamps* (an equivalent encoding without the cubic
-//!   transitivity blow-up, provided as an ablation). Visibility uses the
-//!   auxiliary `Init`/`Flows` variables described in the paper.
+//!   order `<M` is encoded *pairwise*, as in the paper: one variable
+//!   `Mxy` per event pair plus explicit transitivity clauses. Visibility
+//!   uses the auxiliary `Init`/`Flows` variables described in the paper.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -27,7 +25,9 @@ use crate::range::{init_value, RangeInfo, ValueSet};
 use crate::symexec::{ErrorKind, SymExec};
 use crate::term::{BTerm, BTermId, VTerm, VTermId};
 
-/// How the total memory order is encoded.
+/// How the total memory order is encoded. There is one encoding; the
+/// type remains as the parameter of [`Encoding::build_full`] and the
+/// field of [`crate::SessionConfig`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum OrderEncoding {
     /// Boolean variables `Mxy` per event pair plus explicit transitivity
@@ -35,20 +35,6 @@ pub enum OrderEncoding {
     /// clauses).
     #[default]
     Pairwise,
-    /// A `⌈log n⌉`-bit clock per event; `x <M y` is a comparator circuit
-    /// and totality is pairwise distinctness. Equivalent, avoids the
-    /// cubic transitivity clauses.
-    Timestamp,
-}
-
-impl OrderEncoding {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            OrderEncoding::Pairwise => "pairwise",
-            OrderEncoding::Timestamp => "timestamp",
-        }
-    }
 }
 
 /// An encoded LSL value: tag bits plus integer and pointer payloads.
@@ -106,8 +92,6 @@ pub struct Encoding {
     pub cnf: CnfBuilder,
     /// The memory models this encoding can answer queries for.
     pub modes: ModeSet,
-    /// Order encoding used.
-    pub order_encoding: OrderEncoding,
     /// Per-event guard literals.
     pub guards: Vec<Lit>,
     /// Per-event address encodings.
@@ -160,7 +144,9 @@ pub struct Encoding {
     /// satisfied through the spec selector).
     pub(crate) axiom_acts: Vec<Vec<(String, Lit)>>,
 
-    order: OrderVars,
+    /// Memory-order variable `Mxy` per event pair `x < y`; `y <M x` is
+    /// its negation.
+    order: HashMap<(u32, u32), Lit>,
     /// Cached spec-membership circuits `(spec, no_match lit)` — pure
     /// definitions reused by session inclusion queries with one spec and
     /// many assumption vectors.
@@ -198,11 +184,6 @@ struct Widths {
     len: usize,
 }
 
-enum OrderVars {
-    Pairwise(HashMap<(u32, u32), Lit>),
-    Timestamp(Vec<Vec<Lit>>),
-}
-
 impl Encoding {
     /// Builds the encoding of `sx` over the model universe `modes` +
     /// `specs`: one CNF answering queries for every model, with
@@ -212,13 +193,14 @@ impl Encoding {
     /// paper's Δ ∧ Θ. When `provenance` is on, every spec axiom's
     /// clauses are additionally gated behind a fresh per-axiom literal
     /// so assumption cores resolve to axiom names; with it off the
-    /// formula carries no such gates.
+    /// formula carries no such gates. `OrderEncoding` has one variant,
+    /// so the order parameter selects nothing.
     pub fn build_full(
         sx: &SymExec,
         range: &RangeInfo,
         modes: ModeSet,
         specs: &[ModelSpec],
-        order_encoding: OrderEncoding,
+        _order: OrderEncoding,
         provenance: bool,
     ) -> Encoding {
         assert!(
@@ -246,7 +228,6 @@ impl Encoding {
         let mut enc = Encoding {
             cnf,
             modes,
-            order_encoding,
             guards: Vec::new(),
             addrs: Vec::new(),
             values: Vec::new(),
@@ -262,7 +243,7 @@ impl Encoding {
             specs: specs.to_vec(),
             provenance,
             axiom_acts: Vec::new(),
-            order: OrderVars::Pairwise(HashMap::new()),
+            order: HashMap::new(),
             spec_cache: Vec::new(),
             commit_cache: Vec::new(),
             mode_sel,
@@ -496,40 +477,21 @@ impl Encoding {
         }
 
         // --- memory order variables
-        let n = sx.events.len();
-        match self.order_encoding {
-            OrderEncoding::Pairwise => {
-                let mut m = HashMap::new();
-                for x in 0..n as u32 {
-                    for y in x + 1..n as u32 {
-                        m.insert((x, y), self.cnf.fresh());
-                    }
-                }
-                // Transitivity: two clauses per unordered triple.
-                for i in 0..n as u32 {
-                    for j in i + 1..n as u32 {
-                        for k in j + 1..n as u32 {
-                            let ij = m[&(i, j)];
-                            let jk = m[&(j, k)];
-                            let ik = m[&(i, k)];
-                            self.cnf.clause([!ij, !jk, ik]);
-                            self.cnf.clause([ij, jk, !ik]);
-                        }
-                    }
-                }
-                self.order = OrderVars::Pairwise(m);
+        let n = sx.events.len() as u32;
+        for x in 0..n {
+            for y in x + 1..n {
+                self.order.insert((x, y), self.cnf.fresh());
             }
-            OrderEncoding::Timestamp => {
-                let k = bits_for(n.max(2) as u64 - 1).max(1);
-                let ts: Vec<Vec<Lit>> = (0..n).map(|_| self.cnf.bv_fresh(k)).collect();
-                self.order = OrderVars::Timestamp(ts);
-                // Totality: timestamps pairwise distinct.
-                for x in 0..n {
-                    for y in x + 1..n {
-                        let xy = self.before(x, y);
-                        let yx = self.before(y, x);
-                        self.cnf.clause([xy, yx]);
-                    }
+        }
+        // Transitivity: two clauses per unordered triple.
+        for i in 0..n {
+            for j in i + 1..n {
+                for k in j + 1..n {
+                    let ij = self.order[&(i, j)];
+                    let jk = self.order[&(j, k)];
+                    let ik = self.order[&(i, k)];
+                    self.cnf.clause([!ij, !jk, ik]);
+                    self.cnf.clause([ij, jk, !ik]);
                 }
             }
         }
@@ -582,20 +544,11 @@ impl Encoding {
     // ----------------------------------------------------------- ordering
 
     /// The literal for `x <M y` (event indices).
-    pub fn before(&mut self, x: usize, y: usize) -> Lit {
-        match &self.order {
-            OrderVars::Pairwise(m) => {
-                if x < y {
-                    m[&(x as u32, y as u32)]
-                } else {
-                    !m[&(y as u32, x as u32)]
-                }
-            }
-            OrderVars::Timestamp(ts) => {
-                let a = ts[x].clone();
-                let b = ts[y].clone();
-                self.cnf.bv_ult(&a, &b)
-            }
+    pub fn before(&self, x: usize, y: usize) -> Lit {
+        if x < y {
+            self.order[&(x as u32, y as u32)]
+        } else {
+            !self.order[&(y as u32, x as u32)]
         }
     }
 
@@ -1263,33 +1216,18 @@ impl Encoding {
 
     /// The executed events sorted by the memory order of the current
     /// model.
-    pub fn memory_order(&mut self) -> Vec<usize> {
+    pub fn memory_order(&self) -> Vec<usize> {
         let n = self.guards.len();
         let mut executed: Vec<usize> = (0..n).filter(|&e| self.event_executed(e)).collect();
-        match &self.order {
-            OrderVars::Pairwise(m) => {
-                let m = m.clone();
-                executed.sort_by(|&a, &b| {
-                    if a == b {
-                        return std::cmp::Ordering::Equal;
-                    }
-                    let lit = if a < b {
-                        m[&(a as u32, b as u32)]
-                    } else {
-                        !m[&(b as u32, a as u32)]
-                    };
-                    if self.cnf.lit_value(lit) {
-                        std::cmp::Ordering::Less
-                    } else {
-                        std::cmp::Ordering::Greater
-                    }
-                });
+        executed.sort_by(|&a, &b| {
+            if a == b {
+                std::cmp::Ordering::Equal
+            } else if self.cnf.lit_value(self.before(a, b)) {
+                std::cmp::Ordering::Less
+            } else {
+                std::cmp::Ordering::Greater
             }
-            OrderVars::Timestamp(ts) => {
-                let keys: Vec<u64> = ts.iter().map(|t| self.cnf.bv_value_unsigned(t)).collect();
-                executed.sort_by_key(|&e| keys[e]);
-            }
-        }
+        });
         executed
     }
 

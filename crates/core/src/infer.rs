@@ -81,13 +81,6 @@ pub struct InferConfig {
     /// contains `lock`), whose internal fences belong to the locking
     /// discipline (paper Fig. 7), not to the algorithm.
     pub procs: Option<Vec<String>>,
-    /// Drop candidate sites that lie on no critical cycle before
-    /// encoding (static delay-set pruning, [`crate::cycles`]). The
-    /// inferred placement is unchanged — a site off every critical
-    /// cycle cannot prune behaviors, so the minimization takes the same
-    /// decisions — but the encoded activation-literal space shrinks.
-    /// Disabled automatically when the analysis is unreliable.
-    pub prune: bool,
 }
 
 impl Default for InferConfig {
@@ -95,7 +88,6 @@ impl Default for InferConfig {
         InferConfig {
             kinds: FenceKind::all().to_vec(),
             procs: None,
-            prune: true,
         }
     }
 }
@@ -135,13 +127,6 @@ pub struct InferenceResult {
     pub kept: Vec<CandidateSite>,
     /// Total candidate sites considered.
     pub candidates: usize,
-    /// Candidate sites discharged by the static critical-cycle
-    /// analysis before encoding (0 when pruning is disabled or the
-    /// analysis was unreliable).
-    pub candidates_pruned: usize,
-    /// Candidate sites actually encoded as activation literals
-    /// (`candidates - candidates_pruned`).
-    pub candidates_encoded: usize,
     /// Inclusion checks performed during the search.
     pub checks: usize,
     /// Wall-clock time of the whole search.
@@ -349,63 +334,15 @@ pub fn infer(
     }
 
     let all = candidate_sites(&harness.program, config);
-    // Static delay-set pruning: analyze the saturated build (site i =
-    // all[i]) per test, union the sites that could repair a relaxable
-    // critical-cycle chord, and drop the rest before encoding. A site
-    // off every critical cycle cannot prune behaviors, so the
-    // minimization below takes the same decisions either way.
-    let saturated_all = Harness {
+    // Encode once: every candidate site goes in as an activation-gated
+    // fence (site i = all[i]), and the engine pools one persistent
+    // session per test, answering each candidate build as an
+    // assumption-vector query (no re-encode, no cold solver).
+    let gated = Harness {
         name: format!("{}+candidates", harness.name),
         program: apply_candidates_gated(&harness.program, &all),
         init_proc: harness.init_proc.clone(),
         ops: harness.ops.clone(),
-    };
-    let encoded: Vec<CandidateSite> = if config.prune {
-        let mut useful = Some(std::collections::BTreeSet::new());
-        for t in tests {
-            let analysis = crate::cycles::analyze(&saturated_all, t);
-            match &mut useful {
-                Some(set) if analysis.reliable() => set.extend(analysis.useful_sites(mode)),
-                _ => useful = None,
-            }
-            if useful.is_none() {
-                break;
-            }
-        }
-        match useful {
-            Some(set) => all
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| set.contains(&(*i as u32)))
-                .map(|(_, s)| s.clone())
-                .collect(),
-            None => all.clone(),
-        }
-    } else {
-        all.clone()
-    };
-    let candidates_pruned = all.len() - encoded.len();
-    cf_trace::emit("cycle_analysis", || {
-        vec![
-            ("consumer", cf_trace::s("infer")),
-            ("candidates", cf_trace::u(all.len() as u64)),
-            ("pruned", cf_trace::u(candidates_pruned as u64)),
-            ("encoded", cf_trace::u(encoded.len() as u64)),
-        ]
-    });
-    // Encode once: every surviving candidate site goes in as an
-    // activation-gated fence (site i = encoded[i]), and the engine pools
-    // one persistent session per test, answering each candidate build as
-    // an assumption-vector query (no re-encode, no cold solver).
-    let gated = if candidates_pruned == 0 {
-        saturated_all
-    } else {
-        Harness {
-            name: format!("{}+candidates", harness.name),
-            program: apply_candidates_gated(&harness.program, &encoded),
-            init_proc: harness.init_proc.clone(),
-            ops: harness.ops.clone(),
-        }
     };
     let mut engine = Engine::new(EngineConfig::from_check_config(
         &CheckConfig::default(),
@@ -435,9 +372,9 @@ pub fn infer(
         Ok(None)
     };
 
-    let (enabled, checks) = minimize(&encoded, &config.kinds, passes)?;
+    let (enabled, checks) = minimize(&all, &config.kinds, passes)?;
 
-    let kept: Vec<CandidateSite> = encoded
+    let kept: Vec<CandidateSite> = all
         .iter()
         .zip(&enabled)
         .filter(|(_, &e)| e)
@@ -448,8 +385,6 @@ pub fn infer(
     Ok(InferenceResult {
         program,
         candidates: all.len(),
-        candidates_pruned,
-        candidates_encoded: encoded.len(),
         kept,
         checks,
         elapsed: t0.elapsed(),
@@ -526,8 +461,6 @@ pub fn infer_baseline(
     Ok(InferenceResult {
         program,
         candidates: all.len(),
-        candidates_pruned: 0,
-        candidates_encoded: all.len(),
         kept,
         checks,
         elapsed: t0.elapsed(),
@@ -651,7 +584,6 @@ mod tests {
             &InferConfig {
                 kinds: vec![FenceKind::StoreStore],
                 procs: None,
-                ..InferConfig::default()
             },
         );
         // One site per boundary reachable without entering an atomic
@@ -699,7 +631,6 @@ mod tests {
             &InferConfig {
                 kinds: vec![FenceKind::LoadLoad],
                 procs: None,
-                ..InferConfig::default()
             },
         );
         assert!(
@@ -786,7 +717,6 @@ mod tests {
         let config = InferConfig {
             kinds: vec![FenceKind::StoreLoad],
             procs: Some(vec!["get".into()]),
-            ..InferConfig::default()
         };
         let err = infer(&h, &tests, Mode::Relaxed, &config).expect_err("cannot fix");
         match err {

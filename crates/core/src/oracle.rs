@@ -29,7 +29,7 @@ use crate::checker::{
     CheckOutcome, FailureKind, ObsSet, PhaseStats,
 };
 use crate::commit::encode_abstract_machine;
-use crate::encode::{Encoding, ModelSel};
+use crate::encode::{Encoding, ModelSel, OrderEncoding};
 use crate::query::{Answer, Query, QueryKind, QueryStats, Verdict};
 use crate::range::analyze;
 use crate::session::Round;
@@ -178,12 +178,12 @@ fn with_bounds(
         let sx = execute(query.harness(), query.test(), &bounds, config.spin_bound)?;
         let t0 = Instant::now();
         let range = analyze(&sx, config.range_analysis);
-        let mut enc = Encoding::build_full(&sx, &range, modes, specs, config.order_encoding, false);
+        let mut enc =
+            Encoding::build_full(&sx, &range, modes, specs, OrderEncoding::Pairwise, false);
         phase.encode_time += t0.elapsed();
         phase.unrolled = sx.stats;
         phase.sat_vars = enc.cnf.num_vars();
         phase.sat_clauses = enc.cnf.num_clauses();
-        enc.cnf.solver.set_conflict_budget(config.conflict_budget);
         enc.cnf.solver.set_tick_budget(config.tick_budget);
         enc.cnf.solver.set_deadline(deadline_at);
 

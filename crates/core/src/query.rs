@@ -481,7 +481,7 @@ pub struct EngineConfig {
     /// Declarative models of the universe ([`ModelSel::Spec`] indexes
     /// this list). Compiled into every session next to the built-ins.
     pub specs: Vec<ModelSpec>,
-    /// Check settings (order encoding, bounds, budgets); queries name
+    /// Check settings (bounds, budgets, retries); queries name
     /// their models.
     pub check: CheckConfig,
     /// How many sessions [`Engine::run_batch`] runs at once, one worker
@@ -979,7 +979,6 @@ fn exec(
     let t0 = Instant::now();
     let before = session.solver_stats();
     let base_ticks = query.budget.or(check.tick_budget);
-    let base_conflicts = check.conflict_budget;
     let deadline = query.deadline.or(check.deadline);
     let mut scale: u64 = 1;
     let mut retries: u32 = 0;
@@ -1021,7 +1020,6 @@ fn exec(
     };
     loop {
         session.config.tick_budget = base_ticks.map(|b| b.saturating_mul(scale));
-        session.config.conflict_budget = base_conflicts.map(|b| b.saturating_mul(scale));
         session.config.deadline_at = deadline.map(|d| Instant::now() + d);
         cf_trace::emit("attempt", || {
             let mut fields = vec![("n", cf_trace::u(u64::from(retries)))];

@@ -66,14 +66,12 @@ pub struct SessionConfig {
     /// index ([`ModelSel::Spec`]). Compiled once into the shared
     /// encoding, toggled per query like any built-in mode.
     pub specs: Vec<ModelSpec>,
-    /// Memory-order encoding.
+    /// Memory-order encoding (one variant; see [`OrderEncoding`]).
     pub order_encoding: OrderEncoding,
     /// Whether the range analysis runs.
     pub range_analysis: bool,
     /// Maximum lazy-unrolling refinements before giving up.
     pub max_bound_rounds: u32,
-    /// Optional SAT conflict budget per solve call.
-    pub conflict_budget: Option<u64>,
     /// Optional deterministic tick budget (propagations + conflicts)
     /// per solve call; the engine's retry ladder grows this between
     /// attempts.
@@ -113,10 +111,9 @@ impl SessionConfig {
         SessionConfig {
             modes,
             specs: Vec::new(),
-            order_encoding: config.order_encoding,
+            order_encoding: OrderEncoding::Pairwise,
             range_analysis: config.range_analysis,
             max_bound_rounds: config.max_bound_rounds,
-            conflict_budget: config.conflict_budget,
             tick_budget: config.tick_budget,
             deadline_at: None,
             spin_bound: config.spin_bound,
@@ -614,10 +611,6 @@ impl<'h> CheckSession<'h> {
             });
         }
         let st = self.state.as_mut().expect("state built");
-        st.enc
-            .cnf
-            .solver
-            .set_conflict_budget(self.config.conflict_budget);
         st.enc.cnf.solver.set_tick_budget(self.config.tick_budget);
         st.enc.cnf.solver.set_deadline(self.config.deadline_at);
         // The trace observer on the solver: re-armed on every query so

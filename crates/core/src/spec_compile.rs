@@ -5,8 +5,8 @@
 //! both consume the same compiled [`ModelSpec`] through the same
 //! generic evaluator (`cf_spec::eval`), instantiated here with SAT
 //! literals as the condition algebra. Base relations map onto the
-//! encoding's existing variables — `mo` is the pairwise/timestamp order
-//! literal `before(x, y)`, `rf` reuses the retained `Flows(s, l)`
+//! encoding's existing variables — `mo` is the pairwise order literal
+//! `before(x, y)`, `rf` reuses the retained `Flows(s, l)`
 //! literals of the value-flow encoding, `loc` is the cached address
 //! equality circuit, and fence relations reuse candidate-site
 //! activation literals so spec models participate in fence inference

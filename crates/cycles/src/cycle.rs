@@ -9,8 +9,7 @@
 //! most once and all conflict edges are distinct as unordered pairs.
 //! If every chord of every critical cycle is enforced under a model,
 //! all of that model's executions are conflict-serializable — the
-//! delay-set argument candidate pruning and the robustness report rest
-//! on.
+//! delay-set argument the robustness report rests on.
 
 use std::collections::BTreeSet;
 
@@ -19,7 +18,7 @@ use cf_memmodel::AccessKind;
 use crate::graph::Graph;
 
 /// Hard cap on materialized cycles; hitting it marks the analysis
-/// truncated, which makes every consumer fall back to the solver path.
+/// truncated, so the report claims no robustness.
 const CYCLE_CAP: usize = 4096;
 
 /// Hard cap on search steps (paranoia guard for adversarial inputs).

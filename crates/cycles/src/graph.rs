@@ -7,11 +7,10 @@
 //! other value is `Unknown`. Branches are not split: both arms of every
 //! conditional contribute their events in program order, so the event
 //! stream *over*-approximates what any execution performs. That is the
-//! right direction for both uses: extra events can only add critical
-//! cycles, which makes the robustness report more cautious (sound) and
-//! pruning keep more candidates (sound).
+//! right direction for the robustness report: extra events can only add
+//! critical cycles, which makes the report more cautious (sound).
 
-use cf_lsl::{FenceKind, FenceSem, MemOrder, PrimOp, ProcId, Program, Stmt, Value};
+use cf_lsl::{FenceSem, MemOrder, PrimOp, ProcId, Program, Stmt, Value};
 use cf_memmodel::AccessKind;
 
 /// Maximum call-inlining depth before the builder gives up (recursion
@@ -74,8 +73,8 @@ impl AbsLoc {
 pub struct AccessEvent {
     /// Thread index (position in the test's thread list).
     pub thread: usize,
-    /// Position in the thread's stream (accesses, fences and candidate
-    /// sites share one counter, so positions order all three).
+    /// Position in the thread's stream (accesses and fences share one
+    /// counter, so positions order both).
     pub pos: usize,
     /// Load or store ([`Stmt::Cas`] contributes one of each).
     pub kind: AccessKind,
@@ -109,30 +108,11 @@ pub struct FenceEvent {
     pub blocks: Vec<u32>,
 }
 
-/// One candidate-fence site occurrence ([`Stmt::CandidateFence`]) in a
-/// thread's stream. Candidates are inert for cycle construction and
-/// never credited as real fences; they exist so the pruning consumer
-/// can ask which sites could repair a relaxable cycle chord.
-#[derive(Clone, Debug)]
-pub struct SiteEvent {
-    /// Thread index.
-    pub thread: usize,
-    /// Stream position.
-    pub pos: usize,
-    /// Stable candidate-site id (assigned by the inference driver).
-    pub site: u32,
-    /// The fence kind the site would insert.
-    pub kind: FenceKind,
-    /// Enclosing structured-block ids, outermost first.
-    pub blocks: Vec<u32>,
-}
-
 /// The flattened per-thread event streams of one bounded test.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Graph {
     pub accesses: Vec<AccessEvent>,
     pub fences: Vec<FenceEvent>,
-    pub sites: Vec<SiteEvent>,
     /// Set when inlining hit the depth cap: the streams are incomplete
     /// and no conclusion may be drawn from them.
     pub gave_up: bool,
@@ -324,16 +304,6 @@ impl Builder<'_> {
                 });
                 self.pos += 1;
             }
-            Stmt::CandidateFence { kind, site } => {
-                self.out.sites.push(SiteEvent {
-                    thread: self.thread,
-                    pos: self.pos,
-                    site: *site,
-                    kind: *kind,
-                    blocks: self.blocks.clone(),
-                });
-                self.pos += 1;
-            }
             // Mutation toggles run their original branch: the analysis
             // describes the program as written, not its mutants.
             Stmt::Toggle { orig, .. } => self.exec_body(orig, regs, depth),
@@ -372,7 +342,9 @@ impl Builder<'_> {
                 self.blocks.pop();
             }
             Stmt::Alloc { dst, .. } => set(regs, *dst, AbsVal::Ptr(AbsLoc::Heap)),
-            Stmt::Break { .. }
+            // Candidate fences are inert: never credited as real fences.
+            Stmt::CandidateFence { .. }
+            | Stmt::Break { .. }
             | Stmt::Continue { .. }
             | Stmt::Assert { .. }
             | Stmt::Assume { .. }

@@ -12,24 +12,17 @@
 //! built-in models; a program whose every cycle chord is enforced under
 //! model `M` behaves identically to sequential consistency under `M`.
 //!
-//! Two uses sit on this analysis:
-//!
-//! * **candidate pruning** ([`CycleAnalysis::useful_sites`]) — fence
-//!   inference drops candidate sites that could not repair any
-//!   relaxable chord of any cycle. Coverage here is judged *liberally*
-//!   (over-credited), so a pruned site is guaranteed irrelevant and the
-//!   inferred placement is unchanged.
-//! * **the robustness report** ([`CycleAnalysis::report`],
-//!   [`CycleAnalysis::robust_under`]) — the CLI's `--analyze` mode
-//!   prints each cycle, the ordering each chord needs and the models
-//!   that relax it. Chord enforcement is judged *conservatively*
-//!   (under-credited), so a model reported robust is robust.
+//! The analysis backs the robustness report ([`CycleAnalysis::report`],
+//! [`CycleAnalysis::robust_under`]): the CLI's `--analyze` mode prints
+//! each cycle, the ordering each chord needs and the models that relax
+//! it. Chord enforcement is judged *conservatively* (under-credited),
+//! so a model reported robust is robust.
 //!
 //! The analysis is deliberately execution-free: both arms of every
 //! branch contribute events, loop bodies contribute one iteration plus
 //! wrap-around chords, and unknown addresses alias everything. All of
 //! that over-approximates the conflict graph, which is the sound
-//! direction for both uses.
+//! direction for the report.
 //!
 //! # Example
 //!
@@ -63,14 +56,13 @@
 mod cycle;
 mod graph;
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use cf_lsl::{FenceKind, ProcId, Program};
-use cf_memmodel::{fence_orders, sem_orders, AccessKind, Mode};
+use cf_memmodel::{sem_orders, AccessKind, Mode};
 
 pub use cycle::{Cycle, Leg};
-pub use graph::{AbsLoc, AccessEvent, FenceEvent, SiteEvent};
+pub use graph::{AbsLoc, AccessEvent, FenceEvent};
 
 use graph::Graph;
 
@@ -115,11 +107,6 @@ impl CycleAnalysis {
         &self.graph.fences
     }
 
-    /// All candidate-fence site occurrences.
-    pub fn sites(&self) -> &[SiteEvent] {
-        &self.graph.sites
-    }
-
     /// Every critical cycle found (deduplicated, deterministic order).
     pub fn cycles(&self) -> &[Cycle] {
         &self.cycles
@@ -139,15 +126,9 @@ impl CycleAnalysis {
 
     /// `true` when the analysis saw the whole program and all of its
     /// cycles. Every consumer must check this before drawing *negative*
-    /// conclusions (no cycle ⇒ robust, no coverage ⇒ prunable); when
-    /// `false`, pruning must keep every candidate.
+    /// conclusions (no cycle ⇒ robust).
     pub fn reliable(&self) -> bool {
         !self.graph.gave_up && !self.truncated
-    }
-
-    /// Distinct candidate-site ids present in the event streams.
-    pub fn site_ids(&self) -> BTreeSet<u32> {
-        self.graph.sites.iter().map(|s| s.site).collect()
     }
 
     /// Is the chord of `leg` ordered under `mode` on every execution?
@@ -209,47 +190,6 @@ impl CycleAnalysis {
         self.reliable() && self.cycles.iter().all(|c| !self.cycle_relaxable(c, mode))
     }
 
-    /// Could candidate site `s` order the chord `(a, b)`? Judged
-    /// **liberally** (for pruning): position between the ends by stream
-    /// position alone — block structure ignored — and kind coverage by
-    /// the plain fence table.
-    fn site_covers(&self, s: &SiteEvent, leg: &Leg) -> bool {
-        let a = &self.graph.accesses[leg.entry];
-        let b = &self.graph.accesses[leg.exit];
-        s.thread == a.thread
-            && fence_orders(s.kind, a.kind, b.kind)
-            && (if leg.wrap {
-                s.pos > a.pos || s.pos < b.pos
-            } else {
-                s.pos > a.pos && s.pos < b.pos
-            })
-    }
-
-    /// The candidate sites that could repair some not-conservatively-
-    /// enforced chord of some critical cycle under `mode`. Any site
-    /// *not* in this set lies on no critical pair, and by the delay-set
-    /// argument activating it cannot prune behaviors — inference may
-    /// drop it without changing the result.
-    ///
-    /// Only meaningful when [reliable](CycleAnalysis::reliable); the
-    /// pruning consumer must keep all sites otherwise.
-    pub fn useful_sites(&self, mode: Mode) -> BTreeSet<u32> {
-        let mut useful = BTreeSet::new();
-        for cycle in &self.cycles {
-            for leg in &cycle.legs {
-                if leg.entry == leg.exit || self.chord_enforced(leg, mode) {
-                    continue;
-                }
-                for s in &self.graph.sites {
-                    if self.site_covers(s, leg) {
-                        useful.insert(s.site);
-                    }
-                }
-            }
-        }
-        useful
-    }
-
     /// The fence kind that would order `(a, b)` — the name of the
     /// program-order axiom the chord needs.
     fn needed_kind(a: AccessKind, b: AccessKind) -> FenceKind {
@@ -301,10 +241,9 @@ impl CycleAnalysis {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "accesses {}  fences {}  candidate sites {}  critical cycles {}{}",
+            "accesses {}  fences {}  critical cycles {}{}",
             self.graph.accesses.len(),
             self.graph.fences.len(),
-            self.graph.sites.len(),
             self.cycles.len(),
             if self.reliable() {
                 ""
@@ -528,24 +467,6 @@ mod tests {
         assert!(!a.cycles().is_empty());
         assert!(a.robust_under(Mode::Tso));
         assert!(!a.robust_under(Mode::Relaxed));
-    }
-
-    #[test]
-    fn useful_sites_cover_exactly_the_broken_chords() {
-        let p = compile(
-            r#"
-            int x;
-            int y;
-            int a_op() { x = 1; return y; }
-            int b_op() { y = 1; return x; }
-        "#,
-        );
-        // Wrap the ops in candidate sites by hand: build the analysis
-        // over a program the inference driver would produce. Easiest
-        // faithful approximation: no sites → nothing useful.
-        let a = two_threads(&p, "a_op", "b_op");
-        assert!(a.useful_sites(Mode::Tso).is_empty());
-        assert!(a.site_ids().is_empty());
     }
 
     #[test]

@@ -20,9 +20,7 @@ use std::collections::BTreeSet;
 use cf_lsl::{MemOrder, Value};
 use cf_memmodel::{Litmus, LitmusOp, Mode, ModeSet};
 use cf_spec::{bundled, compile, interp, ModelSpec};
-use checkfence::{
-    CheckConfig, Engine, EngineConfig, Harness, ModelSel, OpSig, OrderEncoding, Query, TestSpec,
-};
+use checkfence::{CheckConfig, Engine, EngineConfig, Harness, ModelSel, OpSig, Query, TestSpec};
 
 /// One litmus slot: a store of a constant or a load into the next
 /// register, with a variable ordering annotation.
@@ -208,10 +206,9 @@ fn sat_outcomes(threads: &[Thread], spec: &ModelSpec) -> BTreeSet<Vec<Value>> {
             .join(" | ")
     );
     let test = TestSpec::parse("grid", &text).expect("test parses");
-    let mut config =
+    let config =
         EngineConfig::from_check_config(&CheckConfig::default(), ModeSet::single(Mode::Relaxed))
             .with_specs(vec![spec.clone()]);
-    config.check.order_encoding = OrderEncoding::Pairwise;
     Engine::new(config)
         .run(&Query::enumerate(&harness, &test).on_model(ModelSel::Spec(0)))
         .expect("enumerates")

@@ -18,9 +18,7 @@ use cf_lsl::{MemOrder, Value};
 use cf_memmodel::{Mode, ModeSet};
 use cf_sat::xorshift::Rng;
 use cf_spec::{bundled, compile, ModelSpec};
-use checkfence::{
-    CheckConfig, Engine, EngineConfig, Harness, ModelSel, OpSig, OrderEncoding, Query, TestSpec,
-};
+use checkfence::{CheckConfig, Engine, EngineConfig, Harness, ModelSel, OpSig, Query, TestSpec};
 
 /// One straight-line access; `None` ordering renders the unannotated
 /// plain form.
@@ -115,10 +113,9 @@ fn outcomes(
             .join(" | ")
     );
     let test = TestSpec::parse("prop", &text).expect("test parses");
-    let mut config =
+    let config =
         EngineConfig::from_check_config(&CheckConfig::default(), ModeSet::single(Mode::Relaxed))
             .with_specs(vec![spec.clone()]);
-    config.check.order_encoding = OrderEncoding::Pairwise;
     Engine::new(config)
         .run(&Query::enumerate(&harness, &test).on_model(ModelSel::Spec(0)))
         .expect("enumerates")

@@ -88,7 +88,12 @@ use std::time::Instant;
 /// field of `corpus_done`, and the static-discharge field of
 /// `--stats-json` and column of `--stats`. `BENCH_*.json` records
 /// gained the host core count `nproc`.
-pub const SCHEMA_VERSION: u32 = 4;
+///
+/// Version 5 removed the last `cycle_analysis` event (consumer
+/// `infer`, with its `candidates`, `pruned` and `encoded` fields) along
+/// with fence inference's candidate pruning; the vocabulary has no
+/// static-analysis event left.
+pub const SCHEMA_VERSION: u32 = 5;
 
 // ---------------------------------------------------------------------
 // Events
@@ -818,7 +823,7 @@ mod tests {
         assert!(stripped.contains("\"ticks\":5,\"n\":2"));
         assert!(!stripped.contains("_us"));
         assert!(!stripped.contains("mine_reference"));
-        assert!(stripped.contains("\"schema_version\":4"));
+        assert!(stripped.contains("\"schema_version\":5"));
         // Stripping is idempotent.
         assert_eq!(strip(&stripped), stripped);
     }

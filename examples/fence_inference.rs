@@ -81,7 +81,6 @@ fn main() {
     let config = InferConfig {
         kinds: vec![FenceKind::StoreStore],
         procs: Some(vec!["enqueue".into(), "dequeue".into()]),
-        ..InferConfig::default()
     };
     let r = infer(&msn, &tests, Mode::Pso, &config).expect("inference");
     report("unfenced msn on pso (store-store candidates)", &r);

@@ -53,7 +53,6 @@ fn main() {
     let config = InferConfig {
         kinds: vec![FenceKind::LoadLoad, FenceKind::StoreStore],
         procs: Some(vec!["push".into(), "pop".into()]),
-        ..InferConfig::default()
     };
     let r = infer(&unfenced, std::slice::from_ref(&u0), Mode::Relaxed, &config).expect("inference");
     println!(

@@ -17,7 +17,6 @@
 //!   --model MODEL               sc | tso | pso | relaxed, or a path to
 //!                               a .cfm memory-model spec   [relaxed]
 //!   --method METHOD             obs | commit-queue | commit-stack  [obs]
-//!   --encoding ENC              pairwise | timestamp       [pairwise]
 //!   --spec-cache FILE           read/write the mined observation set
 //!                               (single test only)
 //!   --mine-only                 print the observation set and exit
@@ -25,11 +24,6 @@
 //!                               of checking
 //!   --infer-procs A,B           restrict inference candidates; needs
 //!                               --infer
-//!   --no-prune                  encode every inference candidate, even
-//!                               sites the static critical-cycle
-//!                               analysis proves irrelevant (the kept
-//!                               placement is identical either way);
-//!                               needs --infer
 //!   --analyze                   print the static critical-cycle report
 //!                               for each test instead of checking:
 //!                               every cycle with, per leg, the ordering
@@ -62,7 +56,8 @@
 //!   --deadline-ms N             wall-clock deadline per query attempt
 //!                               (machine-dependent safety net)
 //!   --retries N                 escalating retries per query: each
-//!                               retry multiplies the budgets by 8  [2]
+//!                               retry multiplies the tick budget by
+//!                               8  [2]
 //!   --explain                   attach verdict provenance: after each
 //!                               PASS print the assumptions its proof
 //!                               leaned on (model, axiom groups, fence
@@ -77,7 +72,7 @@
 //!                               table (solves, conflicts, restarts,
 //!                               retries, assumed literals, wall time)
 //!   --stats-json FILE           write the --stats table as versioned
-//!                               JSON (`schema_version` 4; includes the
+//!                               JSON (`schema_version` 5; includes the
 //!                               cores_extracted/core_size ledger)
 //!   --cx                        print full counterexample traces
 //!   --trace FILE                write a structured JSONL event trace
@@ -90,6 +85,10 @@
 //!   --profile                   print a per-query-class cost profile
 //!                               (solver-tick attribution) after the run
 //!   -h, --help                  this text
+//!
+//! --infer and --analyze run no check of their own, so they reject
+//! --method commit-*, --spec-cache, --budget, --deadline-ms, --retries,
+//! --stats, --stats-json, --cx and --explain.
 //!
 //! EXIT STATUS: 0 all tests pass, 1 some check failed (counterexample
 //! or failing baseline), 2 usage or infrastructure error, 3 no failure
@@ -115,7 +114,7 @@ use checkfence::commit::AbstractType;
 use checkfence::infer::{infer, InferConfig};
 use checkfence::{
     mine_reference, Answer, CheckConfig, CheckOutcome, Engine, EngineConfig, Harness, ModelSel,
-    ObsSet, OpSig, OrderEncoding, Query, QueryStats, TestSpec,
+    ObsSet, OpSig, Query, QueryStats, TestSpec,
 };
 
 /// The model axis of a run: a built-in mode or a user `.cfm` spec.
@@ -142,13 +141,11 @@ struct Options {
     model: ModelArg,
     model_explicit: bool,
     method: Method,
-    encoding: OrderEncoding,
     spec_cache: Option<PathBuf>,
     mine_only: bool,
     run_infer: bool,
     run_ablate: bool,
     run_analyze: bool,
-    no_prune: bool,
     infer_procs: Option<Vec<String>>,
     synth: Option<String>,
     threads: usize,
@@ -217,14 +214,11 @@ fn usage() -> &'static str {
      \x20 --model MODEL              sc | tso | pso | relaxed,\n\
      \x20                            or a .cfm spec file    [relaxed]\n\
      \x20 --method METHOD            obs | commit-queue | commit-stack  [obs]\n\
-     \x20 --encoding ENC             pairwise | timestamp       [pairwise]\n\
      \x20 --spec-cache FILE          cache the mined observation set\n\
      \x20 --mine-only                print the observation set and exit\n\
      \x20 --infer                    infer a minimal fence placement\n\
      \x20 --infer-procs A,B          restrict inference candidates;\n\
      \x20                            needs --infer\n\
-     \x20 --no-prune                 encode even statically-irrelevant\n\
-     \x20                            inference candidates; needs --infer\n\
      \x20 --analyze                  print the static critical-cycle report\n\
      \x20                            for each test instead of checking\n\
      \x20 --ablate                   run a mutant matrix (Fig. 11 ablations)\n\
@@ -241,7 +235,8 @@ fn usage() -> &'static str {
      \x20                            render as `?`)\n\
      \x20 --deadline-ms N            wall-clock deadline per query attempt\n\
      \x20 --retries N                escalating retries per query (each\n\
-     \x20                            retry multiplies the budgets by 8) [2]\n\
+     \x20                            retry multiplies the tick budget\n\
+     \x20                            by 8) [2]\n\
      \x20 --stats                    print a per-query solver-stats table\n\
      \x20 --stats-json FILE          write the --stats table as versioned JSON\n\
      \x20 --cx                       print full counterexample traces\n\
@@ -318,13 +313,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         model: ModelArg::Builtin(Mode::Relaxed),
         model_explicit: false,
         method: Method::Observation,
-        encoding: OrderEncoding::Pairwise,
         spec_cache: None,
         mine_only: false,
         run_infer: false,
         run_ablate: false,
         run_analyze: false,
-        no_prune: false,
         infer_procs: None,
         synth: None,
         threads: 2,
@@ -378,23 +371,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     }
                 };
             }
-            "--encoding" => {
-                opts.encoding = match value("--encoding")?.as_str() {
-                    "pairwise" => OrderEncoding::Pairwise,
-                    "timestamp" => OrderEncoding::Timestamp,
-                    other => {
-                        return Err(format!(
-                            "--encoding `{other}`: expected pairwise or timestamp"
-                        ))
-                    }
-                };
-            }
             "--spec-cache" => opts.spec_cache = Some(PathBuf::from(value("--spec-cache")?)),
             "--mine-only" => opts.mine_only = true,
             "--infer" => opts.run_infer = true,
             "--ablate" => opts.run_ablate = true,
             "--analyze" => opts.run_analyze = true,
-            "--no-prune" => opts.no_prune = true,
             "--infer-procs" => {
                 opts.infer_procs = Some(
                     value("--infer-procs")?
@@ -466,11 +447,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
         }
     }
-    // Inference tuning flags mean nothing without --infer (which
-    // --synth rejects); accepting them would misreport what ran.
-    if opts.no_prune && !opts.run_infer {
-        return Err("--no-prune governs inference candidates; it needs --infer".into());
-    }
+    // The inference tuning flag means nothing without --infer (which
+    // --synth rejects); accepting it would misreport what ran.
     if opts.infer_procs.is_some() && !opts.run_infer {
         return Err("--infer-procs restricts inference candidates; it needs --infer".into());
     }
@@ -520,6 +498,32 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
              with --mine-only, --infer or --analyze"
                 .into(),
         );
+    }
+    // Inference checks with its own default configuration and the
+    // analysis checks nothing, so the check-mode flags would be
+    // silently ignored there.
+    if opts.run_infer || opts.run_analyze {
+        let mode = if opts.run_infer {
+            "--infer"
+        } else {
+            "--analyze"
+        };
+        let check_flags = [
+            (
+                matches!(opts.method, Method::Commit(_)),
+                "--method commit-*",
+            ),
+            (opts.spec_cache.is_some(), "--spec-cache"),
+            (opts.budget.is_some(), "--budget"),
+            (opts.deadline_ms.is_some(), "--deadline-ms"),
+            (opts.retries.is_some(), "--retries"),
+            (opts.stats, "--stats"),
+            (opts.stats_json.is_some(), "--stats-json"),
+            (opts.cx, "--cx"),
+        ];
+        if let Some((_, flag)) = check_flags.iter().find(|(given, _)| *given) {
+            return Err(format!("{mode} cannot be combined with {flag}"));
+        }
     }
     opts.source = source.ok_or("missing source file")?;
     if opts.ops.is_empty() {
@@ -671,18 +675,14 @@ fn run_with(opts: &Options) -> Result<RunStatus, String> {
         };
         let config = InferConfig {
             procs: opts.infer_procs.clone(),
-            prune: !opts.no_prune,
             ..InferConfig::default()
         };
         let r = infer(&harness, &tests, *mode, &config)
             .map_err(|e| format!("inference failed: {e}"))?;
         println!(
-            "inferred {} fence(s) from {} candidates ({} pruned statically, {} encoded; \
-             {} checks, {:.2?}):",
+            "inferred {} fence(s) from {} candidates ({} checks, {:.2?}):",
             r.kept.len(),
             r.candidates,
-            r.candidates_pruned,
-            r.candidates_encoded,
             r.checks,
             r.elapsed
         );
@@ -739,7 +739,6 @@ fn run_with(opts: &Options) -> Result<RunStatus, String> {
         }
         .with_specs(vec![spec.clone()]),
     };
-    engine_config.check.order_encoding = opts.encoding;
     apply_budgets(&mut engine_config.check, opts);
     let sel = match &opts.model {
         ModelArg::Builtin(mode) => ModelSel::Builtin(*mode),
@@ -946,7 +945,6 @@ fn run_ablate(opts: &Options, harness: &Harness, tests: &[TestSpec]) -> Result<R
         provenance: opts.explain,
         ..MatrixConfig::default()
     };
-    config.check.order_encoding = opts.encoding;
     apply_budgets(&mut config.check, opts);
     if let ModelArg::Spec(spec) = &opts.model {
         config.specs.push(spec.clone());
@@ -1020,7 +1018,6 @@ fn run_synth(opts: &Options, name: &str) -> Result<RunStatus, String> {
         provenance: opts.explain,
         ..CorpusConfig::default()
     };
-    config.check.order_encoding = opts.encoding;
     apply_budgets(&mut config.check, opts);
     if let ModelArg::Spec(spec) = &opts.model {
         config.specs.push(spec.clone());

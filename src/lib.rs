@@ -16,9 +16,8 @@
 //!   analysis, CNF encoding, specification mining, inclusion checking,
 //!   counterexample traces, the commit-point baseline, and automatic
 //!   fence inference;
-//! * [`cycles`] — static critical-cycle analysis (the delay-set view):
-//!   per-model robustness reports (`--analyze`) and the pruning of
-//!   inference candidates before encoding
+//! * [`cycles`] — static critical-cycle analysis (the delay-set view)
+//!   behind the per-model robustness reports of `--analyze`
 //!   (see `docs/static-analysis.md`);
 //! * [`algos`] — the five studied implementations (two-lock queue,
 //!   nonblocking queue, lazy list set, Harris set, snark deque) plus a
@@ -108,7 +107,7 @@ pub mod prelude {
     pub use checkfence::infer::{infer, InferConfig};
     pub use checkfence::{
         mine_reference, Answer, CheckError, CheckOutcome, CheckSession, Counterexample, Engine,
-        EngineConfig, Harness, ModelSel, ObsSet, OpSig, OrderEncoding, Query, QueryKind,
-        QueryStats, SessionConfig, TestSpec, Verdict,
+        EngineConfig, Harness, ModelSel, ObsSet, OpSig, Query, QueryKind, QueryStats,
+        SessionConfig, TestSpec, Verdict,
     };
 }

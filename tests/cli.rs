@@ -521,7 +521,7 @@ fn stats_json_matches_the_stats_table() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let json = std::fs::read_to_string(&path).expect("stats json written");
     std::fs::remove_file(&path).ok();
-    assert!(json.contains("\"schema_version\": 4"), "{json}");
+    assert!(json.contains("\"schema_version\": 5"), "{json}");
     // The core ledger is always present; without --explain no cores
     // are extracted.
     assert!(json.contains("\"cores_extracted\": 0"), "{json}");
@@ -599,7 +599,7 @@ fn observability_sinks_leave_stdout_unchanged() {
     let out = run(mailbox_args(&mut cli()).args(["--model", "tso", "--profile"]));
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("cost profile (schema 4):"), "{stdout}");
+    assert!(stdout.contains("cost profile (schema 5):"), "{stdout}");
     assert!(stdout.contains("attributed"), "{stdout}");
 }
 
@@ -731,8 +731,8 @@ fn explain_conflicts_with_non_checking_modes() {
     }
 }
 
-// --infer-procs and --no-prune tune fence inference; anywhere else they
-// would be silently ignored, so they are usage errors in every mode.
+// --infer-procs tunes fence inference; anywhere else it would be
+// silently ignored, so it is a usage error in every mode.
 fn assert_needs_infer(cmd: &mut Command, flag: &str) {
     let out = run(cmd);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
@@ -754,16 +754,66 @@ fn infer_procs_without_infer_is_a_usage_error() {
 }
 
 #[test]
-fn synth_rejects_no_prune_without_infer() {
-    assert_needs_infer(cli().args(SYNTH_MS2).arg("--no-prune"), "--no-prune");
-}
-
-#[test]
 fn synth_rejects_infer_procs_without_infer() {
     assert_needs_infer(
         cli().args(SYNTH_MS2).args(["--infer-procs", "a,b"]),
         "--infer-procs",
     );
+}
+
+// Inference always searches the full candidate list and the memory
+// order is always encoded pairwise, so neither has a flag: a script
+// that still passes one fails loudly rather than running as before.
+#[test]
+fn no_prune_and_encoding_are_unknown_options() {
+    for flag in [&["--no-prune"][..], &["--encoding", "timestamp"]] {
+        let out = run(mailbox_args(&mut cli())
+            .args(["--model", "relaxed", "--infer"])
+            .args(flag));
+        assert_eq!(out.status.code(), Some(2), "{flag:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option `{}`", flag[0])),
+            "{flag:?}: {out:?}"
+        );
+    }
+}
+
+// --infer and --analyze run no check of their own: every check-mode
+// flag would be silently ignored there, so each is a usage error.
+const CHECK_MODE_FLAGS: [&[&str]; 8] = [
+    &["--method", "commit-queue"],
+    &["--spec-cache", "unused.obs"],
+    &["--budget", "1000"],
+    &["--deadline-ms", "1000"],
+    &["--retries", "1"],
+    &["--stats"],
+    &["--stats-json", "unused.json"],
+    &["--cx"],
+];
+
+fn assert_rejects_check_mode_flags(mode: &str, model: &str) {
+    for flag in CHECK_MODE_FLAGS {
+        let out = run(mailbox_args(&mut cli())
+            .args(["--model", model, mode])
+            .args(flag));
+        assert_eq!(out.status.code(), Some(2), "{mode} {flag:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(mode) && stderr.contains(flag[0]),
+            "{mode} {flag:?}: {out:?}"
+        );
+    }
+}
+
+#[test]
+fn infer_rejects_check_mode_flags() {
+    assert_rejects_check_mode_flags("--infer", "relaxed");
+}
+
+#[test]
+fn analyze_rejects_check_mode_flags() {
+    assert_rejects_check_mode_flags("--analyze", "tso");
 }
 
 #[test]

@@ -12,7 +12,7 @@
 
 use cf_lsl::Value;
 use cf_memmodel::{Litmus, LitmusOp, Mode};
-use checkfence::{Harness, OpSig, OrderEncoding, TestSpec};
+use checkfence::{Harness, OpSig, TestSpec};
 
 /// One straight-line thread instruction.
 #[derive(Clone, Copy, Debug)]
@@ -190,9 +190,7 @@ fn sat_pipeline_matches_axiomatic_oracle() {
                 .into_iter()
                 .map(|regs| pack_outcome(&threads, &regs))
                 .collect();
-            let mut config = checkfence::EngineConfig::single(mode);
-            config.check.order_encoding = OrderEncoding::Pairwise;
-            let sat = checkfence::Engine::new(config)
+            let sat = checkfence::Engine::new(checkfence::EngineConfig::single(mode))
                 .run(&checkfence::Query::enumerate(&harness, &test).on(mode))
                 .expect("enumerates")
                 .into_observations()
