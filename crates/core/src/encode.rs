@@ -144,9 +144,12 @@ pub struct Encoding {
     /// satisfied through the spec selector).
     pub(crate) axiom_acts: Vec<Vec<(String, Lit)>>,
 
-    /// Memory-order variable `Mxy` per event pair `x < y`; `y <M x` is
-    /// its negation.
-    order: HashMap<(u32, u32), Lit>,
+    /// Memory-order variable `Mxy` per event pair `x < y`, the upper
+    /// triangle row by row (see [`order_index`]); `y <M x` is its
+    /// negation.
+    order: Vec<Lit>,
+    /// Number of events the memory order ranges over.
+    order_events: usize,
     /// Cached spec-membership circuits `(spec, no_match lit)` — pure
     /// definitions reused by session inclusion queries with one spec and
     /// many assumption vectors.
@@ -243,7 +246,8 @@ impl Encoding {
             specs: specs.to_vec(),
             provenance,
             axiom_acts: Vec::new(),
-            order: HashMap::new(),
+            order: Vec::new(),
+            order_events: 0,
             spec_cache: Vec::new(),
             commit_cache: Vec::new(),
             mode_sel,
@@ -477,19 +481,18 @@ impl Encoding {
         }
 
         // --- memory order variables
-        let n = sx.events.len() as u32;
-        for x in 0..n {
-            for y in x + 1..n {
-                self.order.insert((x, y), self.cnf.fresh());
-            }
-        }
+        let n = sx.events.len();
+        self.order_events = n;
+        self.order = (0..n * n.saturating_sub(1) / 2)
+            .map(|_| self.cnf.fresh())
+            .collect();
         // Transitivity: two clauses per unordered triple.
         for i in 0..n {
             for j in i + 1..n {
+                let ij = self.order[order_index(n, i, j)];
                 for k in j + 1..n {
-                    let ij = self.order[&(i, j)];
-                    let jk = self.order[&(j, k)];
-                    let ik = self.order[&(i, k)];
+                    let jk = self.order[order_index(n, j, k)];
+                    let ik = self.order[order_index(n, i, k)];
                     self.cnf.clause([!ij, !jk, ik]);
                     self.cnf.clause([ij, jk, !ik]);
                 }
@@ -543,12 +546,13 @@ impl Encoding {
 
     // ----------------------------------------------------------- ordering
 
-    /// The literal for `x <M y` (event indices).
+    /// The literal for `x <M y` (distinct event indices).
     pub fn before(&self, x: usize, y: usize) -> Lit {
+        let n = self.order_events;
         if x < y {
-            self.order[&(x as u32, y as u32)]
+            self.order[order_index(n, x, y)]
         } else {
-            !self.order[&(y as u32, x as u32)]
+            !self.order[order_index(n, y, x)]
         }
     }
 
@@ -1267,4 +1271,12 @@ pub(crate) fn may_alias(range: &RangeInfo, a: VTermId, b: VTermId) -> bool {
 
 fn bits_for(n: u64) -> usize {
     (64 - n.leading_zeros() as usize).max(1)
+}
+
+/// Position of the pair `x < y` among `n` events in the upper triangle
+/// laid out row by row: row `x` holds `(x, x+1) .. (x, n-1)`.
+#[inline]
+fn order_index(n: usize, x: usize, y: usize) -> usize {
+    debug_assert!(x < y && y < n, "order pair ({x}, {y}) over {n} events");
+    x * (2 * n - x - 1) / 2 + (y - x - 1)
 }

@@ -33,11 +33,14 @@ pub struct Cnf {
 
 impl Cnf {
     /// Parses DIMACS text. The `p cnf` header is optional; comment lines
-    /// start with `c`.
+    /// start with `c`. Literals range over `1 ..= 2^31` in magnitude, as
+    /// [`Lit::from_dimacs`] requires, and the header's variable count is
+    /// at most 2^31.
     ///
     /// # Errors
     ///
-    /// Returns [`ParseDimacsError`] on malformed literals or headers.
+    /// Returns [`ParseDimacsError`] on malformed literals or headers, and
+    /// on a literal or variable count beyond that range.
     pub fn parse(text: &str) -> Result<Cnf, ParseDimacsError> {
         let mut cnf = Cnf::default();
         let mut current: Vec<Lit> = Vec::new();
@@ -54,9 +57,15 @@ impl Cnf {
                         message: "expected `p cnf <vars> <clauses>`".into(),
                     });
                 }
-                let vars = parts.next().and_then(|s| s.parse::<usize>().ok());
+                let vars = parts.next().and_then(|s| s.parse::<u64>().ok());
                 match vars {
-                    Some(v) => cnf.num_vars = cnf.num_vars.max(v),
+                    Some(v) if v <= Lit::MAX_DIMACS => cnf.num_vars = cnf.num_vars.max(v as usize),
+                    Some(v) => {
+                        return Err(ParseDimacsError {
+                            line: lineno + 1,
+                            message: format!("variable count {v} is beyond 2^31"),
+                        })
+                    }
                     None => {
                         return Err(ParseDimacsError {
                             line: lineno + 1,
@@ -73,6 +82,11 @@ impl Cnf {
                 })?;
                 if code == 0 {
                     cnf.clauses.push(std::mem::take(&mut current));
+                } else if code.unsigned_abs() > Lit::MAX_DIMACS {
+                    return Err(ParseDimacsError {
+                        line: lineno + 1,
+                        message: format!("literal `{tok}` is beyond 2^31 in magnitude"),
+                    });
                 } else {
                     let l = Lit::from_dimacs(code);
                     cnf.num_vars = cnf.num_vars.max(l.var().index() + 1);
@@ -219,6 +233,23 @@ mod tests {
     fn rejects_garbage() {
         assert!(Cnf::parse("1 x 0").is_err());
         assert!(Cnf::parse("p dnf 1 1").is_err());
+        // Literals a `Lit` cannot encode: 2^31 + 1 and 2^32 + 1 used to
+        // wrap to the clause [1], and 2^32 to overflow.
+        for tok in ["2147483649", "4294967297", "4294967296", "-2147483649"] {
+            let err = Cnf::parse(&format!("c big\n1 2 0\n{tok} 0\n")).unwrap_err();
+            assert_eq!(err.line, 3, "{tok}: {err}");
+            assert!(err.message.contains("beyond 2^31"), "{tok}: {err}");
+        }
+        let err = Cnf::parse("p cnf 2147483649 1\n1 0\n").unwrap_err();
+        assert_eq!(
+            (err.line, err.message.contains("beyond 2^31")),
+            (1, true),
+            "{err}"
+        );
+        // The ends of the range still parse.
+        let cnf = Cnf::parse("p cnf 2147483648 1\n-2147483648 0\n").expect("parses");
+        assert_eq!(cnf.num_vars, 1 << 31);
+        assert_eq!(cnf.clauses, vec![vec![Lit::from_dimacs(-(1 << 31))]]);
     }
 
     #[test]

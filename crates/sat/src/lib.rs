@@ -7,6 +7,14 @@
 //! two-watched-literal propagation, first-UIP learning, VSIDS branching,
 //! phase saving, Luby restarts and learnt-clause database reduction.
 //!
+//! Clauses live in one flat arena of 32-bit words, each a small header
+//! followed by its literals inline (MiniSat's layout; see the `clause`
+//! module): a 3-literal problem clause takes 16 bytes plus 16 for its
+//! two watchers. Deleted learnt clauses are reclaimed by compacting the
+//! arena in place once they pass a fifth of it. The layout decides
+//! memory and speed only, never the search: every clause keeps its
+//! literal order and every watch list its order.
+//!
 //! The one property CheckFence depends on heavily is *incrementality*:
 //! specification mining (paper §3.2) repeatedly solves, reads off a model,
 //! adds a blocking clause and re-solves. [`Solver::add_clause`] may be called

@@ -154,6 +154,8 @@ pub struct Solver {
 
     // scratch buffer for conflict analysis
     seen: Vec<bool>,
+    // scratch buffer for `add_clause`, reused across calls
+    clause_buf: Vec<Lit>,
 
     max_learnts: f64,
     stats: Stats,
@@ -199,6 +201,7 @@ impl Solver {
             unsat: false,
             last_core: None,
             seen: Vec::new(),
+            clause_buf: Vec::new(),
             max_learnts: 0.0,
             stats: Stats::default(),
             conflict_budget: None,
@@ -316,45 +319,59 @@ impl Solver {
             return false;
         }
         self.cancel_until(0);
-        let mut c: Vec<Lit> = lits.into_iter().collect();
+        let mut c = std::mem::take(&mut self.clause_buf);
+        c.clear();
+        c.extend(lits);
         c.sort_unstable();
         c.dedup();
-        // Detect tautologies and strip literals false at level 0.
-        let mut simplified = Vec::with_capacity(c.len());
-        let mut prev: Option<Lit> = None;
-        for &l in &c {
-            if let Some(p) = prev {
-                if p == !l {
-                    return true; // tautology: x ∨ ¬x
+        let ok = self.satisfied_at_level_0(&mut c)
+            || match c.len() {
+                0 => {
+                    self.unsat = true;
+                    false
                 }
+                1 => {
+                    self.unchecked_enqueue(c[0], None);
+                    if self.propagate().is_some() {
+                        self.unsat = true;
+                        false
+                    } else {
+                        true
+                    }
+                }
+                _ => {
+                    let cref = self.db.alloc(&c, false, 0);
+                    self.attach(cref);
+                    true
+                }
+            };
+        self.clause_buf = c;
+        ok
+    }
+
+    /// Simplifies a sorted, deduplicated clause at level 0: `true` if it
+    /// is a tautology or already satisfied, otherwise strips its false
+    /// literals in place.
+    fn satisfied_at_level_0(&self, c: &mut Vec<Lit>) -> bool {
+        let mut kept = 0;
+        let mut prev: Option<Lit> = None;
+        for i in 0..c.len() {
+            let l = c[i];
+            if prev == Some(!l) {
+                return true; // tautology: x ∨ ¬x
             }
             match self.lit_value(l) {
                 LBool::True => return true, // already satisfied at level 0
                 LBool::False => {}          // drop
-                LBool::Undef => simplified.push(l),
+                LBool::Undef => {
+                    c[kept] = l;
+                    kept += 1;
+                }
             }
             prev = Some(l);
         }
-        match simplified.len() {
-            0 => {
-                self.unsat = true;
-                false
-            }
-            1 => {
-                self.unchecked_enqueue(simplified[0], None);
-                if self.propagate().is_some() {
-                    self.unsat = true;
-                    false
-                } else {
-                    true
-                }
-            }
-            _ => {
-                let cref = self.db.alloc(simplified, false, 0);
-                self.attach(cref);
-                true
-            }
-        }
+        c.truncate(kept);
+        false
     }
 
     /// Solves the current formula.
@@ -580,7 +597,7 @@ impl Solver {
 
     #[inline]
     fn lit_value(&self, l: Lit) -> LBool {
-        self.assigns[l.var().index()].xor_sign(l.sign())
+        value_under(&self.assigns, l)
     }
 
     fn pick_branch_lit(&mut self) -> Option<Lit> {
@@ -617,25 +634,21 @@ impl Solver {
             self.order.insert(v, &self.activity);
         }
         self.trail_lim.truncate(target as usize);
-        self.qhead = self.trail.len().min(self.qhead.min(self.trail.len()));
         self.qhead = bound.min(self.trail.len());
     }
 
     // ----------------------------------------------------------- propagation
 
     fn attach(&mut self, cref: ClauseRef) {
-        let c = self.db.get(cref);
-        debug_assert!(c.lits.len() >= 2);
-        let l0 = c.lits[0];
-        let l1 = c.lits[1];
+        let l0 = self.db.lit(cref, 0);
+        let l1 = self.db.lit(cref, 1);
         self.watches[(!l0).index()].push(Watcher { cref, blocker: l1 });
         self.watches[(!l1).index()].push(Watcher { cref, blocker: l0 });
     }
 
     fn detach(&mut self, cref: ClauseRef) {
-        let c = self.db.get(cref);
-        let l0 = c.lits[0];
-        let l1 = c.lits[1];
+        let l0 = self.db.lit(cref, 0);
+        let l1 = self.db.lit(cref, 1);
         self.watches[(!l0).index()].retain(|w| w.cref != cref);
         self.watches[(!l1).index()].retain(|w| w.cref != cref);
     }
@@ -645,6 +658,7 @@ impl Solver {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
+            let false_lit = !p;
             // Process clauses watching ¬p (stored under index p).
             let mut ws = std::mem::take(&mut self.watches[p.index()]);
             let mut i = 0;
@@ -659,32 +673,29 @@ impl Solver {
                     continue;
                 }
                 let cref = w.cref;
+                // The clause's literals, read in place; the borrow of the
+                // arena leaves `assigns` and `watches` free.
+                let lits = self.db.lits_mut(cref);
                 // Normalize: put the false literal (¬p) at position 1.
-                let false_lit = !p;
-                {
-                    let c = self.db.get_mut(cref);
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], false_lit);
+                if lits[0] == false_lit.0 {
+                    lits.swap(0, 1);
                 }
-                let first = self.db.get(cref).lits[0];
+                debug_assert_eq!(lits[1], false_lit.0);
+                let first = Lit(lits[0]);
                 let new_watcher = Watcher {
                     cref,
                     blocker: first,
                 };
-                if first != w.blocker && self.lit_value(first).is_true() {
+                if first != w.blocker && value_under(&self.assigns, first).is_true() {
                     ws[j] = new_watcher;
                     j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.db.get(cref).lits.len();
-                for k in 2..len {
-                    let lk = self.db.get(cref).lits[k];
-                    if !self.lit_value(lk).is_false() {
-                        let c = self.db.get_mut(cref);
-                        c.lits.swap(1, k);
+                for k in 2..lits.len() {
+                    let lk = Lit(lits[k]);
+                    if !value_under(&self.assigns, lk).is_false() {
+                        lits.swap(1, k);
                         self.watches[(!lk).index()].push(new_watcher);
                         continue 'watchers;
                     }
@@ -728,9 +739,10 @@ impl Solver {
 
         loop {
             self.bump_clause(confl);
-            let lits: Vec<Lit> = self.db.get(confl).lits.clone();
+            // Literal 0 of a reason clause is the literal it implied.
             let skip = usize::from(p.is_some());
-            for &q in lits.iter().skip(skip) {
+            for k in skip..self.db.lits(confl).len() {
+                let q = self.db.lit(confl, k);
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -830,8 +842,8 @@ impl Solver {
                 // A decision: an installed assumption the chain rests on.
                 None => core.push(x),
                 Some(cref) => {
-                    let lits: Vec<Lit> = self.db.get(cref).lits.clone();
-                    for &q in &lits {
+                    for &w in self.db.lits(cref) {
+                        let q = Lit(w);
                         if q.var() != v && self.level[q.var().index()] > 0 {
                             self.seen[q.var().index()] = true;
                         }
@@ -950,7 +962,8 @@ impl Solver {
         let v = l.var();
         match self.reason[v.index()] {
             None => false,
-            Some(r) => self.db.get(r).lits.iter().all(|&q| {
+            Some(r) => self.db.lits(r).iter().all(|&w| {
+                let q = Lit(w);
                 q.var() == v || self.seen[q.var().index()] || self.level[q.var().index()] == 0
             }),
         }
@@ -962,7 +975,7 @@ impl Solver {
             self.unchecked_enqueue(learnt[0], None);
         } else {
             let first = learnt[0];
-            let cref = self.db.alloc(learnt, true, lbd);
+            let cref = self.db.alloc(&learnt, true, lbd);
             self.bump_clause(cref);
             self.attach(cref);
             self.unchecked_enqueue(first, Some(cref));
@@ -986,17 +999,14 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, cref: ClauseRef) {
-        let c = self.db.get_mut(cref);
-        if !c.learnt {
+        if !self.db.is_learnt(cref) {
             return;
         }
-        c.activity += self.cla_inc;
-        if c.activity > RESCALE_LIMIT {
-            let inc = &mut self.cla_inc;
-            *inc *= 1e-100;
-            for r in self.db.learnt_refs().collect::<Vec<_>>() {
-                self.db.get_mut(r).activity *= 1e-100;
-            }
+        let activity = self.db.activity(cref) + self.cla_inc;
+        self.db.set_activity(cref, activity);
+        if activity > RESCALE_LIMIT {
+            self.cla_inc *= 1e-100;
+            self.db.scale_activities(1e-100);
         }
     }
 
@@ -1008,17 +1018,18 @@ impl Solver {
     // -------------------------------------------------------------- reduceDB
 
     /// Removes roughly half of the learnt clauses, preferring high-LBD,
-    /// low-activity ones. Binary and LBD ≤ 2 clauses and clauses that are
-    /// the reason of a current assignment are kept.
+    /// low-activity ones (a stable sort, so ties keep arena order).
+    /// Binary and LBD ≤ 2 clauses and clauses that are the reason of a
+    /// current assignment are kept. Compacts the arena once deleted
+    /// clauses hold more than a fifth of it.
     fn reduce_db(&mut self) {
         self.stats.reductions += 1;
-        let mut learnts: Vec<ClauseRef> = self.db.learnt_refs().collect();
+        let mut learnts: Vec<ClauseRef> = self.db.learnts().to_vec();
         learnts.sort_by(|&a, &b| {
-            let ca = self.db.get(a);
-            let cb = self.db.get(b);
-            cb.lbd.cmp(&ca.lbd).then(
-                ca.activity
-                    .partial_cmp(&cb.activity)
+            let db = &self.db;
+            db.lbd(b).cmp(&db.lbd(a)).then(
+                db.activity(a)
+                    .partial_cmp(&db.activity(b))
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
@@ -1028,21 +1039,39 @@ impl Solver {
             if removed >= target {
                 break;
             }
-            let c = self.db.get(cref);
-            if c.lits.len() <= 2 || c.lbd <= 2 || self.is_locked(cref) {
+            if self.db.lits(cref).len() <= 2 || self.db.lbd(cref) <= 2 || self.is_locked(cref) {
                 continue;
             }
             self.detach(cref);
             self.db.free(cref);
             removed += 1;
         }
+        self.db.purge_learnts();
         self.max_learnts *= 1.3;
+        if self.db.needs_compaction() {
+            // No reason or watcher names a deleted clause: locked clauses
+            // were kept and deleted ones detached above.
+            let reloc = self.db.compact();
+            for w in self.watches.iter_mut().flatten() {
+                w.cref = reloc.apply(w.cref);
+            }
+            for r in self.reason.iter_mut().flatten() {
+                *r = reloc.apply(*r);
+            }
+        }
     }
 
     fn is_locked(&self, cref: ClauseRef) -> bool {
-        let first = self.db.get(cref).lits[0];
+        let first = self.db.lit(cref, 0);
         self.reason[first.var().index()] == Some(cref) && self.lit_value(first).is_true()
     }
+}
+
+/// The value of literal `l` under `assigns` (a free function, so that
+/// propagation can read it while it holds the clause arena mutably).
+#[inline]
+fn value_under(assigns: &[LBool], l: Lit) -> LBool {
+    assigns[l.var().index()].xor_sign(l.sign())
 }
 
 /// The Luby restart sequence (1,1,2,1,1,2,4,...) scaled by `y`.
@@ -1419,6 +1448,47 @@ mod tests {
         let _ = s.minimize_core(Some(1_000));
         assert_eq!(s.tick_budget, Some(10_000));
         assert_eq!(s.conflict_budget, Some(10_000));
+    }
+
+    #[test]
+    fn dead_words_stay_below_the_compaction_threshold() {
+        // Seeded random 3-SAT near the threshold reduces the learnt
+        // database several times. Solving in 200-conflict slices (each
+        // solve resets the limit to 4000 learnt clauses, so a slice holds
+        // at most one reduction) inspects the arena after every one.
+        let mut rng = crate::xorshift::Rng::new(4);
+        let mut s = Solver::new();
+        for _ in 0..220 {
+            s.new_var();
+        }
+        for _ in 0..937 {
+            let c: Vec<Lit> = (0..3)
+                .map(|_| Var::from_index(rng.below(220) as usize).lit(rng.bool()))
+                .collect();
+            s.add_clause(c);
+        }
+        s.set_conflict_budget(Some(200));
+        let (mut reductions, mut compactions, mut words) = (0, 0, s.db.words());
+        let result = loop {
+            let r = s.solve();
+            assert!(
+                s.stats().reductions <= reductions + 1,
+                "one reduction per slice"
+            );
+            assert!(
+                !s.db.needs_compaction(),
+                "dead words above a fifth of the arena"
+            );
+            reductions = s.stats().reductions;
+            compactions += usize::from(s.db.words() < words);
+            words = s.db.words();
+            if r != SolveResult::Unknown {
+                break r;
+            }
+        };
+        assert_eq!(result, SolveResult::Unsat);
+        assert!(reductions >= 3, "{reductions} reductions");
+        assert!(compactions >= 3, "{compactions} compactions");
     }
 
     #[test]

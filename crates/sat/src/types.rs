@@ -118,14 +118,25 @@ impl Lit {
     /// Converts from a DIMACS-style non-zero integer
     /// (`1` is the positive literal of the first variable).
     ///
+    /// A literal packs a variable index below 2^31 and a sign into 32
+    /// bits, so `code` ranges over `1 ..= 2^31` in magnitude.
+    ///
     /// # Panics
     ///
-    /// Panics if `code == 0`.
+    /// Panics if `code == 0` or `|code| > 2^31`.
     pub fn from_dimacs(code: i64) -> Self {
         assert!(code != 0, "DIMACS literal must be non-zero");
-        let var = Var(code.unsigned_abs() as u32 - 1);
+        assert!(
+            code.unsigned_abs() <= Self::MAX_DIMACS,
+            "DIMACS literal {code} is beyond 2^31 in magnitude"
+        );
+        let var = Var((code.unsigned_abs() - 1) as u32);
         Lit::new(var, code > 0)
     }
+
+    /// The largest magnitude [`Lit::from_dimacs`] accepts: 2^31, the
+    /// number of variables a literal can name.
+    pub(crate) const MAX_DIMACS: u64 = 1 << 31;
 
     /// Converts to a DIMACS-style non-zero integer.
     pub fn to_dimacs(self) -> i64 {
@@ -261,6 +272,21 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn dimacs_zero_panics() {
         let _ = Lit::from_dimacs(0);
+    }
+
+    #[test]
+    fn dimacs_range_ends_at_two_to_the_31() {
+        let top = 1i64 << 31;
+        for code in [top, -top] {
+            assert_eq!(Lit::from_dimacs(code).to_dimacs(), code);
+        }
+        assert_eq!(Lit::from_dimacs(-top).index(), u32::MAX as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond 2^31")]
+    fn dimacs_literal_beyond_the_range_panics() {
+        let _ = Lit::from_dimacs((1i64 << 31) + 1);
     }
 
     #[test]
