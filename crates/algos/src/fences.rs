@@ -29,12 +29,13 @@ impl std::fmt::Display for FenceSite {
 }
 
 /// Lists every fence in the program (document order), excluding fences
-/// inside `lock`/`unlock` helpers — those belong to the locking
-/// primitives (paper Fig. 7), not to the algorithm's placement.
+/// inside lock helpers ([`cf_lsl::Procedure::is_lock_helper`]) — those
+/// belong to the locking primitives (paper Fig. 7), not to the
+/// algorithm's placement.
 pub fn fence_sites(program: &Program) -> Vec<FenceSite> {
     let mut out = Vec::new();
     for proc in &program.procedures {
-        if proc.name.contains("lock") {
+        if proc.is_lock_helper() {
             continue;
         }
         let mut count = 0usize;

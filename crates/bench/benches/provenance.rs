@@ -11,7 +11,7 @@
 //!   the off path does zero extra solves and assumes zero extra
 //!   literals (the wall-clock side of the "≤ 2% overhead" claim is
 //!   implied: identical solver work, separate session pools);
-//! * **on is bounded**: the instrumented sweep — per-fence activation
+//! * **on is bounded**: the instrumented sweep — per-fence toggle
 //!   literals plus core extraction, which is free-riding on the
 //!   decisive solve's final-conflict analysis — stays within 1.5x of
 //!   the plain sweep's wall clock. Greedy minimization is measured as

@@ -19,7 +19,7 @@ use cf_memmodel::AccessKind;
 
 use crate::encode::Encoding;
 use crate::symexec::{SymExec, SymExecError, UnrollStats};
-use crate::test_spec::TestSpec;
+use crate::test_spec::{Harness, TestSpec};
 
 /// Configuration of a verification run.
 #[derive(Clone, Debug)]
@@ -40,10 +40,8 @@ pub struct CheckConfig {
     pub deadline: Option<Duration>,
     /// How many times the engine retries an exhausted query before
     /// declaring it inconclusive (the retry ladder; each retry multiplies
-    /// the tick budget by [`CheckConfig::retry_growth`]).
+    /// the tick budget by [`RETRY_GROWTH`]).
     pub max_retries: u32,
-    /// Geometric growth factor of the tick budget across retries.
-    pub retry_growth: u64,
     /// Unrolling bound for `spin`-marked retry loops (their exit is
     /// assumed within this many iterations; see the spin-loop reduction).
     pub spin_bound: u32,
@@ -64,6 +62,10 @@ pub struct CheckConfig {
     pub verify_cores: bool,
 }
 
+/// Geometric growth factor of the tick budget across the retries of
+/// [`CheckConfig::max_retries`].
+pub const RETRY_GROWTH: u64 = 8;
+
 impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
@@ -72,7 +74,6 @@ impl Default for CheckConfig {
             tick_budget: None,
             deadline: None,
             max_retries: 2,
-            retry_growth: 8,
             spin_bound: 3,
             core_minimize_ticks: None,
             verify_cores: false,
@@ -334,7 +335,8 @@ pub enum CheckError {
     SerialBug(Box<Counterexample>),
     /// A [`Query`](crate::query::Query) asked for something outside its
     /// engine's universe (an unknown spec index, a mode the engine does
-    /// not encode, a commit query on a declarative model).
+    /// not encode, a commit query on a declarative model) or passed a
+    /// spec whose vectors do not fit the test.
     BadQuery(String),
     /// The symbolic test is degenerate — no threads, an empty thread, or
     /// no operations at all — so neither mining nor checking has a
@@ -381,6 +383,41 @@ pub(crate) fn validate_test_shape(test: &TestSpec) -> Result<(), CheckError> {
     // Non-empty threads imply at least one operation, so "0-op" inputs
     // are fully covered by the two rejections above.
     Ok(())
+}
+
+/// Rejects an inclusion spec whose vectors do not have the width of
+/// `test`'s observation vector: the arguments plus the return value of
+/// every operation, init first, which is how symbolic execution lays
+/// out [`SymExec::obs`]. The inclusion check compares the two position
+/// by position, so a shorter vector would ignore observations (a false
+/// PASS) and a longer one would index past them. Shared by
+/// [`crate::query::Engine`] and [`crate::oracle::oneshot`]; an unknown
+/// operation key is left to symbolic execution, which names it.
+pub(crate) fn validate_spec_width(
+    harness: &Harness,
+    test: &TestSpec,
+    spec: &ObsSet,
+) -> Result<(), CheckError> {
+    let width: Option<usize> = test
+        .all_ops()
+        .map(|o| {
+            harness
+                .op(o.key)
+                .map(|s| s.num_args + usize::from(s.has_ret))
+        })
+        .sum();
+    let Some(width) = width else {
+        return Ok(());
+    };
+    match spec.vectors.iter().find(|v| v.len() != width) {
+        None => Ok(()),
+        Some(v) => Err(CheckError::BadQuery(format!(
+            "spec vectors must have {width} values, the observation width of test `{}`, \
+             but one has {}",
+            test.name,
+            v.len()
+        ))),
+    }
 }
 
 impl std::error::Error for CheckError {}
@@ -439,7 +476,6 @@ pub(crate) fn decode_counterexample(
 /// value-rejected rather than order-rejected.
 pub(crate) fn diagnose_serializability(sx: &SymExec, enc: &mut Encoding) -> Option<String> {
     use cf_memmodel::{ConcreteTrace, TraceItem};
-    use std::collections::HashMap;
     use std::sync::OnceLock;
 
     static SC: OnceLock<cf_spec::ModelSpec> = OnceLock::new();
@@ -459,7 +495,8 @@ pub(crate) fn diagnose_serializability(sx: &SymExec, enc: &mut Encoding) -> Opti
     }
     // Fold the executed init-thread stores (in program order) into the
     // initial-value map; the replayed trace covers test threads only.
-    let mut init: HashMap<Vec<u32>, Value> = HashMap::new();
+    let mut trace = ConcreteTrace::default();
+    let init = &mut trace.init;
     for loc in sx.space.all_scalar_locations(&sx.types) {
         init.insert(loc.clone(), crate::range::init_value(sx, &loc));
     }
@@ -499,7 +536,7 @@ pub(crate) fn diagnose_serializability(sx: &SymExec, enc: &mut Encoding) -> Opti
         ));
     }
     for f in &sx.fences {
-        if f.thread == 0 || f.site.is_some() {
+        if f.thread == 0 {
             continue;
         }
         if enc.guard_value(sx, f.guard) != Some(true) {
@@ -514,13 +551,10 @@ pub(crate) fn diagnose_serializability(sx: &SymExec, enc: &mut Encoding) -> Opti
     for t in &mut threads {
         t.sort_by_key(|(po, _)| *po);
     }
-    let trace = ConcreteTrace {
-        threads: threads
-            .into_iter()
-            .map(|t| t.into_iter().map(|(_, item)| item).collect())
-            .collect(),
-        init,
-    };
+    trace.threads = threads
+        .into_iter()
+        .map(|t| t.into_iter().map(|(_, item)| item).collect())
+        .collect();
     cf_spec::interp::violated_axioms(&trace, sc)
         .into_iter()
         .next()

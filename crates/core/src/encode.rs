@@ -12,7 +12,7 @@
 //!   `Mxy` per event pair plus explicit transitivity clauses. Visibility
 //!   uses the auxiliary `Init`/`Flows` variables described in the paper.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use cf_lsl::{PrimOp, Value};
 use cf_memmodel::{sem_orders, AccessKind, Mode, ModeSet};
@@ -21,6 +21,7 @@ use cf_spec::ModelSpec;
 
 use crate::cnf::CnfBuilder;
 use crate::commit::AbstractType;
+use crate::fxhash::FxHashMap;
 use crate::range::{init_value, RangeInfo, ValueSet};
 use crate::symexec::{ErrorKind, SymExec};
 use crate::term::{BTerm, BTermId, VTerm, VTermId};
@@ -79,8 +80,8 @@ impl From<Mode> for ModelSel {
 /// *selector literal*, so one persistent solver can answer queries for
 /// every mode in the set (selecting a mode is an assumption vector, and
 /// learnt clauses not involving the selectors transfer between modes).
-/// Candidate fences ([`cf_lsl::Stmt::CandidateFence`]) likewise get
-/// per-site *activation literals*, making a fence placement an
+/// Toggle sites ([`cf_lsl::Stmt::Toggle`]) likewise get per-site
+/// literals, making a mutant or a candidate fence placement an
 /// assumption vector instead of a re-encode.
 ///
 /// Declarative models ([`cf_spec::ModelSpec`]) join the same machinery:
@@ -116,17 +117,17 @@ pub struct Encoding {
     pub exceeded: Vec<(String, Lit)>,
     /// Integer width used.
     pub int_width: usize,
-    /// Activation literal per candidate fence site (empty unless the
-    /// program contains [`cf_lsl::Stmt::CandidateFence`] statements).
-    /// Assuming a site's literal activates every unrolling of its fence;
-    /// assuming the negation makes the site inert.
+    /// Always empty: candidate fences are [`cf_lsl::Stmt::Toggle`]
+    /// sites, whose literals live in `toggle_acts`. Kept only because
+    /// `perfbench/src/ledger.rs` still reads it (ROADMAP item 6).
     pub fence_acts: BTreeMap<u32, Lit>,
-    /// Toggle literal per mutation site (empty unless the program
+    /// Toggle literal per toggle site (empty unless the program
     /// contains [`cf_lsl::Stmt::Toggle`] statements). Assuming a site's
     /// literal runs the mutant branch of every unrolling of that site;
     /// assuming the negation runs the original branch. The batched
     /// mutation engine ([`crate::mutate`]) selects one mutant per query
-    /// this way — the statement-level generalization of `fence_acts`.
+    /// this way, and fence inference ([`crate::infer`]) one candidate
+    /// placement.
     pub toggle_acts: BTreeMap<u32, Lit>,
 
     /// The declarative models encoded alongside the built-in modes,
@@ -167,15 +168,15 @@ pub struct Encoding {
     /// Reads-from literals `(store, load) → Flows(s, l)` retained from
     /// the value-flow encoding (the `rf` base relation of compiled
     /// specs).
-    pub(crate) flows: HashMap<(usize, usize), Lit>,
+    pub(crate) flows: FxHashMap<(usize, usize), Lit>,
     /// Per-load `Init(l)` literals (no store visible), for the
     /// initial-value case of the `fr` relation.
-    pub(crate) load_init: HashMap<usize, Lit>,
+    pub(crate) load_init: FxHashMap<usize, Lit>,
     /// Gate literals per mode group (keyed by the `ModeSet` bitmask).
-    group_cache: HashMap<ModeSet, Lit>,
-    vcache: HashMap<VTermId, EncVal>,
-    bcache: HashMap<BTermId, Lit>,
-    addr_eq_cache: HashMap<(VTermId, VTermId), Lit>,
+    group_cache: FxHashMap<ModeSet, Lit>,
+    vcache: FxHashMap<VTermId, EncVal>,
+    bcache: FxHashMap<BTermId, Lit>,
+    addr_eq_cache: FxHashMap<(VTermId, VTermId), Lit>,
     widths: Widths,
 }
 
@@ -252,41 +253,16 @@ impl Encoding {
             commit_cache: Vec::new(),
             mode_sel,
             spec_sel,
-            flows: HashMap::new(),
-            load_init: HashMap::new(),
-            group_cache: HashMap::new(),
-            vcache: HashMap::new(),
-            bcache: HashMap::new(),
-            addr_eq_cache: HashMap::new(),
+            flows: FxHashMap::default(),
+            load_init: FxHashMap::default(),
+            group_cache: FxHashMap::default(),
+            vcache: FxHashMap::default(),
+            bcache: FxHashMap::default(),
+            addr_eq_cache: FxHashMap::default(),
             widths,
         };
         enc.encode_all(sx, range);
         enc
-    }
-
-    /// The selector literal of `mode` (`tt` in a single-mode encoding).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mode` is not in the encoded set.
-    pub fn mode_selector(&self, mode: Mode) -> Lit {
-        assert!(
-            self.modes.contains(mode),
-            "mode {} not in the encoded set",
-            mode.name()
-        );
-        self.mode_sel[mode.index()]
-    }
-
-    /// The assumption vector selecting `mode`: its selector positive,
-    /// every other encoded model's selector negative. Empty for a
-    /// single-model encoding (the selector is the constant `tt`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mode` is not in the encoded set.
-    pub fn mode_assumptions(&self, mode: Mode) -> Vec<Lit> {
-        self.model_assumptions(ModelSel::Builtin(mode))
     }
 
     /// The assumption vector selecting one model (built-in mode or
@@ -415,17 +391,6 @@ impl Encoding {
     /// Caches a commit-point machine.
     pub(crate) fn commit_cache_insert(&mut self, ty: AbstractType, gate: Lit, mismatch: Lit) {
         self.commit_cache.push((ty, gate, mismatch));
-    }
-
-    /// The activation literal of candidate fence site `site`, created on
-    /// first use.
-    pub(crate) fn fence_act(&mut self, site: u32) -> Lit {
-        if let Some(&l) = self.fence_acts.get(&site) {
-            return l;
-        }
-        let l = self.cnf.fresh();
-        self.fence_acts.insert(site, l);
-        l
     }
 
     /// The toggle literal of mutation site `site`, created on first use.
@@ -613,8 +578,7 @@ impl Encoding {
                 // Declarative models define their own fence semantics
                 // through the `fence` relation, so when specs share the
                 // encoding these clauses are gated on "a built-in mode
-                // is selected". Candidate fences are additionally gated
-                // by their site's activation literal.
+                // is selected".
                 let builtin_gate = self.mode_gate(self.modes);
                 for fi in 0..sx.fences.len() {
                     let f = &sx.fences[fi];
@@ -624,14 +588,9 @@ impl Encoding {
                         && sem_orders(f.sem, xk, yk)
                     {
                         let guard = f.guard;
-                        let site = f.site;
                         let gf = self.encode_b(sx, guard);
-                        let act = match site {
-                            Some(s) => self.fence_act(s),
-                            None => self.cnf.tt(),
-                        };
                         let b = self.before(x, y);
-                        self.imply(&[builtin_gate, act, gx, gy, gf], b);
+                        self.imply(&[builtin_gate, gx, gy, gf], b);
                     }
                 }
                 // Atomic blocks: internal program order.

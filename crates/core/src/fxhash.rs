@@ -6,11 +6,16 @@
 //! chunks), implemented locally because the build is offline and must
 //! not pull `rustc-hash` from a registry.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// `HashMap` keyed with [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+/// `HashMap` keyed with [`FxHasher`]: the crate's map for lookup-only
+/// caches. Anything iterated uses an ordered map instead, since hash
+/// order would leak into clause emission.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the one sanctioned hash map; its users only look keys up"
+)]
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 

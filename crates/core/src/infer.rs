@@ -58,7 +58,7 @@
 //! assert_eq!(result.kept.len(), 2);
 //! ```
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -77,9 +77,9 @@ pub struct InferConfig {
     /// Candidate fence kinds, tried for batch removal in this order.
     pub kinds: Vec<FenceKind>,
     /// Restrict candidate insertion to these procedures. `None` selects
-    /// every procedure except lock primitives (procedures whose name
-    /// contains `lock`), whose internal fences belong to the locking
-    /// discipline (paper Fig. 7), not to the algorithm.
+    /// every procedure except lock helpers
+    /// ([`Procedure::is_lock_helper`]), whose internal fences belong to
+    /// the locking discipline (paper Fig. 7), not to the algorithm.
     pub procs: Option<Vec<String>>,
 }
 
@@ -196,7 +196,7 @@ pub fn candidate_sites(program: &Program, config: &InferConfig) -> Vec<Candidate
 fn proc_selected(proc: &Procedure, config: &InferConfig) -> bool {
     match &config.procs {
         Some(list) => list.iter().any(|n| n == &proc.name),
-        None => !proc.name.contains("lock"),
+        None => !proc.is_lock_helper(),
     }
 }
 
@@ -234,28 +234,43 @@ pub fn apply_candidates(program: &Program, sites: &[CandidateSite]) -> Program {
 }
 
 /// Builds a copy of `program` with **all** given candidates inserted as
-/// activation-gated [`Stmt::CandidateFence`] statements, site `i` being
-/// `sites[i]`. An engine session over the result checks any candidate
-/// subset as an assumption vector
-/// ([`Query::with_fences`](crate::query::Query::with_fences)) — the
-/// encode-once fence-inference inner loop.
+/// [`Stmt::Toggle`] sites whose original branch is empty and whose
+/// mutant is the fence, site `i` being `sites[i]`. An engine session
+/// over the result checks any candidate subset as an assumption vector
+/// ([`Query::with_toggles`]) — the encode-once fence-inference inner
+/// loop.
+///
+/// Site ids start at 0, so `program` must hold no toggles of its own;
+/// mini-C, where inference inputs come from, never emits them.
 pub fn apply_candidates_gated(program: &Program, sites: &[CandidateSite]) -> Program {
+    debug_assert!(
+        !program.procedures.iter().any(|p| has_toggle(&p.body)),
+        "fence inference numbers its toggle sites from 0; the input program has toggles"
+    );
     apply_impl(
         program,
         sites.iter().enumerate().map(|(i, s)| (s, Some(i as u32))),
     )
 }
 
+fn has_toggle(stmts: &[Stmt]) -> bool {
+    stmts.iter().any(|s| match s {
+        Stmt::Toggle { .. } => true,
+        Stmt::Atomic(body) | Stmt::Block { body, .. } => has_toggle(body),
+        _ => false,
+    })
+}
+
 /// Insertion plan: (proc, block path, stmt index) → fences to insert
-/// there, with optional candidate-site ids.
-type InsertionPlan<'a> = HashMap<(&'a str, &'a [usize], usize), Vec<(FenceKind, Option<u32>)>>;
+/// there, with optional toggle-site ids.
+type InsertionPlan<'a> = BTreeMap<(&'a str, &'a [usize], usize), Vec<(FenceKind, Option<u32>)>>;
 
 fn apply_impl<'a>(
     program: &Program,
     sites: impl Iterator<Item = (&'a CandidateSite, Option<u32>)>,
 ) -> Program {
     // Group by (proc, path, index), preserving kind order.
-    let mut by_point: InsertionPlan<'_> = HashMap::new();
+    let mut by_point: InsertionPlan<'_> = BTreeMap::new();
     for (s, site_id) in sites {
         by_point
             .entry((s.proc.as_str(), s.block_path.as_slice(), s.stmt_index))
@@ -283,7 +298,11 @@ fn rebuild(
             for &(kind, site_id) in kinds {
                 out.push(match site_id {
                     None => Stmt::Fence(kind),
-                    Some(site) => Stmt::CandidateFence { kind, site },
+                    Some(site) => Stmt::Toggle {
+                        site,
+                        orig: Vec::new(),
+                        mutant: vec![Stmt::Fence(kind)],
+                    },
                 });
             }
         }
@@ -313,7 +332,9 @@ fn rebuild(
 }
 
 /// Infers a 1-minimal fence placement making `harness` pass every test
-/// in `tests` on `mode` (see the module documentation).
+/// in `tests` on `mode` (see the module documentation). The harness
+/// program must hold no [`Stmt::Toggle`] sites (mini-C never emits
+/// them): the candidates become toggles numbered from 0.
 ///
 /// # Errors
 ///
@@ -334,9 +355,9 @@ pub fn infer(
     }
 
     let all = candidate_sites(&harness.program, config);
-    // Encode once: every candidate site goes in as an activation-gated
-    // fence (site i = all[i]), and the engine pools one persistent
-    // session per test, answering each candidate build as an
+    // Encode once: every candidate site goes in as a toggle whose mutant
+    // is the fence (site i = all[i]), and the engine pools one
+    // persistent session per test, answering each candidate build as an
     // assumption-vector query (no re-encode, no cold solver).
     let gated = Harness {
         name: format!("{}+candidates", harness.name),
@@ -349,7 +370,7 @@ pub fn infer(
         ModeSet::single(mode),
     ));
     // One base query per test holds the (Arc-shared) spec; every
-    // candidate build clones it and swaps the fence vector.
+    // candidate build clones it and swaps the toggle vector.
     let bases: Vec<Query> = tests
         .iter()
         .zip(specs)
@@ -365,7 +386,7 @@ pub fn infer(
             .collect();
         for (t, base) in tests.iter().zip(&bases) {
             *checks += 1;
-            if !engine.run(&base.clone().with_fences(&active))?.passed() {
+            if !engine.run(&base.clone().with_toggles(&active))?.passed() {
                 return Ok(Some(t.name.clone()));
             }
         }

@@ -39,7 +39,7 @@
 //!   with a fresh encoding and solver per check, kept only as the
 //!   independent baseline for equivalence tests and benchmarks;
 //! * [`infer`] — automatic 1-minimal fence placement, candidate fences
-//!   as activation literals on pooled sessions;
+//!   as toggle sites on pooled sessions;
 //! * [`mutate`] — batched Fig. 11-style mutation checking: statement
 //!   deletions, fence weakenings and adjacent-operation swaps as
 //!   per-site *toggle literals*, the whole mutant × model matrix
@@ -102,7 +102,7 @@ pub mod query;
 
 pub use checker::{
     CheckConfig, CheckError, CheckOutcome, Counterexample, FailureKind, InconclusiveReason,
-    MiningResult, ObsSet, PhaseStats, TraceStep,
+    MiningResult, ObsSet, PhaseStats, TraceStep, RETRY_GROWTH,
 };
 pub use cnf::CnfBuilder;
 pub use encode::{EncVal, Encoding, ModelSel, OrderEncoding};

@@ -8,9 +8,10 @@
 //! models costs `M × K` full pipeline runs (symbolic execution, CNF
 //! encoding, cold SAT solver each time).
 //!
-//! This module generalizes the candidate-fence activation literals of
-//! the incremental sessions ([`crate::CheckSession`]) to arbitrary statement
-//! rewrites: a [`MutationPlan`] instruments the program once, wrapping
+//! This module uses the toggle sites of the incremental sessions
+//! ([`crate::CheckSession`]), which fence inference uses to add
+//! candidate fences, for arbitrary statement rewrites: a
+//! [`MutationPlan`] instruments the program once, wrapping
 //! every mutation point in a [`cf_lsl::Stmt::Toggle`] whose per-site
 //! *toggle literal* selects between the original statements and the
 //! mutant. The whole matrix is then answered from **one** symbolic
@@ -39,11 +40,11 @@
 //! concretely mutated programs, for equivalence tests and the
 //! `BENCH_mutate.json` benchmark.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use cf_lsl::{pretty, FenceKind, Program, Reg, Stmt};
+use cf_lsl::{pretty, FenceKind, Procedure, Program, Reg, Stmt};
 use cf_memmodel::{Mode, ModeSet};
 use cf_spec::ModelSpec;
 
@@ -102,11 +103,10 @@ pub struct MutationConfig {
     /// Operators to plan (in [`MutationKind::all`] order per statement).
     pub kinds: Vec<MutationKind>,
     /// Restrict mutation to these procedures. `None` selects every
-    /// procedure except lock primitives (names containing `lock`),
-    /// mirroring the fence-inference candidate rule.
+    /// procedure except lock helpers
+    /// ([`Procedure::is_lock_helper`](cf_lsl::Procedure::is_lock_helper)),
+    /// the fence-inference candidate rule.
     pub procs: Option<Vec<String>>,
-    /// Cap on the number of planned points (`None` = unlimited).
-    pub max_points: Option<usize>,
 }
 
 impl Default for MutationConfig {
@@ -114,7 +114,6 @@ impl Default for MutationConfig {
         MutationConfig {
             kinds: MutationKind::all().to_vec(),
             procs: None,
-            max_points: None,
         }
     }
 }
@@ -164,7 +163,7 @@ impl MutationPlan {
     pub fn build(program: &Program, config: &MutationConfig) -> MutationPlan {
         let mut points = Vec::new();
         for proc in &program.procedures {
-            if !proc_selected(&proc.name, config) {
+            if !proc_selected(proc, config) {
                 continue;
             }
             let mut path = Vec::new();
@@ -176,12 +175,6 @@ impl MutationPlan {
                 config,
                 &mut points,
             );
-            if config.max_points.is_some_and(|max| points.len() >= max) {
-                break;
-            }
-        }
-        if let Some(max) = config.max_points {
-            points.truncate(max);
         }
         for (i, p) in points.iter_mut().enumerate() {
             p.id = i as u32;
@@ -226,10 +219,10 @@ impl MutationPlan {
     }
 }
 
-fn proc_selected(name: &str, config: &MutationConfig) -> bool {
+fn proc_selected(proc: &Procedure, config: &MutationConfig) -> bool {
     match &config.procs {
-        Some(list) => list.iter().any(|n| n == name),
-        None => !name.contains("lock"),
+        Some(list) => list.iter().any(|n| n == &proc.name),
+        None => !proc.is_lock_helper(),
     }
 }
 
@@ -407,7 +400,7 @@ fn instrument(stmts: &[Stmt], path: &mut Vec<usize>, points: &[&MutationPoint]) 
         .filter(|p| p.locator.block_path == *path)
         .collect();
     let mut out = Vec::with_capacity(stmts.len());
-    let mut skip: HashSet<usize> = HashSet::new();
+    let mut skip: BTreeSet<usize> = BTreeSet::new();
     for (i, s) in stmts.iter().enumerate() {
         if skip.contains(&i) {
             continue;
@@ -511,7 +504,7 @@ fn instrument_one(
 /// Applies exactly one point concretely (the oracle-side rewrite).
 fn apply_one(stmts: &[Stmt], path: &mut Vec<usize>, point: &MutationPoint) -> Vec<Stmt> {
     let mut out = Vec::with_capacity(stmts.len());
-    let mut skip: HashSet<usize> = HashSet::new();
+    let mut skip: BTreeSet<usize> = BTreeSet::new();
     for (i, s) in stmts.iter().enumerate() {
         if skip.contains(&i) {
             continue;

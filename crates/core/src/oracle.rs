@@ -25,8 +25,8 @@ use cf_sat::{Lit, SolveResult};
 use cf_spec::ModelSpec;
 
 use crate::checker::{
-    decode_counterexample, exhausted_err, validate_test_shape, CheckConfig, CheckError,
-    CheckOutcome, FailureKind, ObsSet, PhaseStats,
+    decode_counterexample, exhausted_err, validate_spec_width, validate_test_shape, CheckConfig,
+    CheckError, CheckOutcome, FailureKind, ObsSet, PhaseStats,
 };
 use crate::commit::encode_abstract_machine;
 use crate::encode::{Encoding, ModelSel, OrderEncoding};
@@ -43,10 +43,11 @@ use crate::symexec::{execute, LoopBounds, SymExec};
 ///
 /// # Errors
 ///
-/// * [`CheckError::BadQuery`] for a query carrying candidate fences or
-///   mutation toggles (the reference checks concrete programs: rebuild
-///   them into the harness instead), a spec index outside `specs`, or
-///   a commit query on a declarative model;
+/// * [`CheckError::BadQuery`] for a query carrying toggles (the
+///   reference checks concrete programs: rebuild mutants and fences
+///   into the harness instead), an inclusion spec whose vectors do not
+///   have the test's observation width, a spec index outside `specs`,
+///   or a commit query on a declarative model;
 /// * [`CheckError::Exhausted`] when a solver budget or the deadline
 ///   runs out;
 /// * [`CheckError::SerialBug`] when mining finds a serial execution
@@ -59,7 +60,10 @@ pub fn oneshot(
 ) -> Result<Verdict, CheckError> {
     let t0 = Instant::now();
     validate_test_shape(query.test())?;
-    if !query.fences.is_empty() || !query.toggles.is_empty() {
+    if let QueryKind::CheckInclusion { spec } = query.kind() {
+        validate_spec_width(query.harness(), query.test(), spec)?;
+    }
+    if !query.toggles.is_empty() {
         return Err(CheckError::BadQuery(
             "the reference oracle checks concrete programs; build fences and \
              mutants into the harness instead of assuming them"

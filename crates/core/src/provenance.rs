@@ -1,7 +1,7 @@
 //! Verdict provenance: which named assumptions a verdict leaned on.
 //!
 //! Every session solve is driven by *named* assumption literals — model
-//! selectors, candidate-fence activations, mutation toggles, per-axiom
+//! selectors, toggle sites (mutants and candidate fences), per-axiom
 //! gates, loop-bound flags and the query's spec-membership gate — so an
 //! assumption-level unsat core ([`cf_sat::Solver::unsat_core`]) maps
 //! directly back to artifacts a user can act on. A PASS becomes "this
@@ -53,12 +53,8 @@ pub struct Provenance {
     /// edges the unsatisfiability depends on; for a witness, the fences
     /// present in the program the witness ran against.
     pub fences: Vec<String>,
-    /// Load-bearing *candidate* fence sites
-    /// ([`cf_lsl::Stmt::CandidateFence`]) among the query's active
-    /// sites.
-    pub candidate_fences: Vec<u32>,
-    /// Load-bearing mutation toggle sites ([`cf_lsl::Stmt::Toggle`])
-    /// among the query's active toggles.
+    /// Load-bearing toggle sites ([`cf_lsl::Stmt::Toggle`]: mutants or
+    /// candidate fences) among the query's active toggles.
     pub toggles: Vec<u32>,
     /// The proof depends on the loop-bound-exceeded flags (i.e. on the
     /// executions being within the current unrolling bounds). Almost
@@ -87,7 +83,6 @@ impl Provenance {
             model,
             axioms: Vec::new(),
             fences: Vec::new(),
-            candidate_fences: Vec::new(),
             toggles: Vec::new(),
             bounds_gate: false,
             spec_gate: false,
@@ -102,9 +97,6 @@ impl Provenance {
         let mut parts: Vec<String> = Vec::new();
         for f in &self.fences {
             parts.push(format!("fence {f}"));
-        }
-        for s in &self.candidate_fences {
-            parts.push(format!("candidate-fence site {s}"));
         }
         for t in &self.toggles {
             parts.push(format!("toggle site {t}"));
@@ -149,8 +141,7 @@ mod tests {
             model: "c11".into(),
             axioms: vec!["hb".into()],
             fences: vec!["put#0 (store-store)".into()],
-            candidate_fences: vec![3],
-            toggles: vec![],
+            toggles: vec![3],
             bounds_gate: true,
             spec_gate: true,
             core_size: 5,
@@ -158,7 +149,7 @@ mod tests {
         };
         assert_eq!(
             p.summary(),
-            "proof uses: fence put#0 (store-store), candidate-fence site 3, axiom hb (c11)"
+            "proof uses: fence put#0 (store-store), toggle site 3, axiom hb (c11)"
         );
         assert_eq!(p.to_string(), format!("{} [core 5, minimal]", p.summary()));
     }

@@ -8,8 +8,8 @@
 //! * [`Query`] — a declarative description of one question: the
 //!   implementation ([`Harness`]) and symbolic test ([`TestSpec`]), the
 //!   model ([`ModelSel`]: a built-in [`Mode`] or a declarative spec),
-//!   the assumption vectors (active candidate-fence sites, active
-//!   mutation toggles) and the question kind ([`QueryKind`]: mine,
+//!   the assumption vector (active toggle sites: mutants and candidate
+//!   fences) and the question kind ([`QueryKind`]: mine,
 //!   enumerate, inclusion check, commit-point method). All axes are
 //!   orthogonal and builder-composable.
 //! * [`Engine`] — a pool of [`CheckSession`]s keyed by (harness, test,
@@ -85,6 +85,7 @@ use cf_spec::ModelSpec;
 
 use crate::checker::{
     CheckConfig, CheckError, CheckOutcome, Counterexample, InconclusiveReason, ObsSet, PhaseStats,
+    RETRY_GROWTH,
 };
 use crate::commit::AbstractType;
 use crate::encode::ModelSel;
@@ -133,16 +134,14 @@ impl QueryKind {
 /// One declarative question about one (implementation, test) pair.
 ///
 /// A query names every axis the engine can vary — the model, the active
-/// candidate-fence sites, the active mutation toggles, and the question
-/// kind — so drivers describe *what* they want answered and leave
-/// session pooling, encoding reuse and parallel scheduling to the
-/// [`Engine`].
+/// toggle sites, and the question kind — so drivers describe *what*
+/// they want answered and leave session pooling, encoding reuse and
+/// parallel scheduling to the [`Engine`].
 #[derive(Clone, Debug)]
 pub struct Query<'h> {
     harness: &'h Harness,
     test: &'h TestSpec,
     model: ModelSel,
-    pub(crate) fences: Vec<u32>,
     pub(crate) toggles: Vec<u32>,
     kind: QueryKind,
     budget: Option<u64>,
@@ -156,7 +155,6 @@ impl<'h> Query<'h> {
             harness,
             test,
             model: ModelSel::Builtin(Mode::Relaxed),
-            fences: Vec::new(),
             toggles: Vec::new(),
             kind,
             budget: None,
@@ -213,17 +211,10 @@ impl<'h> Query<'h> {
         self
     }
 
-    /// Activates exactly the given candidate-fence sites
-    /// ([`cf_lsl::Stmt::CandidateFence`]); all other sites stay inactive
-    /// (chainable).
-    #[must_use]
-    pub fn with_fences(mut self, sites: &[u32]) -> Query<'h> {
-        self.fences = sites.to_vec();
-        self
-    }
-
-    /// Switches exactly the given mutation toggle sites
-    /// ([`cf_lsl::Stmt::Toggle`]) to their mutant branch (chainable).
+    /// Switches exactly the given toggle sites ([`cf_lsl::Stmt::Toggle`])
+    /// to their mutant branch; all other sites run their original
+    /// branch. Mutation matrices select one mutant this way, fence
+    /// inference one candidate placement (chainable).
     #[must_use]
     pub fn with_toggles(mut self, sites: &[u32]) -> Query<'h> {
         self.toggles = sites.to_vec();
@@ -302,9 +293,6 @@ impl<'h> Query<'h> {
             self.harness.name,
             self.test.name
         );
-        for f in &self.fences {
-            out.push_str(&format!("+f{f}"));
-        }
         for t in &self.toggles {
             out.push_str(&format!("+t{t}"));
         }
@@ -780,10 +768,13 @@ impl<'h> Engine<'h> {
             .collect()
     }
 
-    /// Rejects queries outside the engine's model universe before any
-    /// session work.
+    /// Rejects queries outside the engine's model universe, and
+    /// inclusion specs of the wrong width, before any session work.
     fn validate(&self, q: &Query<'h>) -> Result<(), CheckError> {
         crate::checker::validate_test_shape(q.test)?;
+        if let QueryKind::CheckInclusion { spec } = &q.kind {
+            crate::checker::validate_spec_width(q.harness, q.test, spec)?;
+        }
         match q.model {
             ModelSel::Spec(i) => {
                 if i >= self.config.specs.len() {
@@ -813,13 +804,13 @@ impl<'h> Engine<'h> {
             ));
         }
         // Mine and CommitMethod run without assumption vectors; accepting
-        // fences/toggles and silently answering for the unmutated build
-        // would be a wrong answer, not a convenience.
+        // toggles and silently answering for the unmutated build would be
+        // a wrong answer, not a convenience.
         if matches!(q.kind, QueryKind::Mine | QueryKind::CommitMethod { .. })
-            && !(q.fences.is_empty() && q.toggles.is_empty())
+            && !q.toggles.is_empty()
         {
             return Err(CheckError::BadQuery(format!(
-                "`{}` queries do not support fence/toggle assumption vectors",
+                "`{}` queries do not support toggle assumption vectors",
                 q.kind.name()
             )));
         }
@@ -965,7 +956,7 @@ fn exec_isolated<'h>(
 /// attributing solver work and wall time across all attempts.
 ///
 /// Attempt `n` runs with the base budgets (the query's override, else
-/// the engine's [`CheckConfig`]) scaled by `retry_growth^n`; the
+/// the engine's [`CheckConfig`]) scaled by [`RETRY_GROWTH`]`^n`; the
 /// wall-clock deadline, if any, is re-armed fresh per attempt so a
 /// transient stall does not starve the retry. When the last permitted
 /// attempt still exhausts, the query resolves to
@@ -1032,7 +1023,7 @@ fn exec(
             Err(CheckError::Exhausted(reason)) => {
                 if retries < check.max_retries {
                     retries += 1;
-                    scale = scale.saturating_mul(check.retry_growth.max(1));
+                    scale = scale.saturating_mul(RETRY_GROWTH);
                     cf_trace::emit("retry", || {
                         vec![
                             ("attempt", cf_trace::u(u64::from(retries))),
@@ -1138,16 +1129,10 @@ fn exec_once(
     match &query.kind {
         QueryKind::Mine => session.query_mine(phase).map(Answer::Observations),
         QueryKind::Enumerate => session
-            .query_enumerate(query.model, &query.fences, &query.toggles, phase)
+            .query_enumerate(query.model, &query.toggles, phase)
             .map(Answer::Observations),
         QueryKind::CheckInclusion { spec } => session
-            .query_inclusion(
-                query.model,
-                spec.as_ref(),
-                &query.fences,
-                &query.toggles,
-                phase,
-            )
+            .query_inclusion(query.model, spec.as_ref(), &query.toggles, phase)
             .map(Answer::Outcome),
         QueryKind::CommitMethod { ty } => {
             let ModelSel::Builtin(mode) = query.model else {
@@ -1268,7 +1253,7 @@ mod tests {
 
     #[test]
     fn assumption_vectors_are_rejected_on_kinds_that_ignore_them() {
-        // Mine and CommitMethod run without fence/toggle assumptions;
+        // Mine and CommitMethod run without toggle assumptions;
         // silently answering for the unmutated build would be a wrong
         // answer, so the engine must refuse.
         let (h, t) = mailbox();
@@ -1281,14 +1266,40 @@ mod tests {
             .run(
                 &Query::commit_method(&h, &t, AbstractType::Queue)
                     .on(Mode::Sc)
-                    .with_fences(&[0]),
+                    .with_toggles(&[0]),
             )
-            .expect_err("commit ignores fences");
+            .expect_err("commit ignores toggles");
         assert!(matches!(err, CheckError::BadQuery(_)), "{err}");
     }
 
     #[test]
-    fn the_reference_oracle_refuses_fences_and_toggles() {
+    fn inclusion_specs_of_the_wrong_width_are_rejected() {
+        // The mailbox test observes two values: put's argument and get's
+        // return. Compared position by position, width-1 vectors would
+        // ignore the second (a false PASS) and width-3 vectors would
+        // index past the observation vector.
+        let (h, t) = mailbox();
+        let config = CheckConfig::default();
+        let mut engine = Engine::new(EngineConfig::single(Mode::Relaxed));
+        for width in [1, 3] {
+            let spec = ObsSet {
+                vectors: [vec![cf_lsl::Value::Int(0); width]].into(),
+            };
+            let q = Query::check_inclusion(&h, &t, spec).on(Mode::Relaxed);
+            let err = engine.run(&q).expect_err("the engine refuses");
+            assert!(matches!(err, CheckError::BadQuery(_)), "{err}");
+            let err = crate::oracle::oneshot(&q, &config, &[]).expect_err("the oracle refuses");
+            assert!(matches!(err, CheckError::BadQuery(_)), "{err}");
+        }
+        assert_eq!(
+            engine.stats().sessions,
+            0,
+            "rejected before any session work"
+        );
+    }
+
+    #[test]
+    fn the_reference_oracle_refuses_toggles() {
         // The reference checks concrete programs; its callers rebuild
         // fenced or mutated builds instead of assuming them.
         let (h, t) = mailbox();
@@ -1296,10 +1307,9 @@ mod tests {
         let spec = crate::mine::mine_reference(&h, &t).expect("mines").spec;
         let check = Query::check_inclusion(&h, &t, spec).on(Mode::Tso);
         for q in [
-            check.clone().with_fences(&[0]),
             check.clone().with_toggles(&[1]),
             Query::enumerate(&h, &t).on(Mode::Pso).with_toggles(&[0]),
-            Query::mine(&h, &t).with_fences(&[2]),
+            Query::mine(&h, &t).with_toggles(&[2]),
             Query::commit_method(&h, &t, AbstractType::Queue)
                 .on(Mode::Sc)
                 .with_toggles(&[0]),

@@ -14,10 +14,11 @@
 //! [`Engine`](crate::query::Engine) pools sessions and is their only
 //! driver):
 //!
-//! * **Candidate fences** ([`cf_lsl::Stmt::CandidateFence`]) are encoded
-//!   once, with each site's ordering clauses gated behind an *activation
-//!   literal*. A candidate placement is then just an assumption vector —
-//!   no program rebuild, no re-encode, no cold solver.
+//! * **Program variants** ([`cf_lsl::Stmt::Toggle`] sites: mutants and
+//!   candidate fences) are encoded once, each site's two branches
+//!   guarded by the polarity of a per-site *toggle literal*. A mutant or
+//!   a candidate placement is then just an assumption vector — no
+//!   program rebuild, no re-encode, no cold solver.
 //! * **Memory models** are encoded together ([`Encoding::build_full`]):
 //!   the mode-dependent Θ axioms are gated behind per-mode *selector
 //!   literals*, grouped by mode delta ([`cf_memmodel::ModeSet`]), so a
@@ -289,7 +290,7 @@ impl<'h> CheckSession<'h> {
     pub(crate) fn query_mine(&mut self, stats: &mut PhaseStats) -> Result<ObsSet, CheckError> {
         self.stats.queries += 1;
         let serial = ModelSel::Builtin(Mode::Serial);
-        self.with_bounds(serial, &[], &[], stats, |sx, enc, asm, stats| {
+        self.with_bounds(serial, &[], stats, |sx, enc, asm, stats| {
             // Any serial execution with an error is a sequential bug.
             let mut with_err = asm.to_vec();
             with_err.push(enc.error_lit);
@@ -313,8 +314,7 @@ impl<'h> CheckSession<'h> {
 
     /// The [`QueryKind::Enumerate`](crate::query::QueryKind::Enumerate)
     /// body: observations of all error-free executions under any model
-    /// of the universe, with the given candidate-fence sites and
-    /// mutation toggles active.
+    /// of the universe, with the given toggle sites active.
     ///
     /// # Errors
     ///
@@ -323,21 +323,14 @@ impl<'h> CheckSession<'h> {
     pub(crate) fn query_enumerate(
         &mut self,
         model: ModelSel,
-        active_sites: &[u32],
         active_toggles: &[u32],
         stats: &mut PhaseStats,
     ) -> Result<ObsSet, CheckError> {
         self.stats.queries += 1;
-        self.with_bounds(
-            model,
-            active_sites,
-            active_toggles,
-            stats,
-            |_sx, enc, asm, stats| {
-                let vectors = Self::enumerate_gated(enc, asm, stats)?;
-                Ok(Round::Bounded(ObsSet { vectors }))
-            },
-        )
+        self.with_bounds(model, active_toggles, stats, |_sx, enc, asm, stats| {
+            let vectors = Self::enumerate_gated(enc, asm, stats)?;
+            Ok(Round::Bounded(ObsSet { vectors }))
+        })
     }
 
     /// Enumerates error-free observations under the given assumptions by
@@ -385,15 +378,13 @@ impl<'h> CheckSession<'h> {
 
     /// The
     /// [`QueryKind::CheckInclusion`](crate::query::QueryKind::CheckInclusion)
-    /// body: candidate-fence sites and mutation toggles are both just
-    /// assumption polarities. Phase
+    /// body: toggle sites are just assumption polarities. Phase
     /// timings accumulate into `stats` — also on the error path — and
     /// the caller stamps `total_time`.
     pub(crate) fn query_inclusion(
         &mut self,
         model: ModelSel,
         spec: &ObsSet,
-        active_sites: &[u32],
         active_toggles: &[u32],
         stats: &mut PhaseStats,
     ) -> Result<CheckOutcome, CheckError> {
@@ -408,91 +399,82 @@ impl<'h> CheckSession<'h> {
         self.ensure_state(stats)?;
         let coords = self.fence_coords.clone();
         let mut prov_out: Option<Provenance> = None;
-        let result = self.with_bounds(
-            model,
-            active_sites,
-            active_toggles,
-            stats,
-            |sx, enc, asm, stats| {
-                // The spec-membership circuit is a pure definition: cache it
-                // per spec, so the fence-inference loop (same spec, different
-                // activation vector) encodes it once.
-                let no_match = Self::spec_no_match(enc, spec);
-                let bad = enc.cnf.or(enc.error_lit, no_match);
-                let mut a = asm.to_vec();
-                a.push(bad);
-                let t = Instant::now();
-                let r = enc.cnf.solver.solve_with(&a);
-                stats.solve_time += t.elapsed();
-                match r {
-                    SolveResult::Unsat => {
-                        if prov {
-                            // The decisive solve's final-conflict core —
-                            // extraction itself costs zero extra solves.
-                            let raw: Vec<Lit> = enc
-                                .cnf
-                                .solver
-                                .unsat_core()
-                                .map(<[Lit]>::to_vec)
-                                .unwrap_or_default();
-                            let (core, minimized) = match min_ticks {
-                                Some(budget) => {
-                                    let t = Instant::now();
-                                    let out = enc
-                                        .cnf
-                                        .solver
-                                        .minimize_core(Some(budget))
-                                        .unwrap_or((raw, false));
-                                    stats.solve_time += t.elapsed();
-                                    out
-                                }
-                                None => (raw, false),
-                            };
-                            if verify {
-                                verify_core(enc, &core, minimized);
+        let result = self.with_bounds(model, active_toggles, stats, |sx, enc, asm, stats| {
+            // The spec-membership circuit is a pure definition: cache it
+            // per spec, so the fence-inference loop (same spec, different
+            // toggle vector) encodes it once.
+            let no_match = Self::spec_no_match(enc, spec);
+            let bad = enc.cnf.or(enc.error_lit, no_match);
+            let mut a = asm.to_vec();
+            a.push(bad);
+            let t = Instant::now();
+            let r = enc.cnf.solver.solve_with(&a);
+            stats.solve_time += t.elapsed();
+            match r {
+                SolveResult::Unsat => {
+                    if prov {
+                        // The decisive solve's final-conflict core —
+                        // extraction itself costs zero extra solves.
+                        let raw: Vec<Lit> = enc
+                            .cnf
+                            .solver
+                            .unsat_core()
+                            .map(<[Lit]>::to_vec)
+                            .unwrap_or_default();
+                        let (core, minimized) = match min_ticks {
+                            Some(budget) => {
+                                let t = Instant::now();
+                                let out = enc
+                                    .cnf
+                                    .solver
+                                    .minimize_core(Some(budget))
+                                    .unwrap_or((raw, false));
+                                stats.solve_time += t.elapsed();
+                                out
                             }
-                            prov_out =
-                                Some(classify_core(enc, model, &core, bad, &coords, minimized));
-                        }
-                        Ok(Round::Bounded(CheckOutcome::Pass))
-                    }
-                    SolveResult::Unknown => Err(exhausted_err(&enc.cnf.solver)),
-                    SolveResult::Sat => {
-                        if prov {
-                            // A witness carries its assumption
-                            // environment: the model, the fences present
-                            // in the program it ran against, and the
-                            // active candidate/toggle vectors.
-                            let mut w = Provenance::witness(enc.model_name(model));
-                            w.fences = coords.values().cloned().collect();
-                            w.candidate_fences = active_sites.to_vec();
-                            w.toggles = active_toggles.to_vec();
-                            w.fences.sort();
-                            w.candidate_fences.sort_unstable();
-                            w.toggles.sort_unstable();
-                            prov_out = Some(w);
-                        }
-                        let kind = if enc.cnf.lit_value(enc.error_lit) {
-                            FailureKind::RuntimeError
-                        } else {
-                            FailureKind::InconsistentObservation
+                            None => (raw, false),
                         };
-                        let name = enc.model_name(model);
-                        let mut cx = decode_counterexample(sx, enc, kind, name);
-                        // Spec-model reports name the serializability
-                        // axiom the witness breaks (the spec's `model`
-                        // header alone does not say *why* the execution
-                        // is inconsistent).
-                        if matches!(model, ModelSel::Spec(_))
-                            && kind == FailureKind::InconsistentObservation
-                        {
-                            cx.violated_axiom = crate::checker::diagnose_serializability(sx, enc);
+                        if verify {
+                            verify_core(enc, &core, minimized);
                         }
-                        Ok(Round::Final(CheckOutcome::Fail(Box::new(cx))))
+                        prov_out = Some(classify_core(enc, model, &core, bad, &coords, minimized));
                     }
+                    Ok(Round::Bounded(CheckOutcome::Pass))
                 }
-            },
-        );
+                SolveResult::Unknown => Err(exhausted_err(&enc.cnf.solver)),
+                SolveResult::Sat => {
+                    if prov {
+                        // A witness carries its assumption
+                        // environment: the model, the fences present
+                        // in the program it ran against, and the
+                        // active toggle vector.
+                        let mut w = Provenance::witness(enc.model_name(model));
+                        w.fences = coords.values().cloned().collect();
+                        w.toggles = active_toggles.to_vec();
+                        w.fences.sort();
+                        w.toggles.sort_unstable();
+                        prov_out = Some(w);
+                    }
+                    let kind = if enc.cnf.lit_value(enc.error_lit) {
+                        FailureKind::RuntimeError
+                    } else {
+                        FailureKind::InconsistentObservation
+                    };
+                    let name = enc.model_name(model);
+                    let mut cx = decode_counterexample(sx, enc, kind, name);
+                    // Spec-model reports name the serializability
+                    // axiom the witness breaks (the spec's `model`
+                    // header alone does not say *why* the execution
+                    // is inconsistent).
+                    if matches!(model, ModelSel::Spec(_))
+                        && kind == FailureKind::InconsistentObservation
+                    {
+                        cx.violated_axiom = crate::checker::diagnose_serializability(sx, enc);
+                    }
+                    Ok(Round::Final(CheckOutcome::Fail(Box::new(cx))))
+                }
+            }
+        });
         if result.is_ok() {
             self.last_provenance = prov_out;
         }
@@ -520,7 +502,7 @@ impl<'h> CheckSession<'h> {
     ) -> Result<CheckOutcome, CheckError> {
         self.stats.queries += 1;
         let model = ModelSel::Builtin(mode);
-        self.with_bounds(model, &[], &[], stats, |sx, enc, asm, stats| {
+        self.with_bounds(model, &[], stats, |sx, enc, asm, stats| {
             let (gate, mismatch) = match enc.commit_cache_lookup(ty) {
                 Some(cached) => cached,
                 None => {
@@ -640,29 +622,16 @@ impl<'h> CheckSession<'h> {
     }
 
     /// The assumption prefix of a query: model selectors plus the
-    /// activation polarity of every candidate fence site and every
-    /// mutation toggle site. Sites absent from both lists are pinned
-    /// inactive, so the default query always checks the original
+    /// polarity of every toggle site. Sites absent from the list are
+    /// pinned inactive, so the default query always checks the original
     /// program.
-    fn base_assumptions(
-        enc: &Encoding,
-        model: ModelSel,
-        active_sites: &[u32],
-        active_toggles: &[u32],
-    ) -> Vec<Lit> {
+    fn base_assumptions(enc: &Encoding, model: ModelSel, active_toggles: &[u32]) -> Vec<Lit> {
         let mut asm = enc.model_assumptions(model);
         // Provenance-gated spec axioms: the selected spec's per-axiom
         // gates must be assumed on, or the solver would simply drop an
         // axiom instead of finding a real counterexample. Empty unless
         // the encoding was built with provenance.
         asm.extend(enc.axiom_assumptions(model));
-        for (&site, &act) in &enc.fence_acts {
-            asm.push(if active_sites.contains(&site) {
-                act
-            } else {
-                !act
-            });
-        }
         for (&site, &act) in &enc.toggle_acts {
             asm.push(if active_toggles.contains(&site) {
                 act
@@ -674,7 +643,7 @@ impl<'h> CheckSession<'h> {
     }
 
     /// Solves the bound-overflow query; `Some(keys)` lists the loops to
-    /// grow. The query runs under the same mode/fence assumptions as the
+    /// grow. The query runs under the same mode/toggle assumptions as the
     /// payload, so bounds only grow for executions the query can see.
     fn overflow_keys(
         st: &mut State,
@@ -718,7 +687,6 @@ impl<'h> CheckSession<'h> {
     fn with_bounds<T>(
         &mut self,
         model: ModelSel,
-        active_sites: &[u32],
         active_toggles: &[u32],
         stats: &mut PhaseStats,
         mut payload: impl FnMut(
@@ -733,7 +701,7 @@ impl<'h> CheckSession<'h> {
             self.ensure_state(stats)?;
             let st = self.state.as_mut().expect("state built");
             let sat0 = *st.enc.cnf.solver.stats();
-            let base = Self::base_assumptions(&st.enc, model, active_sites, active_toggles);
+            let base = Self::base_assumptions(&st.enc, model, active_toggles);
             // Overflow first: the payload may add (gated) clauses, but
             // more importantly a pass is only bound-valid if no execution
             // escapes the bounds under these assumptions.
@@ -792,16 +760,17 @@ pub(crate) const FENCE_SITE_BASE: u32 = 1_000_000;
 /// synthetic [`Stmt::Toggle`] site (`orig` = the fence, `mutant` =
 /// nothing), plus the site → source-coordinate map. Assuming the site
 /// *inactive* keeps the fence, so a `!act` literal in a PASS core names
-/// that fence as load-bearing. Mirrors the enumeration rules of
-/// `cf-algos::fences::fence_sites`: document order per procedure,
-/// `lock`/`unlock` helpers excluded, no descent into existing toggle
-/// branches (ablation instrumentation already owns those fences).
+/// that fence as load-bearing. Enumerates like
+/// `cf-algos::fences::fence_sites`: document order per procedure, lock
+/// helpers ([`cf_lsl::Procedure::is_lock_helper`]) excluded, no descent
+/// into existing toggle branches (ablation instrumentation and fence
+/// inference already own those fences).
 fn wrap_fences(harness: &Harness) -> (Harness, BTreeMap<u32, String>) {
     let mut wrapped = harness.clone();
     let mut coords = BTreeMap::new();
     let mut next = FENCE_SITE_BASE;
     for proc in &mut wrapped.program.procedures {
-        if proc.name.contains("lock") {
+        if proc.is_lock_helper() {
             continue;
         }
         let name = proc.name.clone();
@@ -882,7 +851,6 @@ fn classify_core(
         model: enc.model_name(model),
         axioms: Vec::new(),
         fences: Vec::new(),
-        candidate_fences: Vec::new(),
         toggles: Vec::new(),
         bounds_gate: false,
         spec_gate: false,
@@ -891,11 +859,6 @@ fn classify_core(
     };
     p.spec_gate = core.contains(&bad);
     p.bounds_gate = enc.exceeded.iter().any(|&(_, l)| core.contains(&!l));
-    for (&site, &act) in &enc.fence_acts {
-        if core.contains(&act) {
-            p.candidate_fences.push(site);
-        }
-    }
     for (&site, &act) in &enc.toggle_acts {
         match fence_coords.get(&site) {
             // A wrapped real fence is assumed *inactive* (fence kept),

@@ -8,9 +8,9 @@
 //! encoding's existing variables — `mo` is the pairwise order literal
 //! `before(x, y)`, `rf` reuses the retained `Flows(s, l)`
 //! literals of the value-flow encoding, `loc` is the cached address
-//! equality circuit, and fence relations reuse candidate-site
-//! activation literals so spec models participate in fence inference
-//! sessions unchanged.
+//! equality circuit, and fence relations are built from fence guards,
+//! which carry the toggle term of a candidate fence, so spec models
+//! participate in fence inference sessions unchanged.
 //!
 //! Every emitted clause is premised on the spec's *selector literal*,
 //! so a compiled spec is one more member of the encoding's model
@@ -71,14 +71,9 @@ impl SatCtx<'_, '_> {
             if f.thread != thread || f.po <= xpo || f.po >= ypo || !pred(f.sem) {
                 continue;
             }
-            let (guard, site) = (f.guard, f.site);
+            let guard = f.guard;
             let gf = self.enc.encode_guard(self.sx, guard);
-            let act = match site {
-                Some(s) => self.enc.fence_act(s),
-                None => self.enc.cnf.tt(),
-            };
-            let here = self.enc.cnf.and(gf, act);
-            acc = self.enc.cnf.or(acc, here);
+            acc = self.enc.cnf.or(acc, gf);
         }
         acc
     }

@@ -15,7 +15,7 @@
 //! `env[r] ← mux(live, new, env[r])`, which subsumes SSA renaming and phi
 //! placement.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use cf_lsl::{
     AddressSpace, BaseDef, BlockTag, FenceSem, MemOrder, MemType, PrimOp, ProcId, Procedure, Reg,
@@ -23,6 +23,7 @@ use cf_lsl::{
 };
 use cf_memmodel::AccessKind;
 
+use crate::fxhash::FxHashMap;
 use crate::term::{BTermId, EventId, TermArena, VTerm, VTermId};
 use crate::test_spec::{Harness, TestSpec};
 
@@ -65,9 +66,6 @@ pub struct FenceEvt {
     pub sem: FenceSem,
     /// Execution guard.
     pub guard: BTermId,
-    /// Candidate-site id for session-gated fences
-    /// ([`cf_lsl::Stmt::CandidateFence`]); `None` for real fences.
-    pub site: Option<u32>,
 }
 
 /// Kinds of runtime errors the checker detects (paper §3.1: "runtime
@@ -168,7 +166,7 @@ pub struct SymExec {
 }
 
 /// Loop bounds per loop-instance key, refined lazily (§3.3).
-pub type LoopBounds = HashMap<String, u32>;
+pub type LoopBounds = BTreeMap<String, u32>;
 
 /// Execution error surfaced while building the encoding (structural
 /// problems, not program bugs).
@@ -399,8 +397,8 @@ impl<'h> Execer<'h> {
         for (p, &a) in proc.params.iter().zip(args) {
             frame.env[p.index()] = a;
         }
-        let mut exits: HashMap<BlockTag, BTermId> = HashMap::new();
-        let mut conts: HashMap<BlockTag, BTermId> = HashMap::new();
+        let mut exits: FxHashMap<BlockTag, BTermId> = FxHashMap::default();
+        let mut conts: FxHashMap<BlockTag, BTermId> = FxHashMap::default();
         let body = proc.body.clone();
         let live_out = self.exec_stmts(&body, &mut frame, live, &mut exits, &mut conts)?;
         let ret = proc.ret.map(|r| frame.env[r.index()]);
@@ -478,8 +476,8 @@ impl<'h> Execer<'h> {
         stmts: &[Stmt],
         frame: &mut Frame,
         mut live: BTermId,
-        exits: &mut HashMap<BlockTag, BTermId>,
-        conts: &mut HashMap<BlockTag, BTermId>,
+        exits: &mut FxHashMap<BlockTag, BTermId>,
+        conts: &mut FxHashMap<BlockTag, BTermId>,
     ) -> Result<BTermId, SymExecError> {
         for s in stmts {
             if self.arena.as_const_bool(live) == Some(false) {
@@ -541,7 +539,6 @@ impl<'h> Execer<'h> {
                         po: self.po,
                         sem: FenceSem::Classic(*kind),
                         guard: live,
-                        site: None,
                     });
                     self.po += 1;
                 }
@@ -551,17 +548,6 @@ impl<'h> Execer<'h> {
                         po: self.po,
                         sem: FenceSem::C11(*ord),
                         guard: live,
-                        site: None,
-                    });
-                    self.po += 1;
-                }
-                Stmt::CandidateFence { kind, site } => {
-                    self.fences.push(FenceEvt {
-                        thread: self.thread,
-                        po: self.po,
-                        sem: FenceSem::Classic(*kind),
-                        guard: live,
-                        site: Some(*site),
                     });
                     self.po += 1;
                 }
@@ -717,8 +703,8 @@ impl<'h> Execer<'h> {
         body: &[Stmt],
         frame: &mut Frame,
         live: BTermId,
-        exits: &mut HashMap<BlockTag, BTermId>,
-        conts: &mut HashMap<BlockTag, BTermId>,
+        exits: &mut FxHashMap<BlockTag, BTermId>,
+        conts: &mut FxHashMap<BlockTag, BTermId>,
     ) -> Result<BTermId, SymExecError> {
         if !is_loop {
             let body_live = self.exec_stmts(body, frame, live, exits, conts)?;

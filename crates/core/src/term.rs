@@ -9,9 +9,9 @@
 //! (such as initialization code with fixed arguments) melt away into
 //! constants before the CNF encoding ever sees them.
 
-use std::collections::HashMap;
-
 use cf_lsl::{PrimOp, Value};
+
+use crate::fxhash::FxHashMap;
 
 /// Index of a value term in the arena.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -54,10 +54,9 @@ pub enum VTerm {
 pub enum BTerm {
     /// Constant.
     Const(bool),
-    /// A mutation-toggle literal ([`cf_lsl::Stmt::Toggle`]): true when
-    /// the toggle site is active. Encoded as a dedicated SAT variable so
-    /// a checking session selects mutants through assumptions, exactly
-    /// like candidate-fence activation literals.
+    /// A toggle literal ([`cf_lsl::Stmt::Toggle`]): true when the toggle
+    /// site is active. Encoded as a dedicated SAT variable so a checking
+    /// session selects mutants and candidate fences through assumptions.
     Toggle(u32),
     /// C truthiness of a value term (undefined values are flagged as
     /// errors separately; their truthiness is arbitrary).
@@ -76,9 +75,9 @@ pub enum BTerm {
 #[derive(Default, Debug)]
 pub struct TermArena {
     vterms: Vec<VTerm>,
-    vhash: HashMap<VTerm, VTermId>,
+    vhash: FxHashMap<VTerm, VTermId>,
     bterms: Vec<BTerm>,
-    bhash: HashMap<BTerm, BTermId>,
+    bhash: FxHashMap<BTerm, BTermId>,
 }
 
 impl TermArena {

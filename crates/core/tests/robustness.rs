@@ -87,7 +87,6 @@ fn retry_ladder_escalates_until_the_query_fits() {
     let mut config = EngineConfig::single(Mode::Relaxed);
     config.check.tick_budget = Some(1);
     config.check.max_retries = 10;
-    config.check.retry_growth = 8;
     let mut engine = Engine::new(config);
 
     let v = engine

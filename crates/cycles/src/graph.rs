@@ -342,9 +342,7 @@ impl Builder<'_> {
                 self.blocks.pop();
             }
             Stmt::Alloc { dst, .. } => set(regs, *dst, AbsVal::Ptr(AbsLoc::Heap)),
-            // Candidate fences are inert: never credited as real fences.
-            Stmt::CandidateFence { .. }
-            | Stmt::Break { .. }
+            Stmt::Break { .. }
             | Stmt::Continue { .. }
             | Stmt::Assert { .. }
             | Stmt::Assume { .. }

@@ -260,7 +260,7 @@ impl<'p> Machine<'p> {
                 Ok(Flow::Normal)
             }
             // Sequential: fences of either family have no effect.
-            Stmt::Fence(_) | Stmt::CFence(_) | Stmt::CandidateFence { .. } => Ok(Flow::Normal),
+            Stmt::Fence(_) | Stmt::CFence(_) => Ok(Flow::Normal),
             // Mutation toggles are a symbolic-analysis device; concretely
             // the program is the original.
             Stmt::Toggle { orig, .. } => self.exec_stmts(orig, regs),

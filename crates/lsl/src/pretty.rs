@@ -35,7 +35,6 @@ pub fn stmt_line(s: &Stmt) -> String {
         ),
         Stmt::Fence(kind) => format!("fence {kind}"),
         Stmt::CFence(ord) => format!("fence {ord}"),
-        Stmt::CandidateFence { kind, site } => format!("fence? {kind} [{site}]"),
         Stmt::Toggle { site, .. } => format!("toggle? [{site}] {{"),
         Stmt::Atomic(_) => "atomic {".into(),
         Stmt::Call { dst, proc, args } => {

@@ -31,6 +31,15 @@ pub struct Procedure {
 }
 
 impl Procedure {
+    /// Whether this is a lock helper (its name contains `lock`, as
+    /// `lock`/`unlock` do). Its fences belong to the locking discipline
+    /// (paper Fig. 7), not to the algorithm, so fence inference,
+    /// mutation planning, fence enumeration and fence provenance all
+    /// skip it.
+    pub fn is_lock_helper(&self) -> bool {
+        self.name.contains("lock")
+    }
+
     /// Counts statements recursively (for reporting; loops counted once).
     pub fn num_stmts(&self) -> usize {
         fn walk(stmts: &[Stmt]) -> usize {

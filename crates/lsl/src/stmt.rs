@@ -309,32 +309,21 @@ pub enum Stmt {
     Fence(FenceKind),
     /// `fence(ord)` — a C11 ordering fence (see [`FenceSem::C11`]).
     CFence(MemOrder),
-    /// `fence? X-Y [site]` — a *candidate* fence used by the incremental
-    /// checking sessions: it encodes like [`Stmt::Fence`] but its ordering
-    /// clauses are gated behind a per-`site` activation literal, so a
-    /// candidate placement is an assumption vector rather than a program
-    /// rebuild. Inert in the concrete interpreter (like all fences).
-    CandidateFence {
-        /// The fence kind to insert when the site is activated.
-        kind: FenceKind,
-        /// Stable candidate-site identifier (assigned by the inference
-        /// driver; all unrollings of one site share one activation literal).
-        site: u32,
-    },
     /// `toggle? [site] { orig } else { mutant }` — a *batched mutation*
     /// point used by the incremental checking sessions: the symbolic
     /// encoder executes `orig` when the per-`site` toggle literal is
     /// inactive and `mutant` when it is active, so a whole matrix of
     /// program mutations (statement deletions, fence weakenings,
     /// adjacent-operation swaps) shares one encoding and each mutant is
-    /// selected by an assumption vector. This generalizes the
-    /// activation-literal mechanism of [`Stmt::CandidateFence`] from
-    /// "optionally add a fence" to "optionally rewrite any statement
-    /// sequence". The concrete interpreter always runs `orig` (mutations
-    /// are a symbolic-analysis device, not program semantics).
+    /// selected by an assumption vector. Fence inference uses the same
+    /// device with an empty `orig` and a one-fence `mutant`, so each
+    /// candidate placement is an assumption vector too. The concrete
+    /// interpreter always runs `orig` (mutations are a symbolic-analysis
+    /// device, not program semantics).
     Toggle {
         /// Stable toggle-site identifier (assigned by the mutation
-        /// planner; every unrolling of one site shares one literal).
+        /// planner or the fence-inference driver; every unrolling of one
+        /// site shares one literal).
         site: u32,
         /// Statements executed while the site is inactive (the original
         /// program).

@@ -136,8 +136,15 @@ impl Lowerer {
     }
 
     fn collect_signatures(&mut self, ast: &Ast) -> Result<(), MinicError> {
+        let mut defined = HashSet::new();
         for item in &ast.items {
             if let Item::Func(f) = item {
+                if f.body.is_some() && !defined.insert(f.name.as_str()) {
+                    return Err(MinicError::new(
+                        f.line,
+                        format!("function `{}` is defined twice", f.name),
+                    ));
+                }
                 let sig = Signature {
                     params: f.params.iter().map(|(_, t)| t.clone()).collect(),
                     ret: f.ret.clone(),
@@ -427,9 +434,11 @@ impl<'a> FnLowerer<'a> {
             }
             CStmt::Atomic(body) => {
                 self.b.begin_atomic();
-                let r = self.lower_stmts(body);
+                // On an error the builder's frames stay open; compilation
+                // stops here, so only close the section on success.
+                self.lower_stmts(body)?;
                 self.b.end_atomic();
-                r
+                Ok(())
             }
         }
     }

@@ -312,3 +312,20 @@ fn compile_errors_have_context() {
     let err = compile("void f(int *p) { p->x = 1; }").expect_err("unknown struct");
     assert!(err.message.contains("struct type"), "{err}");
 }
+
+#[test]
+fn duplicate_function_definitions_are_errors() {
+    let err = compile("int x;\nvoid f() { x = 1; }\nvoid f() { x = 2; }").expect_err("duplicate f");
+    assert_eq!(err.line, 3, "{err}");
+    assert!(err.message.contains("`f` is defined twice"), "{err}");
+}
+
+#[test]
+fn errors_inside_atomic_blocks_are_reported() {
+    // The inner `if` fails on the misspelled `tre`; the atomic block
+    // around it must pass the error on instead of closing its section.
+    let src = "int x;\nbool g() { atomic { if (x == 0) { return tre; } return false; } }";
+    let err = compile(src).expect_err("unknown identifier");
+    assert_eq!(err.line, 2, "{err}");
+    assert!(err.message.contains("`tre`"), "{err}");
+}

@@ -39,7 +39,7 @@
 //! legacy oracle: atomic blocks execute in program order and
 //! contiguously, and initial values are read when no store is visible.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 use cf_lsl::{FenceSem, MemOrder, Value};
 use cf_memmodel::{sem_orders, AccessKind, ConcreteTrace, Litmus, LitmusOp, TraceItem};
@@ -454,11 +454,26 @@ impl LastStores {
 /// members of the open atomic block, last placed store per address).
 type PrefixKey = (Mask, Mask, LastStores);
 
+/// Initial values by address: the type of [`ConcreteTrace::init`], which
+/// `cf-memmodel` defines.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the field type of cf_memmodel::ConcreteTrace; read by key, never iterated"
+)]
+type InitValues = std::collections::HashMap<Vec<u32>, Value>;
+
+/// A set of dead search prefixes.
+#[allow(
+    clippy::disallowed_types,
+    reason = "a membership memo; never iterated, so hash order cannot reach a result"
+)]
+type DeadPrefixes = std::collections::HashSet<PrefixKey>;
+
 /// The linearization search behind [`trace_allowed`].
 struct TraceSearch<'a> {
     prog: &'a Prog,
     values: &'a [Value],
-    init: &'a HashMap<Vec<u32>, Value>,
+    init: &'a InitValues,
     forwarding: bool,
     compiled: &'a CompiledStatic<'a>,
     /// Per event: its address, as an index into the trace's distinct
@@ -473,7 +488,7 @@ struct TraceSearch<'a> {
     fwd_src: Vec<Mask>,
     /// Prefixes known not to complete, kept only when the placement
     /// checks imply the check of the complete order. Membership only.
-    dead: Option<HashSet<PrefixKey>>,
+    dead: Option<DeadPrefixes>,
     /// The events placed so far, in `mo` order.
     order: Vec<usize>,
 }
@@ -482,7 +497,7 @@ impl<'a> TraceSearch<'a> {
     fn new(
         prog: &'a Prog,
         values: &'a [Value],
-        init: &'a HashMap<Vec<u32>, Value>,
+        init: &'a InitValues,
         forwarding: bool,
         compiled: &'a CompiledStatic<'a>,
     ) -> Self {
@@ -529,7 +544,7 @@ impl<'a> TraceSearch<'a> {
             reads_store,
             reads_init,
             fwd_src,
-            dead: (compiled.dynamic.is_empty() && !forwarding).then(HashSet::new),
+            dead: (compiled.dynamic.is_empty() && !forwarding).then(DeadPrefixes::default),
             order: Vec::with_capacity(n),
         }
     }
@@ -617,7 +632,7 @@ fn positions(order: &[usize]) -> Vec<usize> {
 fn trace_values_ok(
     prog: &Prog,
     values: &[Value],
-    init: &HashMap<Vec<u32>, Value>,
+    init: &InitValues,
     pos: &[usize],
     forwarding: bool,
 ) -> Option<Vec<Option<usize>>> {
@@ -974,7 +989,7 @@ mod tests {
                     },
                 ],
             ],
-            init: HashMap::from([(vec![0], Value::Int(0)), (vec![1], Value::Int(0))]),
+            init: InitValues::from([(vec![0], Value::Int(0)), (vec![1], Value::Int(0))]),
         };
         assert!(!trace_allowed(&trace, &relaxed));
         assert_eq!(
@@ -1013,7 +1028,7 @@ mod tests {
                 vec![access(AccessKind::Store, 1)],
                 vec![access(AccessKind::Load, 5)],
             ],
-            init: HashMap::from([(vec![0], Value::Int(0))]),
+            init: InitValues::from([(vec![0], Value::Int(0))]),
         };
         assert!(!trace_allowed(&trace, &sc));
         assert!(violated_axioms(&trace, &sc).is_empty());
@@ -1062,7 +1077,7 @@ mod tests {
                     },
                 ],
             ],
-            init: HashMap::from([(vec![0], Value::Int(0)), (vec![1], Value::Int(0))]),
+            init: InitValues::from([(vec![0], Value::Int(0)), (vec![1], Value::Int(0))]),
         };
         assert!(trace_allowed(&mk(1), &relaxed));
         assert!(

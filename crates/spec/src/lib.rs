@@ -2,7 +2,7 @@
 //!
 //! CheckFence defines memory models axiomatically (§2.3.2); this crate
 //! turns those axioms into *data*. A small cat-style language (the
-//! `.cfm` text format, plus a [`builder`] API) describes a model as
+//! `.cfm` text format) describes a model as
 //! named relations over the events of an execution — program order
 //! `po`, same-address `loc`, the postulated total memory order `mo`,
 //! the communication relations `rf`/`co`/`fr`, fence edges — combined
@@ -66,7 +66,6 @@ mod ast;
 mod error;
 mod parse;
 
-pub mod builder;
 pub mod bundled;
 pub mod check;
 pub mod eval;

@@ -14,7 +14,7 @@
 //!   covering `c11`/`rc11`, which have no legacy twin — and two specs
 //!   that pair dynamic axioms with forwarding off.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use cf_lsl::{FenceKind, MemOrder, Value};
 use cf_memmodel::{litmus, AccessKind, ConcreteTrace, Litmus, LitmusOp, Mode, TraceItem};
@@ -103,10 +103,11 @@ fn random_trace(rng: &mut Rng) -> ConcreteTrace {
     }
     ConcreteTrace {
         threads: items,
-        init: HashMap::from([
+        init: [
             (vec![0], Value::Int(init[0])),
             (vec![1], Value::Int(init[1])),
-        ]),
+        ]
+        .into(),
     }
 }
 
@@ -223,8 +224,9 @@ fn register_candidates(test: &Litmus) -> Option<Vec<BTreeSet<i64>>> {
 
 /// The litmus test as a concrete trace whose loads carry `outcome`.
 fn annotated_trace(test: &Litmus, outcome: &[i64]) -> ConcreteTrace {
-    let mut init = HashMap::new();
-    let threads = test
+    let mut trace = ConcreteTrace::default();
+    let init = &mut trace.init;
+    trace.threads = test
         .threads
         .iter()
         .map(|ops| {
@@ -244,7 +246,7 @@ fn annotated_trace(test: &Litmus, outcome: &[i64]) -> ConcreteTrace {
                 .collect()
         })
         .collect();
-    ConcreteTrace { threads, init }
+    trace
 }
 
 #[test]

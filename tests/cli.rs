@@ -825,3 +825,80 @@ fn ablate_conflicts_with_infer() {
         "{out:?}"
     );
 }
+
+/// Runs the mailbox on relaxed against a `--spec-cache` file holding
+/// `lines` (after the format header) and returns the output.
+fn check_against_cached_spec(name: &str, lines: &str) -> Output {
+    let dir = std::env::temp_dir().join(format!("cf-cli-width-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let cache = dir.join("pg.spec");
+    std::fs::write(&cache, format!("checkfence-obs-set v1\n{lines}")).expect("write cache");
+    let out = run(mailbox_args(&mut cli())
+        .args(["--model", "relaxed"])
+        .arg("--spec-cache")
+        .arg(&cache));
+    std::fs::remove_dir_all(&dir).ok();
+    out
+}
+
+#[test]
+fn too_short_cached_spec_is_an_error_not_a_pass() {
+    // PG observes put's argument and get's return: 2 values. Width-1
+    // vectors would be compared on the first value only.
+    let out = check_against_cached_spec("short", "0\n1\n");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("must have 2 values"), "{stderr}");
+}
+
+#[test]
+fn too_long_cached_spec_is_an_error_not_a_panic() {
+    let out = check_against_cached_spec("long", "0 0 0\n");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("but one has 3"), "{stderr}");
+}
+
+#[test]
+fn harness_mistakes_fail_mining_with_exit_two() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("assets/mailbox.c");
+    let many = format!("( {} | g )", "p".repeat(22));
+    for (args, expected) in [
+        (
+            vec![
+                "--op",
+                "p=nosuch:arg",
+                "--op",
+                "g=get:ret",
+                "--test",
+                "( p | g )",
+            ],
+            "missing wrapper `nosuch`",
+        ),
+        (
+            vec!["--op", "p=put:arg", "--op", "g=get:ret", "--init", "nosuch"],
+            "missing init procedure `nosuch`",
+        ),
+        (
+            vec!["--op", "p=put", "--op", "g=get:ret", "--test", "( p | g )"],
+            "`put` expects 1 args, got 0",
+        ),
+        (
+            vec!["--op", "p=put:arg", "--op", "g=get:ret", "--test", &many],
+            "22 nondeterministic arguments",
+        ),
+    ] {
+        let mut cmd = cli();
+        cmd.arg(&src).args(&args).args(["--model", "tso"]);
+        if !args.contains(&"--test") {
+            cmd.args(["--test", "( p | g )"]);
+        }
+        let out = run(&mut cmd);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("mining failed") && stderr.contains(expected),
+            "{args:?}: {stderr}"
+        );
+    }
+}
