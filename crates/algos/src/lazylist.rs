@@ -18,7 +18,7 @@
 
 use checkfence::Harness;
 
-use crate::{compile_harness, set_ops, Variant};
+use crate::{compile_harness, set_ops};
 
 /// Which build of the algorithm to produce.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -186,14 +186,6 @@ pub fn harness(build: Build) -> Harness {
         Build::Unfenced => "lazylist-unfenced",
     };
     compile_harness(name, &source(build), "init_set", set_ops())
-}
-
-/// Convenience alias used by [`crate::Algo::harness`].
-pub fn harness_for(variant: Variant) -> Harness {
-    harness(match variant {
-        Variant::Fenced => Build::Fixed,
-        Variant::Unfenced => Build::Unfenced,
-    })
 }
 
 #[cfg(test)]

@@ -97,36 +97,6 @@ pub fn by_name(name: &str) -> Option<TestSpec> {
     None
 }
 
-/// All tests applicable to a shape.
-pub fn for_shape(shape: Shape) -> Vec<TestSpec> {
-    let table = match shape {
-        Shape::Queue => QUEUE_TESTS,
-        Shape::Set => SET_TESTS,
-        Shape::Deque => DEQUE_TESTS,
-        Shape::Stack => STACK_TESTS,
-        Shape::Spsc => SPSC_TESTS,
-    };
-    table
-        .iter()
-        .map(|(n, t)| TestSpec::parse(n, t).expect("catalog entries parse"))
-        .collect()
-}
-
-/// A small subset per shape suitable for fast regression tests.
-pub fn smoke_for_shape(shape: Shape) -> Vec<TestSpec> {
-    let names: &[&str] = match shape {
-        Shape::Queue => &["T0", "Ti2"],
-        Shape::Set => &["Sac", "Sar"],
-        Shape::Deque => &["D0"],
-        Shape::Stack => &["U0", "Ui2"],
-        Shape::Spsc => &["L0", "Lpc2"],
-    };
-    names
-        .iter()
-        .map(|n| by_name(n).expect("smoke tests exist"))
-        .collect()
-}
-
 #[cfg(test)]
 mod unit_tests {
     use super::*;

@@ -4,20 +4,14 @@
 //!
 //! Run with `cargo bench -p cf-bench --bench provenance`. Writes
 //! `BENCH_provenance.json` at the workspace root (override with
-//! `CHECKFENCE_BENCH_OUT`). Asserts the two contracts:
-//!
-//! * **off is free**: a plain query batched next to provenance twins
-//!   reports solver counters identical to the same query run alone —
-//!   the off path does zero extra solves and assumes zero extra
-//!   literals (the wall-clock side of the "≤ 2% overhead" claim is
-//!   implied: identical solver work, separate session pools);
-//! * **on is bounded**: the instrumented sweep — per-fence toggle
-//!   literals plus core extraction, which is free-riding on the
-//!   decisive solve's final-conflict analysis — stays within 1.5x of
-//!   the plain sweep's wall clock. Greedy minimization is measured as
-//!   its own series: it deliberately buys extra (tick-budgeted)
-//!   re-solves, so its wall clock is reported, and its contract is
-//!   that every PASS core comes back locally minimal.
+//! `CHECKFENCE_BENCH_OUT`). Asserts that **on is bounded**: the
+//! instrumented sweep — per-fence toggle literals plus core extraction,
+//! which is free-riding on the decisive solve's final-conflict analysis
+//! — stays within 1.5x of the plain sweep's wall clock, with the same
+//! verdicts. Greedy minimization is measured as its own series: it
+//! deliberately buys extra (tick-budgeted) re-solves, so its wall clock
+//! is reported, and its contract is that every PASS core comes back
+//! locally minimal.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -106,39 +100,6 @@ fn main() {
     for name in ["treiber", "ms2"] {
         let s = subject(name);
 
-        // The off-is-free contract, on deterministic counters: plain
-        // queries batched next to provenance twins match a plain-only
-        // engine counter for counter (separate session pools).
-        let mut plain_engine = Engine::new(EngineConfig::default());
-        let plain_alone: Vec<Verdict> = plain_engine
-            .run_batch(&queries(&s))
-            .into_iter()
-            .map(|v| v.expect("checks"))
-            .collect();
-        let mut mixed: Vec<Query> = queries(&s);
-        mixed.extend(queries(&s).into_iter().map(Query::with_provenance));
-        let mut mixed_engine = Engine::new(EngineConfig::default());
-        let mixed_verdicts: Vec<Verdict> = mixed_engine
-            .run_batch(&mixed)
-            .into_iter()
-            .map(|v| v.expect("checks"))
-            .collect();
-        for (alone, next_door) in plain_alone.iter().zip(&mixed_verdicts) {
-            assert!(next_door.provenance.is_none(), "{name}: off stays off");
-            assert_eq!(alone.passed(), next_door.passed(), "{name}");
-            assert_eq!(alone.stats.solves, next_door.stats.solves, "{name}");
-            assert_eq!(alone.stats.conflicts, next_door.stats.conflicts, "{name}");
-            assert_eq!(
-                alone.stats.propagations, next_door.stats.propagations,
-                "{name}"
-            );
-            assert_eq!(
-                alone.stats.assumed_literals, next_door.stats.assumed_literals,
-                "{name}"
-            );
-        }
-
-        // The on-is-bounded contract, on wall clock.
         let (off_ms, off) = best_of(REPS, || sweep(&s, Series::Plain));
         let (on_ms, on) = best_of(REPS, || sweep(&s, Series::Extract));
         let (min_ms, minimized) = best_of(REPS, || sweep(&s, Series::Minimize));

@@ -90,11 +90,6 @@ pub fn workloads() -> Vec<Workload> {
     out
 }
 
-/// Formats a duration in seconds with 3 decimals.
-pub fn secs(d: std::time::Duration) -> String {
-    format!("{:.3}", d.as_secs_f64())
-}
-
 /// Writes one benchmark record and prints where it went.
 ///
 /// The record is a JSON object holding, in order: `schema_version`

@@ -26,8 +26,6 @@ use crate::test_spec::{Harness, TestSpec};
 pub struct CheckConfig {
     /// Whether the range analysis runs (Fig. 11c ablation).
     pub range_analysis: bool,
-    /// Maximum lazy-unrolling refinements before giving up.
-    pub max_bound_rounds: u32,
     /// Optional deterministic tick budget (propagations + conflicts) per
     /// solve call. Ticks depend only on the formula and the solver state,
     /// so exhaustion reproduces exactly on any machine — prefer this over
@@ -66,11 +64,15 @@ pub struct CheckConfig {
 /// [`CheckConfig::max_retries`].
 pub const RETRY_GROWTH: u64 = 8;
 
+/// Lazy-unrolling rounds (§3.3) a query may take before it fails with
+/// [`CheckError::BoundsDiverged`]; the engine and the reference oracle
+/// both stop here.
+pub const MAX_BOUND_ROUNDS: u32 = 8;
+
 impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
             range_analysis: true,
-            max_bound_rounds: 8,
             tick_budget: None,
             deadline: None,
             max_retries: 2,

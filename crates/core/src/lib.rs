@@ -25,11 +25,10 @@
 //!
 //! * [`query`] — **the one checking path**: a composable [`Query`]
 //!   value per question (mine / enumerate / inclusion / commit × model
-//!   × fence and toggle assumption vectors) answered by an [`Engine`]
-//!   pooling one incremental [`CheckSession`] per (harness, test)
-//!   under an engine-wide model universe, running up to `jobs`
-//!   sessions at once, with per-query solver attribution
-//!   ([`QueryStats`]);
+//!   × toggle assumption vector) answered by an [`Engine`] pooling one
+//!   incremental [`CheckSession`] per (harness, test) under an
+//!   engine-wide model universe, running up to `jobs` sessions at
+//!   once, with per-query solver attribution ([`QueryStats`]);
 //! * [`CheckSession`] — the underlying incremental session: one
 //!   persistent solver per (harness, test), with built-in
 //!   [`cf_memmodel::Mode`]s and declarative [`cf_spec::ModelSpec`]s
@@ -102,7 +101,7 @@ pub mod query;
 
 pub use checker::{
     CheckConfig, CheckError, CheckOutcome, Counterexample, FailureKind, InconclusiveReason,
-    MiningResult, ObsSet, PhaseStats, TraceStep, RETRY_GROWTH,
+    MiningResult, ObsSet, PhaseStats, TraceStep, MAX_BOUND_ROUNDS, RETRY_GROWTH,
 };
 pub use cnf::CnfBuilder;
 pub use encode::{EncVal, Encoding, ModelSel, OrderEncoding};

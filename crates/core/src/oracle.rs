@@ -26,7 +26,7 @@ use cf_spec::ModelSpec;
 
 use crate::checker::{
     decode_counterexample, exhausted_err, validate_spec_width, validate_test_shape, CheckConfig,
-    CheckError, CheckOutcome, FailureKind, ObsSet, PhaseStats,
+    CheckError, CheckOutcome, FailureKind, ObsSet, PhaseStats, MAX_BOUND_ROUNDS,
 };
 use crate::commit::encode_abstract_machine;
 use crate::encode::{Encoding, ModelSel, OrderEncoding};
@@ -37,9 +37,8 @@ use crate::symexec::{execute, LoopBounds, SymExec};
 
 /// Answers `query` with a fresh symbolic execution, encoding and solver
 /// per lazy-unrolling round. `config` supplies the check settings,
-/// budgets included (a budget, deadline or provenance request set on
-/// the query itself is not consulted); `specs` resolves
-/// [`ModelSel::Spec`] indices, and only the selected spec is encoded.
+/// budgets included; `specs` resolves [`ModelSel::Spec`] indices, and
+/// only the selected spec is encoded.
 ///
 /// # Errors
 ///
@@ -177,7 +176,7 @@ fn with_bounds(
     // One deadline covers the whole query, bound-growth rounds
     // included; tick budgets are per solve call.
     let deadline_at = config.deadline.map(|d| Instant::now() + d);
-    for round in 0..config.max_bound_rounds {
+    for round in 0..MAX_BOUND_ROUNDS {
         phase.bound_rounds = round + 1;
         let sx = execute(query.harness(), query.test(), &bounds, config.spin_bound)?;
         let t0 = Instant::now();

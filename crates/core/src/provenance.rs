@@ -8,8 +8,8 @@
 //! proof uses *these* fences and *these* axioms"; a FAIL records the
 //! assumption environment the witness execution was found under.
 //!
-//! Provenance is opt-in ([`Query::with_provenance`](crate::query::Query::with_provenance)
-//! / [`EngineConfig::provenance`](crate::query::EngineConfig::provenance))
+//! Provenance is opt-in and engine-wide
+//! ([`EngineConfig::provenance`](crate::query::EngineConfig::provenance)),
 //! and extraction costs **zero extra solves**: the core of the decisive
 //! inclusion solve is read off the solver's final-conflict analysis.
 //! Optional greedy minimization ([`crate::CheckConfig::core_minimize_ticks`])

@@ -12,9 +12,10 @@
 //!   fences) and the question kind ([`QueryKind`]: mine,
 //!   enumerate, inclusion check, commit-point method). All axes are
 //!   orthogonal and builder-composable.
-//! * [`Engine`] — a pool of [`CheckSession`]s keyed by (harness, test,
-//!   model universe), the universe being engine-wide configuration
-//!   ([`EngineConfig::modes`] + [`EngineConfig::specs`]).
+//! * [`Engine`] — a pool of [`CheckSession`]s keyed by (harness, test).
+//!   How every query is answered is engine-wide configuration: the
+//!   model universe ([`EngineConfig::modes`] + [`EngineConfig::specs`]),
+//!   provenance, and the budgets of [`EngineConfig::check`].
 //!   [`Engine::run`] answers one query; [`Engine::run_batch`] groups a
 //!   mixed batch by session key, reuses live encodings across calls,
 //!   and runs up to [`EngineConfig::jobs`] keys' sessions at once (one
@@ -135,8 +136,9 @@ impl QueryKind {
 ///
 /// A query names every axis the engine can vary — the model, the active
 /// toggle sites, and the question kind — so drivers describe *what*
-/// they want answered and leave session pooling, encoding reuse and
-/// parallel scheduling to the [`Engine`].
+/// they want answered and leave session pooling, encoding reuse,
+/// parallel scheduling and resource governance to the [`Engine`] and
+/// its [`EngineConfig`].
 #[derive(Clone, Debug)]
 pub struct Query<'h> {
     harness: &'h Harness,
@@ -144,9 +146,6 @@ pub struct Query<'h> {
     model: ModelSel,
     pub(crate) toggles: Vec<u32>,
     kind: QueryKind,
-    budget: Option<u64>,
-    deadline: Option<Duration>,
-    provenance: bool,
 }
 
 impl<'h> Query<'h> {
@@ -157,9 +156,6 @@ impl<'h> Query<'h> {
             model: ModelSel::Builtin(Mode::Relaxed),
             toggles: Vec::new(),
             kind,
-            budget: None,
-            deadline: None,
-            provenance: false,
         }
     }
 
@@ -218,45 +214,6 @@ impl<'h> Query<'h> {
     #[must_use]
     pub fn with_toggles(mut self, sites: &[u32]) -> Query<'h> {
         self.toggles = sites.to_vec();
-        self
-    }
-
-    /// Sets this query's initial tick budget, overriding
-    /// [`CheckConfig::tick_budget`]. Ticks (solver propagations +
-    /// conflicts) are deterministic: the same query against the same
-    /// session state spends the same ticks on every machine. When the
-    /// ladder of escalating retries (see [`CheckConfig::max_retries`])
-    /// still exhausts the budget, the verdict is
-    /// [`Answer::Inconclusive`] rather than an error (chainable).
-    #[must_use]
-    pub fn with_budget(mut self, ticks: u64) -> Query<'h> {
-        self.budget = Some(ticks);
-        self
-    }
-
-    /// Sets this query's wall-clock deadline, overriding
-    /// [`CheckConfig::deadline`]. Unlike tick budgets, deadlines are
-    /// machine-dependent; use them as a safety net, not for
-    /// reproducible cutoffs (chainable).
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Query<'h> {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Requests verdict [`Provenance`] for this query (chainable).
-    /// Inclusion-check verdicts then carry the assumption core of the
-    /// decisive solve mapped back to named artifacts — which fences,
-    /// axioms, toggles and gates the proof (or witness) leaned on.
-    /// Extraction adds **zero extra solves**; sessions answering
-    /// provenance queries are pooled separately from plain ones, so a
-    /// provenance-free query's verdict and solver statistics never
-    /// change. See also [`EngineConfig::provenance`] for the
-    /// engine-wide switch and [`CheckConfig::core_minimize_ticks`] for
-    /// optional core minimization.
-    #[must_use]
-    pub fn with_provenance(mut self) -> Query<'h> {
-        self.provenance = true;
         self
     }
 
@@ -387,9 +344,8 @@ pub struct Verdict {
     pub phase: PhaseStats,
     /// Per-query solver counters ([`cf_sat::Stats::since`] deltas).
     pub stats: QueryStats,
-    /// What the verdict leaned on, when provenance was requested
-    /// ([`Query::with_provenance`] / [`EngineConfig::provenance`]) and
-    /// the query produced a pass/fail outcome. `None` for
+    /// What the verdict leaned on, when [`EngineConfig::provenance`] is
+    /// on and the query produced a pass/fail outcome. `None` for
     /// observation-shaped answers, inconclusive verdicts and whenever
     /// provenance is off.
     pub provenance: Option<Provenance>,
@@ -469,8 +425,8 @@ pub struct EngineConfig {
     /// Declarative models of the universe ([`ModelSel::Spec`] indexes
     /// this list). Compiled into every session next to the built-ins.
     pub specs: Vec<ModelSpec>,
-    /// Check settings (bounds, budgets, retries); queries name
-    /// their models.
+    /// Check settings (range analysis, spin bound, budgets, retries,
+    /// core post-processing); queries name their models.
     pub check: CheckConfig,
     /// How many sessions [`Engine::run_batch`] runs at once, one worker
     /// thread each. `0` and `1` both mean sequential. A key's queries
@@ -479,11 +435,14 @@ pub struct EngineConfig {
     /// the same at any job count; only batches spanning several keys
     /// run in parallel.
     pub jobs: usize,
-    /// Engine-wide provenance: every query behaves as if it had
-    /// [`Query::with_provenance`] set. Off by default; with it off,
-    /// queries that do not individually request provenance run on
-    /// provenance-free sessions with byte-identical verdicts and solver
-    /// statistics.
+    /// Verdict [`Provenance`]: inclusion-check verdicts carry the
+    /// assumption core of the decisive solve mapped back to named
+    /// artifacts — which fences, axioms, toggles and gates the proof
+    /// (or witness) leaned on. Extraction adds **zero extra solves**;
+    /// see [`CheckConfig::core_minimize_ticks`] for optional core
+    /// minimization. Off by default; with it off, sessions are built
+    /// without instrumentation, so verdicts and solver statistics are
+    /// byte-identical to a build without provenance.
     pub provenance: bool,
 }
 
@@ -548,8 +507,8 @@ impl EngineConfig {
 /// Aggregated pool counters: the amortization ledger of the engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Live sessions in the pool: one per (harness, test, provenance)
-    /// key the engine has answered, at any [`EngineConfig::jobs`].
+    /// Live sessions in the pool: one per (harness, test) key the
+    /// engine has answered, at any [`EngineConfig::jobs`].
     pub sessions: usize,
     /// Symbolic executions across all sessions.
     pub symexecs: u32,
@@ -567,20 +526,15 @@ struct Slot<'h> {
     /// the `&'h` borrows the engine requires).
     hkey: usize,
     tkey: usize,
-    /// Whether the session was built with provenance instrumentation.
-    /// Part of the pool key: provenance queries must never reuse a
-    /// plain session (no gates to extract) and plain queries must never
-    /// reuse an instrumented one (its formula differs).
-    prov: bool,
     session: CheckSession<'h>,
 }
 
 /// A pool of [`CheckSession`]s answering [`Query`] values.
 ///
 /// Sessions are created lazily, one per (harness identity, test
-/// identity, provenance) key — the model universe is fixed per engine —
-/// and persist across [`Engine::run`] / [`Engine::run_batch`] calls,
-/// so repeated batches on the same key reuse the live encoding.
+/// identity) key — the model universe and provenance are fixed per
+/// engine — and persist across [`Engine::run`] / [`Engine::run_batch`]
+/// calls, so repeated batches on the same key reuse the live encoding.
 pub struct Engine<'h> {
     config: EngineConfig,
     pool: Vec<Slot<'h>>,
@@ -600,13 +554,14 @@ impl<'h> Engine<'h> {
         &self.config
     }
 
-    /// Mutable access to the configuration, for adjusting resource
-    /// governance (budgets, deadlines, retries) between batches. The
-    /// model universe of already-pooled sessions is fixed — changing
-    /// `modes`/`specs` mid-flight only affects sessions created later,
-    /// so restrict mutation to the scheduling and budget knobs.
-    pub fn config_mut(&mut self) -> &mut EngineConfig {
-        &mut self.config
+    /// Mutable access to the check settings, for adjusting resource
+    /// governance (budgets, deadlines, retries, core post-processing)
+    /// between batches; every later query reads them. `range_analysis`
+    /// and `spin_bound` shape an encoding, so changing them applies only
+    /// to sessions built later. The model universe, `jobs` and
+    /// provenance are fixed at [`Engine::new`].
+    pub fn check_mut(&mut self) -> &mut CheckConfig {
+        &mut self.config.check
     }
 
     /// Aggregated amortization counters over the whole pool.
@@ -649,8 +604,8 @@ impl<'h> Engine<'h> {
 
     /// Answers a batch, returning verdicts in query order.
     ///
-    /// Queries are grouped by (harness, test, provenance); each group
-    /// runs in query order on its key's one pooled session, and up to
+    /// Queries are grouped by (harness, test); each group runs in query
+    /// order on its key's one pooled session, and up to
     /// [`EngineConfig::jobs`] groups run at once. A single group — one
     /// mutation matrix, say — therefore runs on one thread at any job
     /// count. Per-query failures (including
@@ -674,18 +629,15 @@ impl<'h> Engine<'h> {
             }
         }
 
-        // One task per (harness, test, provenance) identity; the model
-        // universe is engine-wide, so the pool key reduces to identity
-        // + provenance bit. Provenance queries get their own
-        // (instrumented) sessions so plain queries keep byte-identical
-        // formulas and stats. Every task *owns* its session for the
-        // duration of the batch (taken out of the pool, returned
-        // afterwards), so a worker panic can poison at most its own
-        // task's cell — never a neighbour's session.
+        // One task per (harness, test) identity; the model universe and
+        // provenance are engine-wide, so identity is the whole pool
+        // key. Every task *owns* its session for the duration of the
+        // batch (taken out of the pool, returned afterwards), so a
+        // worker panic can poison at most its own task's cell — never a
+        // neighbour's session.
         struct Task<'h> {
             hkey: usize,
             tkey: usize,
-            prov: bool,
             /// `None` after a panic discarded the session; the task
             /// loop rebuilds it from the query's key.
             session: Mutex<Option<CheckSession<'h>>>,
@@ -698,18 +650,13 @@ impl<'h> Engine<'h> {
                 std::ptr::from_ref(q.harness) as usize,
                 std::ptr::from_ref(q.test) as usize,
             );
-            let prov = self.config.provenance || q.provenance;
-            let t = match tasks
-                .iter()
-                .position(|t| t.hkey == hkey && t.tkey == tkey && t.prov == prov)
-            {
+            let t = match tasks.iter().position(|t| t.hkey == hkey && t.tkey == tkey) {
                 Some(t) => t,
                 None => {
-                    let session = self.take_session(hkey, tkey, prov, q);
+                    let session = self.take_session(hkey, tkey, q);
                     tasks.push(Task {
                         hkey,
                         tkey,
-                        prov,
                         session: Mutex::new(Some(session)),
                         members: Vec::new(),
                     });
@@ -750,7 +697,6 @@ impl<'h> Engine<'h> {
                 self.pool.push(Slot {
                     hkey: task.hkey,
                     tkey: task.tkey,
-                    prov: task.prov,
                     session,
                 });
             }
@@ -820,17 +766,11 @@ impl<'h> Engine<'h> {
     /// Removes the pooled session for a key, creating it if the key is
     /// new. The caller owns the session for the batch and pushes the
     /// survivors back.
-    fn take_session(
-        &mut self,
-        hkey: usize,
-        tkey: usize,
-        prov: bool,
-        query: &Query<'h>,
-    ) -> CheckSession<'h> {
+    fn take_session(&mut self, hkey: usize, tkey: usize, query: &Query<'h>) -> CheckSession<'h> {
         if let Some(i) = self
             .pool
             .iter()
-            .position(|s| s.hkey == hkey && s.tkey == tkey && s.prov == prov)
+            .position(|s| s.hkey == hkey && s.tkey == tkey)
         {
             return self.pool.swap_remove(i).session;
         }
@@ -882,13 +822,11 @@ fn build_session<'h>(query: &Query<'h>, config: &EngineConfig) -> CheckSession<'
             cf_trace::s(format!("{}/{}", query.harness.name, query.test.name)),
         )]
     });
-    // Recomputing the provenance bit here (instead of threading it in)
-    // keeps the post-panic rebuild path honest: a resubmitted provenance
-    // query gets an instrumented session again, so a worker crash never
-    // silently drops provenance.
-    let sc = SessionConfig::from_check_config(&config.check, config.modes)
-        .with_specs(config.specs.clone())
-        .with_provenance(config.provenance || query.provenance);
+    let sc = SessionConfig {
+        specs: config.specs.clone(),
+        provenance: config.provenance,
+        ..SessionConfig::from_check_config(&config.check, config.modes)
+    };
     CheckSession::with_config(query.harness, query.test, sc)
 }
 
@@ -955,12 +893,12 @@ fn exec_isolated<'h>(
 /// Runs one query on its session with the escalating retry ladder,
 /// attributing solver work and wall time across all attempts.
 ///
-/// Attempt `n` runs with the base budgets (the query's override, else
-/// the engine's [`CheckConfig`]) scaled by [`RETRY_GROWTH`]`^n`; the
-/// wall-clock deadline, if any, is re-armed fresh per attempt so a
-/// transient stall does not starve the retry. When the last permitted
-/// attempt still exhausts, the query resolves to
-/// [`Answer::Inconclusive`] with the ticks spent across every attempt.
+/// Attempt `n` runs with the [`CheckConfig::tick_budget`] scaled by
+/// [`RETRY_GROWTH`]`^n`; the wall-clock deadline, if any, is re-armed
+/// fresh per attempt so a transient stall does not starve the retry.
+/// When the last permitted attempt still exhausts, the query resolves
+/// to [`Answer::Inconclusive`] with the ticks spent across every
+/// attempt.
 fn exec(
     session: &mut CheckSession<'_>,
     query: &Query<'_>,
@@ -969,8 +907,6 @@ fn exec(
 ) -> Result<Verdict, CheckError> {
     let t0 = Instant::now();
     let before = session.solver_stats();
-    let base_ticks = query.budget.or(check.tick_budget);
-    let deadline = query.deadline.or(check.deadline);
     let mut scale: u64 = 1;
     let mut retries: u32 = 0;
     cf_trace::emit("query_start", || {
@@ -1010,16 +946,16 @@ fn exec(
         });
     };
     loop {
-        session.config.tick_budget = base_ticks.map(|b| b.saturating_mul(scale));
-        session.config.deadline_at = deadline.map(|d| Instant::now() + d);
+        let tick_budget = check.tick_budget.map(|b| b.saturating_mul(scale));
+        session.set_limits(tick_budget, check.deadline.map(|d| Instant::now() + d));
         cf_trace::emit("attempt", || {
             let mut fields = vec![("n", cf_trace::u(u64::from(retries)))];
-            if let Some(b) = session.config.tick_budget {
+            if let Some(b) = tick_budget {
                 fields.push(("tick_budget", cf_trace::u(b)));
             }
             fields
         });
-        match exec_once(session, query, phase) {
+        match exec_once(session, query, check, phase) {
             Err(CheckError::Exhausted(reason)) => {
                 if retries < check.max_retries {
                     retries += 1;
@@ -1111,6 +1047,7 @@ fn exec(
 fn exec_once(
     session: &mut CheckSession<'_>,
     query: &Query<'_>,
+    check: &CheckConfig,
     phase: &mut PhaseStats,
 ) -> Result<Answer, CheckError> {
     #[cfg(feature = "faults")]
@@ -1132,7 +1069,7 @@ fn exec_once(
             .query_enumerate(query.model, &query.toggles, phase)
             .map(Answer::Observations),
         QueryKind::CheckInclusion { spec } => session
-            .query_inclusion(query.model, spec.as_ref(), &query.toggles, phase)
+            .query_inclusion(query.model, spec.as_ref(), &query.toggles, check, phase)
             .map(Answer::Outcome),
         QueryKind::CommitMethod { ty } => {
             let ModelSel::Builtin(mode) = query.model else {

@@ -46,7 +46,7 @@ use cf_spec::ModelSpec;
 
 use crate::checker::{
     decode_counterexample, exhausted_err, CheckConfig, CheckError, CheckOutcome, FailureKind,
-    ObsSet, PhaseStats,
+    ObsSet, PhaseStats, MAX_BOUND_ROUNDS,
 };
 use crate::commit::{encode_abstract_machine, AbstractType};
 use crate::encode::{Encoding, ModelSel, OrderEncoding};
@@ -55,7 +55,9 @@ use crate::range::analyze;
 use crate::symexec::{execute, LoopBounds, SymExec};
 use crate::test_spec::{Harness, TestSpec};
 
-/// Configuration of a [`CheckSession`].
+/// Configuration of a [`CheckSession`]: what shapes its encoding.
+/// Budgets, deadlines and core post-processing are run-time settings
+/// of the engine's [`CheckConfig`], read per query.
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
     /// The built-in memory models the session can answer queries for.
@@ -71,18 +73,6 @@ pub struct SessionConfig {
     pub order_encoding: OrderEncoding,
     /// Whether the range analysis runs.
     pub range_analysis: bool,
-    /// Maximum lazy-unrolling refinements before giving up.
-    pub max_bound_rounds: u32,
-    /// Optional deterministic tick budget (propagations + conflicts)
-    /// per solve call; the engine's retry ladder grows this between
-    /// attempts.
-    pub tick_budget: Option<u64>,
-    /// Optional absolute wall-clock deadline for the *current* query.
-    /// Relative per-query deadlines ([`CheckConfig::deadline`]) are
-    /// armed into an `Instant` by the caller at query start, so one
-    /// deadline covers every solve call and bound-growth round the
-    /// query issues.
-    pub deadline_at: Option<Instant>,
     /// Unrolling bound for `spin`-marked retry loops.
     pub spin_bound: u32,
     /// Whether inclusion verdicts carry [`Provenance`]: real fences are
@@ -92,50 +82,20 @@ pub struct SessionConfig {
     /// and with it off, the session's formula, verdicts and solver
     /// statistics are byte-identical to a provenance-free build.
     pub provenance: bool,
-    /// Core-minimization tick budget (see
-    /// [`CheckConfig::core_minimize_ticks`]).
-    pub core_minimize_ticks: Option<u64>,
-    /// Core re-solving self-check (see [`CheckConfig::verify_cores`]).
-    pub verify_cores: bool,
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        SessionConfig::from_check_config(&CheckConfig::default(), ModeSet::all())
-    }
 }
 
 impl SessionConfig {
     /// Derives a session configuration from a [`CheckConfig`], encoding
-    /// the given mode set.
+    /// the given mode set, with no specs and provenance off.
     pub fn from_check_config(config: &CheckConfig, modes: ModeSet) -> SessionConfig {
         SessionConfig {
             modes,
             specs: Vec::new(),
             order_encoding: OrderEncoding::Pairwise,
             range_analysis: config.range_analysis,
-            max_bound_rounds: config.max_bound_rounds,
-            tick_budget: config.tick_budget,
-            deadline_at: None,
             spin_bound: config.spin_bound,
             provenance: false,
-            core_minimize_ticks: config.core_minimize_ticks,
-            verify_cores: config.verify_cores,
         }
-    }
-
-    /// Adds declarative models to the session's universe (chainable).
-    pub fn with_specs(mut self, specs: Vec<ModelSpec>) -> SessionConfig {
-        self.specs = specs;
-        self
-    }
-
-    /// Enables provenance extraction (chainable). Must be set before
-    /// the first query builds the encoding.
-    #[must_use]
-    pub fn with_provenance(mut self, on: bool) -> SessionConfig {
-        self.provenance = on;
-        self
     }
 }
 
@@ -221,10 +181,10 @@ pub(crate) enum Round<T> {
 pub struct CheckSession<'h> {
     harness: &'h Harness,
     test: &'h TestSpec,
-    /// The configuration. Mode set and order encoding are fixed once the
-    /// first query builds the encoding; solver budget may be adjusted
-    /// between queries.
-    pub config: SessionConfig,
+    config: SessionConfig,
+    /// The current attempt's tick budget per solve call and absolute
+    /// deadline, applied to every solver the attempt encodes.
+    limits: (Option<u64>, Option<Instant>),
     bounds: LoopBounds,
     state: Option<State>,
     stats: SessionStats,
@@ -247,6 +207,7 @@ impl<'h> CheckSession<'h> {
             harness,
             test,
             config,
+            limits: (None, None),
             bounds: LoopBounds::new(),
             state: None,
             stats: SessionStats::default(),
@@ -254,6 +215,13 @@ impl<'h> CheckSession<'h> {
             fence_coords: BTreeMap::new(),
             last_provenance: None,
         }
+    }
+
+    /// Sets the resource limits of the next attempt: a tick budget per
+    /// solve call, and one absolute deadline that covers every solve
+    /// call and bound-growth round of the attempt.
+    pub(crate) fn set_limits(&mut self, tick_budget: Option<u64>, deadline_at: Option<Instant>) {
+        self.limits = (tick_budget, deadline_at);
     }
 
     /// Takes (and clears) the provenance of the most recent inclusion
@@ -378,21 +346,23 @@ impl<'h> CheckSession<'h> {
 
     /// The
     /// [`QueryKind::CheckInclusion`](crate::query::QueryKind::CheckInclusion)
-    /// body: toggle sites are just assumption polarities. Phase
-    /// timings accumulate into `stats` — also on the error path — and
-    /// the caller stamps `total_time`.
+    /// body: toggle sites are just assumption polarities. A PASS core
+    /// is minimized and verified as `check` says. Phase timings
+    /// accumulate into `stats` — also on the error path — and the
+    /// caller stamps `total_time`.
     pub(crate) fn query_inclusion(
         &mut self,
         model: ModelSel,
         spec: &ObsSet,
         active_toggles: &[u32],
+        check: &CheckConfig,
         stats: &mut PhaseStats,
     ) -> Result<CheckOutcome, CheckError> {
         self.stats.queries += 1;
         self.last_provenance = None;
         let prov = self.config.provenance;
-        let min_ticks = self.config.core_minimize_ticks;
-        let verify = self.config.verify_cores;
+        let min_ticks = check.core_minimize_ticks;
+        let verify = check.verify_cores;
         // Building the state populates `fence_coords` (the fence-wrap
         // pass runs there); force it before snapshotting the map, or
         // the very first query would see no coordinates.
@@ -593,8 +563,8 @@ impl<'h> CheckSession<'h> {
             });
         }
         let st = self.state.as_mut().expect("state built");
-        st.enc.cnf.solver.set_tick_budget(self.config.tick_budget);
-        st.enc.cnf.solver.set_deadline(self.config.deadline_at);
+        st.enc.cnf.solver.set_tick_budget(self.limits.0);
+        st.enc.cnf.solver.set_deadline(self.limits.1);
         // The trace observer on the solver: re-armed on every query so
         // enabling/disabling tracing between batches takes effect. Each
         // solve call reports its result and counter deltas into the
@@ -696,7 +666,7 @@ impl<'h> CheckSession<'h> {
             &mut PhaseStats,
         ) -> Result<Round<T>, CheckError>,
     ) -> Result<T, CheckError> {
-        for round in 0..self.config.max_bound_rounds {
+        for round in 0..MAX_BOUND_ROUNDS {
             stats.bound_rounds = round + 1;
             self.ensure_state(stats)?;
             let st = self.state.as_mut().expect("state built");

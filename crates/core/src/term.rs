@@ -91,11 +91,6 @@ impl TermArena {
         self.vterms.len()
     }
 
-    /// Number of boolean terms.
-    pub fn num_bterms(&self) -> usize {
-        self.bterms.len()
-    }
-
     /// Interns a value term.
     pub fn vterm(&mut self, t: VTerm) -> VTermId {
         if let Some(&id) = self.vhash.get(&t) {

@@ -166,6 +166,47 @@ pub struct OpSig {
     pub has_ret: bool,
 }
 
+impl OpSig {
+    /// Parses an operation declaration `KEY=PROC[:arg][:ret]`, with
+    /// optional whitespace around each part: `p = put : arg` declares
+    /// the one-argument operation `p` calling `put`.
+    ///
+    /// # Errors
+    ///
+    /// The reason the declaration is malformed; callers prefix it with
+    /// where the declaration came from.
+    pub fn parse(decl: &str) -> Result<OpSig, String> {
+        let (key, rest) = decl
+            .split_once('=')
+            .ok_or("expected KEY=PROC[:arg][:ret]")?;
+        let mut key_chars = key.trim().chars();
+        let key = match (key_chars.next(), key_chars.next()) {
+            (Some(c), None) => c,
+            _ => return Err("KEY must be one character".into()),
+        };
+        let mut parts = rest.split(':');
+        let proc_name = parts.next().unwrap_or_default().trim().to_string();
+        if proc_name.is_empty() {
+            return Err("missing procedure name".into());
+        }
+        let mut num_args = 0;
+        let mut has_ret = false;
+        for flag in parts {
+            match flag.trim() {
+                "arg" => num_args = 1,
+                "ret" => has_ret = true,
+                other => return Err(format!("unknown flag `{other}`")),
+            }
+        }
+        Ok(OpSig {
+            key,
+            proc_name,
+            num_args,
+            has_ret,
+        })
+    }
+}
+
 /// A checkable subject: a compiled program, its operation table and the
 /// initialization entry point.
 #[derive(Clone, Debug)]

@@ -71,7 +71,7 @@ fn starved_budget_is_a_verdict_not_an_error() {
 
     // The pooled session survived the exhaustion: lifting the budget
     // answers the same query conclusively on the same encoding.
-    engine.config_mut().check.tick_budget = None;
+    engine.check_mut().tick_budget = None;
     let v = engine.run(&q).expect("runs");
     assert!(v.passed(), "the fenced mailbox passes on relaxed");
     assert_eq!(engine.stats().sessions, 1, "no session was rebuilt");
@@ -97,25 +97,6 @@ fn retry_ladder_escalates_until_the_query_fits() {
         v.stats.retries > 0,
         "a 1-tick initial budget cannot decide the mailbox in one attempt"
     );
-}
-
-/// A per-query budget override beats the engine-wide setting.
-#[test]
-fn per_query_budget_overrides_the_engine_default() {
-    let (h, t) = mailbox();
-    let spec = mine_reference(&h, &t).expect("mines").spec;
-    let mut config = EngineConfig::single(Mode::Relaxed);
-    config.check.max_retries = 0;
-    // Engine-wide: unbudgeted. The query starves itself.
-    let mut engine = Engine::new(config);
-    let v = engine
-        .run(
-            &Query::check_inclusion(&h, &t, spec)
-                .on(Mode::Relaxed)
-                .with_budget(1),
-        )
-        .expect("runs");
-    assert_eq!(v.inconclusive(), Some(InconclusiveReason::Budget));
 }
 
 /// An already-expired wall-clock deadline resolves to

@@ -125,11 +125,6 @@ impl ProcBuilder {
         });
     }
 
-    /// Emits `dst = value` into an existing register.
-    pub fn const_into(&mut self, dst: Reg, value: Value) {
-        self.push(Stmt::Const { dst, value });
-    }
-
     /// Copies `src` into `dst`.
     pub fn copy_into(&mut self, dst: Reg, src: Reg) {
         self.prim_into(dst, PrimOp::Id, &[src]);

@@ -12,7 +12,6 @@
 //! The interpreter executes under sequential-consistency-with-atomicity
 //! semantics: memory is a flat map, fences are no-ops.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::layout::{AddressSpace, BaseDef, MemType};
@@ -98,10 +97,18 @@ enum Flow {
 pub struct Machine<'p> {
     program: &'p Program,
     space: AddressSpace,
-    memory: HashMap<Vec<u32>, Value>,
+    memory: Memory,
     fuel: u64,
     allocs: u32,
 }
+
+/// Concrete memory by address.
+#[allow(
+    clippy::disallowed_types,
+    reason = "read and written by key, never iterated; hashed because every \
+              workload's specification mining runs the interpreter"
+)]
+type Memory = std::collections::HashMap<Vec<u32>, Value>;
 
 const DEFAULT_FUEL: u64 = 200_000;
 
@@ -126,7 +133,7 @@ impl<'p> Machine<'p> {
         Machine {
             program,
             space,
-            memory: HashMap::new(),
+            memory: Memory::new(),
             fuel: DEFAULT_FUEL,
             allocs: 0,
         }

@@ -6,7 +6,7 @@
 //! [`MemType`]. A *scalar location* is a full path from a base to a leaf;
 //! loads and stores must target scalar locations.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifies a struct definition in a [`TypeTable`].
@@ -40,21 +40,11 @@ pub struct StructDef {
     pub fields: Vec<(String, MemType)>,
 }
 
-impl StructDef {
-    /// The offset of the named field.
-    pub fn field_offset(&self, name: &str) -> Option<u32> {
-        self.fields
-            .iter()
-            .position(|(n, _)| n == name)
-            .map(|i| i as u32)
-    }
-}
-
 /// All struct definitions of a program.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct TypeTable {
     structs: Vec<StructDef>,
-    by_name: HashMap<String, StructId>,
+    by_name: BTreeMap<String, StructId>,
 }
 
 impl TypeTable {

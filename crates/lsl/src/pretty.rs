@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use crate::program::{Procedure, Program};
+use crate::program::Procedure;
 use crate::stmt::Stmt;
 
 /// Renders a single statement on one line (blocks render their header).
@@ -119,18 +119,6 @@ pub fn procedure_text(p: &Procedure) -> String {
     out.push_str(" {\n");
     write_stmts(&mut out, &p.body, 1);
     out.push_str("}\n");
-    out
-}
-
-/// Renders a whole program.
-pub fn program_text(p: &Program) -> String {
-    let mut out = String::new();
-    for g in &p.globals {
-        let _ = writeln!(out, "global {};", g.name);
-    }
-    for proc in &p.procedures {
-        out.push_str(&procedure_text(proc));
-    }
     out
 }
 

@@ -1,6 +1,6 @@
 //! Whole-program structure: procedures, globals and types.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::layout::{MemType, TypeTable};
 use crate::stmt::{ProcId, Reg, Stmt};
@@ -73,7 +73,7 @@ pub struct Program {
     pub globals: Vec<GlobalDef>,
     /// All procedures.
     pub procedures: Vec<Procedure>,
-    by_name: HashMap<String, ProcId>,
+    by_name: BTreeMap<String, ProcId>,
 }
 
 impl Program {
@@ -97,13 +97,6 @@ impl Program {
         self.by_name.insert(proc.name.clone(), id);
         self.procedures.push(proc);
         id
-    }
-
-    /// Replaces an existing procedure body (used by fence-variant tooling).
-    pub fn replace_procedure(&mut self, id: ProcId, proc: Procedure) {
-        self.by_name.remove(&self.procedures[id.index()].name);
-        self.by_name.insert(proc.name.clone(), id);
-        self.procedures[id.index()] = proc;
     }
 
     /// Adds a global variable; returns its base address.

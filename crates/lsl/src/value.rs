@@ -53,11 +53,6 @@ impl Value {
         matches!(self, Value::Undefined)
     }
 
-    /// `true` if this is an integer.
-    pub fn is_int(&self) -> bool {
-        matches!(self, Value::Int(_))
-    }
-
     /// `true` if this is a pointer.
     pub fn is_ptr(&self) -> bool {
         matches!(self, Value::Ptr(_))

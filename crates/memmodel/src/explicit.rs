@@ -8,7 +8,7 @@
 //! the *oracle* against which the SAT encoding is validated, and the
 //! reference for the Fig. 2 experiment.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use cf_lsl::{FenceKind, MemOrder, Value};
 
@@ -43,7 +43,7 @@ pub struct ConcreteTrace {
     pub threads: Vec<Vec<TraceItem>>,
     /// Initial memory values `i(a)`; locations absent here start
     /// undefined.
-    pub init: HashMap<Vec<u32>, Value>,
+    pub init: BTreeMap<Vec<u32>, Value>,
 }
 
 #[derive(Clone, Debug)]
@@ -195,7 +195,7 @@ impl ConcreteTrace {
 
     /// Value axioms 2–3 for a candidate total order.
     fn check_values(&self, accesses: &[Access], order: &[usize], mode: Mode) -> bool {
-        let pos: HashMap<usize, usize> = order.iter().enumerate().map(|(p, &a)| (a, p)).collect();
+        let pos: BTreeMap<usize, usize> = order.iter().enumerate().map(|(p, &a)| (a, p)).collect();
         for (l_idx, l) in accesses.iter().enumerate() {
             if l.kind != AccessKind::Load {
                 continue;
@@ -355,7 +355,7 @@ impl Litmus {
         ) {
             if order.len() == accesses.len() {
                 // Derive load values from the order.
-                let pos: HashMap<usize, usize> =
+                let pos: BTreeMap<usize, usize> =
                     order.iter().enumerate().map(|(p, &a)| (a, p)).collect();
                 let mut regs = vec![0i64; num_regs];
                 for (l_idx, l) in accesses.iter().enumerate() {
@@ -487,7 +487,7 @@ mod tests {
                     },
                 ],
             ],
-            init: HashMap::from([(vec![0], Value::Int(0)), (vec![1], Value::Int(0))]),
+            init: BTreeMap::from([(vec![0], Value::Int(0)), (vec![1], Value::Int(0))]),
         };
         assert!(mk(1).allowed(Mode::Relaxed));
         assert!(
@@ -537,7 +537,7 @@ mod tests {
                     },
                 ],
             ],
-            init: HashMap::from([(vec![0], Value::Int(0))]),
+            init: BTreeMap::from([(vec![0], Value::Int(0))]),
         };
         assert!(mk(0, 1).allowed(Mode::Sc));
         assert!(mk(1, 0).allowed(Mode::Sc));

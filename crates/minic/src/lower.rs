@@ -18,7 +18,7 @@
 //! that pointers to them are ordinary LSL pointers; plain locals live in
 //! registers.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use cf_lsl::{
     BlockTag, FenceKind, MemOrder, MemType, PrimOp, ProcBuilder, ProcId, Program, Reg, StructDef,
@@ -57,10 +57,10 @@ struct Signature {
 
 struct Lowerer {
     program: Program,
-    struct_ids: HashMap<String, StructId>,
-    struct_fields: HashMap<String, Vec<StructField>>,
-    globals: HashMap<String, (u32, CType, Option<u32>)>,
-    signatures: HashMap<String, Signature>,
+    struct_ids: BTreeMap<String, StructId>,
+    struct_fields: BTreeMap<String, Vec<StructField>>,
+    globals: BTreeMap<String, (u32, CType, Option<u32>)>,
+    signatures: BTreeMap<String, Signature>,
     cell_id: Option<StructId>,
 }
 
@@ -68,10 +68,10 @@ impl Lowerer {
     fn new() -> Self {
         Lowerer {
             program: Program::new(),
-            struct_ids: HashMap::new(),
-            struct_fields: HashMap::new(),
-            globals: HashMap::new(),
-            signatures: HashMap::new(),
+            struct_ids: BTreeMap::new(),
+            struct_fields: BTreeMap::new(),
+            globals: BTreeMap::new(),
+            signatures: BTreeMap::new(),
             cell_id: None,
         }
     }
@@ -136,7 +136,7 @@ impl Lowerer {
     }
 
     fn collect_signatures(&mut self, ast: &Ast) -> Result<(), MinicError> {
-        let mut defined = HashSet::new();
+        let mut defined = BTreeSet::new();
         for item in &ast.items {
             if let Item::Func(f) = item {
                 if f.body.is_some() && !defined.insert(f.name.as_str()) {
@@ -221,8 +221,8 @@ struct FnLowerer<'a> {
     lx: &'a Lowerer,
     f: &'a Func,
     b: ProcBuilder,
-    scopes: Vec<HashMap<String, Slot>>,
-    addressable: HashSet<String>,
+    scopes: Vec<BTreeMap<String, Slot>>,
+    addressable: BTreeSet<String>,
     ret_reg: Option<Reg>,
     exit_tag: BlockTag,
     loops: Vec<(BlockTag, ContinueTarget)>,
@@ -250,7 +250,7 @@ impl<'a> FnLowerer<'a> {
             lx,
             f,
             b,
-            scopes: vec![HashMap::new()],
+            scopes: vec![BTreeMap::new()],
             addressable,
             ret_reg,
             exit_tag,
@@ -305,7 +305,7 @@ impl<'a> FnLowerer<'a> {
     // ------------------------------------------------------------ statements
 
     fn lower_stmts(&mut self, stmts: &[CStmt]) -> Result<(), MinicError> {
-        self.scopes.push(HashMap::new());
+        self.scopes.push(BTreeMap::new());
         for s in stmts {
             self.lower_stmt(s)?;
         }
@@ -977,9 +977,9 @@ fn tv_type(a: &CType, b: &CType) -> CType {
 }
 
 /// Collects names whose address is taken anywhere in the body.
-fn collect_addressable(stmts: &[CStmt]) -> HashSet<String> {
-    let mut out = HashSet::new();
-    fn walk_expr(e: &CExpr, out: &mut HashSet<String>) {
+fn collect_addressable(stmts: &[CStmt]) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    fn walk_expr(e: &CExpr, out: &mut BTreeSet<String>) {
         match e {
             CExpr::Unary {
                 op: UnOp::AddrOf,
@@ -1017,7 +1017,7 @@ fn collect_addressable(stmts: &[CStmt]) -> HashSet<String> {
             CExpr::Num(_) | CExpr::Ident(_) | CExpr::Str(_) => {}
         }
     }
-    fn walk(stmts: &[CStmt], out: &mut HashSet<String>) {
+    fn walk(stmts: &[CStmt], out: &mut BTreeSet<String>) {
         for s in stmts {
             match s {
                 CStmt::Block(b) | CStmt::Atomic(b) => walk(b, out),

@@ -5,7 +5,7 @@
 //! functions, loops, `atomic` blocks, `fence("...")` calls, casts, and the
 //! `spinwhile` / `commit` extensions described in the crate docs.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{CBinOp, CExpr, CStmt, CType, Func, Item, StructField, UnOp};
 use crate::error::MinicError;
@@ -30,9 +30,9 @@ pub fn parse(source: &str) -> Result<Ast, MinicError> {
     let mut p = Parser {
         tokens,
         pos: 0,
-        typedefs: HashMap::new(),
-        struct_names: HashSet::new(),
-        enum_consts: HashMap::new(),
+        typedefs: BTreeMap::new(),
+        struct_names: BTreeSet::new(),
+        enum_consts: BTreeMap::new(),
     };
     p.parse_unit()
 }
@@ -40,9 +40,9 @@ pub fn parse(source: &str) -> Result<Ast, MinicError> {
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
-    typedefs: HashMap<String, CType>,
-    struct_names: HashSet<String>,
-    enum_consts: HashMap<String, i64>,
+    typedefs: BTreeMap<String, CType>,
+    struct_names: BTreeSet<String>,
+    enum_consts: BTreeMap<String, i64>,
 }
 
 const BASE_TYPES: &[&str] = &["int", "unsigned", "long", "short", "char", "bool", "void"];

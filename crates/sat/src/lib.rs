@@ -59,6 +59,6 @@ pub mod dimacs;
 pub mod faults;
 pub mod xorshift;
 
-pub use solver::{SolveEvent, SolveHook, SolveResult, Solver, SolverConfig, StopCause};
+pub use solver::{SolveEvent, SolveHook, SolveResult, Solver, StopCause};
 pub use stats::Stats;
 pub use types::{LBool, Lit, Var};

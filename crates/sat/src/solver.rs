@@ -29,8 +29,6 @@ pub enum SolveResult {
 /// [`SolveResult::Unknown`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StopCause {
-    /// The conflict budget ([`Solver::set_conflict_budget`]) ran out.
-    ConflictBudget,
     /// The deterministic tick budget ([`Solver::set_tick_budget`]) ran out.
     TickBudget,
     /// The wall-clock deadline ([`Solver::set_deadline`]) passed.
@@ -81,36 +79,6 @@ struct Watcher {
     blocker: Lit,
 }
 
-/// Feature toggles for ablation studies (everything on by default).
-///
-/// The toggles never affect soundness — only search dynamics — which the
-/// property tests verify by running every configuration against a
-/// brute-force oracle.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct SolverConfig {
-    /// Luby-sequence restarts. Off: a single uninterrupted search.
-    pub restarts: bool,
-    /// Phase saving (re-decide variables with their last polarity).
-    /// Off: always decide `false` first.
-    pub phase_saving: bool,
-    /// EVSIDS decision ordering (bump + decay). Off: activities stay
-    /// flat and decisions follow the static variable order.
-    pub vsids: bool,
-    /// Learnt-clause database reduction. Off: keep every learnt clause.
-    pub db_reduction: bool,
-}
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            restarts: true,
-            phase_saving: true,
-            vsids: true,
-            db_reduction: true,
-        }
-    }
-}
-
 /// An incremental CDCL SAT solver.
 ///
 /// # Examples
@@ -159,11 +127,9 @@ pub struct Solver {
 
     max_learnts: f64,
     stats: Stats,
-    conflict_budget: Option<u64>,
     tick_budget: Option<u64>,
     deadline: Option<std::time::Instant>,
     stop_cause: Option<StopCause>,
-    config: SolverConfig,
     solve_hook: Option<SolveHook>,
 }
 
@@ -204,25 +170,11 @@ impl Solver {
             clause_buf: Vec::new(),
             max_learnts: 0.0,
             stats: Stats::default(),
-            conflict_budget: None,
             tick_budget: None,
             deadline: None,
             stop_cause: None,
-            config: SolverConfig::default(),
             solve_hook: None,
         }
-    }
-
-    /// Creates an empty solver with the given feature toggles.
-    pub fn with_config(config: SolverConfig) -> Self {
-        let mut s = Self::new();
-        s.config = config;
-        s
-    }
-
-    /// The active feature toggles.
-    pub fn config(&self) -> SolverConfig {
-        self.config
     }
 
     /// Creates a fresh variable.
@@ -252,21 +204,9 @@ impl Solver {
         self.db.num_original
     }
 
-    /// Number of live learnt clauses.
-    pub fn num_learnts(&self) -> usize {
-        self.db.num_learnt
-    }
-
     /// Cumulative statistics.
     pub fn stats(&self) -> &Stats {
         &self.stats
-    }
-
-    /// Limits the next `solve` calls to roughly `conflicts` conflicts;
-    /// `None` removes the limit. When the budget is exhausted `solve`
-    /// returns [`SolveResult::Unknown`].
-    pub fn set_conflict_budget(&mut self, conflicts: Option<u64>) {
-        self.conflict_budget = conflicts;
     }
 
     /// Limits the next `solve` calls to roughly `ticks` *ticks*, where a
@@ -301,12 +241,6 @@ impl Solver {
     /// or `None` if it returned a definite answer.
     pub fn stop_cause(&self) -> Option<StopCause> {
         self.stop_cause
-    }
-
-    /// `true` if the clause set has been proven unsatisfiable at level 0
-    /// (no `solve` call can succeed anymore).
-    pub fn is_known_unsat(&self) -> bool {
-        self.unsat
     }
 
     /// Adds a clause. Returns `false` if the formula is now known to be
@@ -426,16 +360,11 @@ impl Solver {
             return SolveResult::Unknown;
         }
         self.max_learnts = (self.db.num_original as f64 / 3.0).max(4000.0);
-        let budget_start = self.stats.conflicts;
         let tick_start = self.ticks();
         let mut restart_round = 0u32;
         loop {
-            let conflict_limit = if self.config.restarts {
-                100 * luby(2.0, restart_round) as u64
-            } else {
-                u64::MAX
-            };
-            match self.search(conflict_limit, assumptions, budget_start, tick_start) {
+            let conflict_limit = 100 * luby(2.0, restart_round) as u64;
+            match self.search(conflict_limit, assumptions, tick_start) {
                 Some(r) => return r,
                 None => {
                     // Restart.
@@ -466,7 +395,6 @@ impl Solver {
         &mut self,
         conflict_limit: u64,
         assumptions: &[Lit],
-        budget_start: u64,
         tick_start: u64,
     ) -> Option<SolveResult> {
         let mut conflicts_here = 0u64;
@@ -484,9 +412,9 @@ impl Solver {
                 self.cancel_until(bt_level);
                 self.record_learnt(learnt, lbd);
                 self.decay_activities();
-                if let Some(cause) = self.exhausted(budget_start, tick_start) {
+                if self.exhausted(tick_start) {
                     self.cancel_until(0);
-                    self.stop_cause = Some(cause);
+                    self.stop_cause = Some(StopCause::TickBudget);
                     return Some(SolveResult::Unknown);
                 }
                 if self
@@ -505,9 +433,9 @@ impl Solver {
                 // Tick exhaustion depends only on the deterministic
                 // decision/propagation sequence; the wall clock is sampled
                 // every few hundred decisions to keep the hot path cheap.
-                if let Some(cause) = self.exhausted(budget_start, tick_start) {
+                if self.exhausted(tick_start) {
                     self.cancel_until(0);
-                    self.stop_cause = Some(cause);
+                    self.stop_cause = Some(StopCause::TickBudget);
                     return Some(SolveResult::Unknown);
                 }
                 if self
@@ -525,7 +453,7 @@ impl Solver {
                     self.cancel_until(0);
                     return None;
                 }
-                if self.config.db_reduction && self.db.num_learnt as f64 >= self.max_learnts {
+                if self.db.num_learnt as f64 >= self.max_learnts {
                     self.reduce_db();
                 }
                 // Place assumptions first, then decide.
@@ -567,21 +495,12 @@ impl Solver {
         }
     }
 
-    /// Deterministic budget checks (conflict and tick); `None` while both
-    /// budgets still have headroom.
+    /// The deterministic tick budget check: `true` once the budget has
+    /// no headroom left.
     #[inline]
-    fn exhausted(&self, budget_start: u64, tick_start: u64) -> Option<StopCause> {
-        if let Some(b) = self.conflict_budget {
-            if self.stats.conflicts - budget_start >= b {
-                return Some(StopCause::ConflictBudget);
-            }
-        }
-        if let Some(b) = self.tick_budget {
-            if self.ticks() - tick_start >= b {
-                return Some(StopCause::TickBudget);
-            }
-        }
-        None
+    fn exhausted(&self, tick_start: u64) -> bool {
+        self.tick_budget
+            .is_some_and(|b| self.ticks() - tick_start >= b)
     }
 
     #[inline]
@@ -603,7 +522,7 @@ impl Solver {
     fn pick_branch_lit(&mut self) -> Option<Lit> {
         while let Some(v) = self.order.pop_max(&self.activity) {
             if self.assigns[v.index()].is_undef() {
-                let phase = self.config.phase_saving && self.saved_phase[v.index()];
+                let phase = self.saved_phase[v.index()];
                 return Some(v.lit(phase));
             }
         }
@@ -904,10 +823,8 @@ impl Solver {
     /// most recent solve was not Unsat).
     pub fn minimize_core(&mut self, ticks: Option<u64>) -> Option<(Vec<Lit>, bool)> {
         let mut core = self.last_core.clone()?;
-        let saved_conflicts = self.conflict_budget;
         let saved_ticks = self.tick_budget;
         let saved_deadline = self.deadline;
-        self.conflict_budget = None;
         self.deadline = None;
         let mut remaining = ticks;
         let mut complete = true;
@@ -945,7 +862,6 @@ impl Solver {
                 break;
             }
         }
-        self.conflict_budget = saved_conflicts;
         self.tick_budget = saved_ticks;
         self.deadline = saved_deadline;
         // The probes are internal: the last *query* answer was Unsat, so
@@ -985,9 +901,6 @@ impl Solver {
     // ------------------------------------------------------------ activities
 
     fn bump_var(&mut self, v: Var) {
-        if !self.config.vsids {
-            return;
-        }
         self.activity[v.index()] += self.var_inc;
         if self.activity[v.index()] > RESCALE_LIMIT {
             for a in &mut self.activity {
@@ -1223,27 +1136,6 @@ mod tests {
         assert_eq!(s.solve_with(&[a]), SolveResult::Sat);
     }
 
-    #[test]
-    fn budget_exhaustion_returns_unknown() {
-        // A moderately hard instance with a 1-conflict budget.
-        let mut s = Solver::new();
-        let v = |p: i64, h: i64| (p - 1) * 4 + h;
-        for p in 1..=5 {
-            clause(&mut s, &[v(p, 1), v(p, 2), v(p, 3), v(p, 4)]);
-        }
-        for h in 1..=4 {
-            for p1 in 1..=5 {
-                for p2 in (p1 + 1)..=5 {
-                    clause(&mut s, &[-v(p1, h), -v(p2, h)]);
-                }
-            }
-        }
-        s.set_conflict_budget(Some(1));
-        assert_eq!(s.solve(), SolveResult::Unknown);
-        s.set_conflict_budget(None);
-        assert_eq!(s.solve(), SolveResult::Unsat);
-    }
-
     /// PHP(5,4): small but guaranteed to take real search effort.
     fn pigeonhole_5_into_4(s: &mut Solver) {
         let v = |p: i64, h: i64| (p - 1) * 4 + h;
@@ -1309,15 +1201,6 @@ mod tests {
         assert_eq!(s.stop_cause(), Some(StopCause::Deadline));
         s.set_deadline(None);
         assert_eq!(s.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn conflict_budget_cause_is_distinguished_from_ticks() {
-        let mut s = Solver::new();
-        pigeonhole_5_into_4(&mut s);
-        s.set_conflict_budget(Some(1));
-        assert_eq!(s.solve(), SolveResult::Unknown);
-        assert_eq!(s.stop_cause(), Some(StopCause::ConflictBudget));
     }
 
     #[test]
@@ -1443,19 +1326,18 @@ mod tests {
         let b = s.new_var().positive();
         s.add_clause([!a, !b]);
         s.set_tick_budget(Some(10_000));
-        s.set_conflict_budget(Some(10_000));
         assert_eq!(s.solve_with(&[a, b]), SolveResult::Unsat);
         let _ = s.minimize_core(Some(1_000));
         assert_eq!(s.tick_budget, Some(10_000));
-        assert_eq!(s.conflict_budget, Some(10_000));
     }
 
     #[test]
     fn dead_words_stay_below_the_compaction_threshold() {
         // Seeded random 3-SAT near the threshold reduces the learnt
-        // database several times. Solving in 200-conflict slices (each
-        // solve resets the limit to 4000 learnt clauses, so a slice holds
-        // at most one reduction) inspects the arena after every one.
+        // database several times. Solving in 10,000-tick slices (at most
+        // 200 conflicts here; each solve resets the limit to 4000 learnt
+        // clauses, so a slice holds at most one reduction) inspects the
+        // arena after every one.
         let mut rng = crate::xorshift::Rng::new(4);
         let mut s = Solver::new();
         for _ in 0..220 {
@@ -1467,7 +1349,7 @@ mod tests {
                 .collect();
             s.add_clause(c);
         }
-        s.set_conflict_budget(Some(200));
+        s.set_tick_budget(Some(10_000));
         let (mut reductions, mut compactions, mut words) = (0, 0, s.db.words());
         let result = loop {
             let r = s.solve();

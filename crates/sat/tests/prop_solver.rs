@@ -38,24 +38,27 @@ fn random_cnf(rng: &mut Rng, max_vars: usize, max_clauses: usize) -> Cnf {
 
 #[test]
 fn solver_matches_brute_force() {
-    let mut rng = Rng::new(0xcf01);
-    for _ in 0..300 {
-        let cnf = random_cnf(&mut rng, 8, 24);
-        let mut s = cnf.to_solver();
-        let expected = brute_force_sat(&cnf);
-        match s.solve() {
-            SolveResult::Sat => {
-                assert!(expected, "solver said SAT but formula is UNSAT: {cnf:?}");
-                // The model must satisfy the formula (unassigned vars are free).
-                let model: Vec<bool> = (0..cnf.num_vars)
-                    .map(|i| s.value(Var::from_index(i)).unwrap_or(false))
-                    .collect();
-                assert!(cnf.eval(&model), "returned model does not satisfy {cnf:?}");
+    // (seed, variables, maximum clauses, formulas)
+    for (seed, vars, clauses, formulas) in [(0xcf01, 8, 24, 300), (0xcf04, 7, 20, 48)] {
+        let mut rng = Rng::new(seed);
+        for _ in 0..formulas {
+            let cnf = random_cnf(&mut rng, vars, clauses);
+            let mut s = cnf.to_solver();
+            let expected = brute_force_sat(&cnf);
+            match s.solve() {
+                SolveResult::Sat => {
+                    assert!(expected, "solver said SAT but formula is UNSAT: {cnf:?}");
+                    // The model must satisfy the formula (unassigned vars are free).
+                    let model: Vec<bool> = (0..cnf.num_vars)
+                        .map(|i| s.value(Var::from_index(i)).unwrap_or(false))
+                        .collect();
+                    assert!(cnf.eval(&model), "returned model does not satisfy {cnf:?}");
+                }
+                SolveResult::Unsat => {
+                    assert!(!expected, "solver said UNSAT but formula is SAT: {cnf:?}");
+                }
+                SolveResult::Unknown => panic!("no budget was set"),
             }
-            SolveResult::Unsat => {
-                assert!(!expected, "solver said UNSAT but formula is SAT: {cnf:?}");
-            }
-            SolveResult::Unknown => panic!("no budget was set"),
         }
     }
 }
@@ -122,78 +125,5 @@ fn assumptions_are_sound() {
         // And the solver is reusable afterwards without the assumptions.
         let plain = s.solve();
         assert_eq!(plain == SolveResult::Sat, brute_force_sat(&cnf), "{cnf:?}");
-    }
-}
-
-/// All 16 feature-toggle combinations.
-fn all_configs() -> Vec<cf_sat::SolverConfig> {
-    let mut out = Vec::new();
-    for bits in 0u8..16 {
-        out.push(cf_sat::SolverConfig {
-            restarts: bits & 1 != 0,
-            phase_saving: bits & 2 != 0,
-            vsids: bits & 4 != 0,
-            db_reduction: bits & 8 != 0,
-        });
-    }
-    out
-}
-
-#[test]
-fn every_ablation_config_is_sound() {
-    let mut rng = Rng::new(0xcf04);
-    for _ in 0..48 {
-        // The toggles change search dynamics only: every configuration
-        // must agree with brute force, and SAT models must satisfy the
-        // formula.
-        let cnf = random_cnf(&mut rng, 7, 20);
-        let expected = brute_force_sat(&cnf);
-        for config in all_configs() {
-            let mut s = cf_sat::Solver::with_config(config);
-            for _ in 0..cnf.num_vars {
-                s.new_var();
-            }
-            for c in &cnf.clauses {
-                s.add_clause(c.iter().copied());
-            }
-            match s.solve() {
-                SolveResult::Sat => {
-                    assert!(expected, "{config:?}: SAT on an UNSAT formula");
-                    let model: Vec<bool> = (0..cnf.num_vars)
-                        .map(|i| s.value(Var::from_index(i)).unwrap_or(false))
-                        .collect();
-                    assert!(cnf.eval(&model), "{config:?}: bad model");
-                }
-                SolveResult::Unsat => {
-                    assert!(!expected, "{config:?}: UNSAT on a SAT formula");
-                }
-                SolveResult::Unknown => panic!("no budget was set"),
-            }
-        }
-    }
-}
-
-/// Pigeonhole (4 pigeons, 3 holes): a classic resolution-hard UNSAT
-/// instance, solved under every ablation configuration.
-#[test]
-fn pigeonhole_unsat_under_every_config() {
-    const P: usize = 4;
-    const H: usize = 3;
-    for config in all_configs() {
-        let mut s = cf_sat::Solver::with_config(config);
-        let vars: Vec<Vec<Lit>> = (0..P)
-            .map(|_| (0..H).map(|_| s.new_var().positive()).collect())
-            .collect();
-        for p in vars.iter() {
-            s.add_clause(p.iter().copied()); // each pigeon sits somewhere
-        }
-        for a in 0..P {
-            for b in a + 1..P {
-                for (&x, &y) in vars[a].iter().zip(&vars[b]) {
-                    s.add_clause([!x, !y]); // no hole sharing
-                }
-            }
-        }
-        assert_eq!(s.solve(), SolveResult::Unsat, "{config:?}");
     }
 }

@@ -39,7 +39,7 @@
 //! legacy oracle: atomic blocks execute in program order and
 //! contiguously, and initial values are read when no store is visible.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use cf_lsl::{FenceSem, MemOrder, Value};
 use cf_memmodel::{sem_orders, AccessKind, ConcreteTrace, Litmus, LitmusOp, TraceItem};
@@ -454,14 +454,6 @@ impl LastStores {
 /// members of the open atomic block, last placed store per address).
 type PrefixKey = (Mask, Mask, LastStores);
 
-/// Initial values by address: the type of [`ConcreteTrace::init`], which
-/// `cf-memmodel` defines.
-#[allow(
-    clippy::disallowed_types,
-    reason = "the field type of cf_memmodel::ConcreteTrace; read by key, never iterated"
-)]
-type InitValues = std::collections::HashMap<Vec<u32>, Value>;
-
 /// A set of dead search prefixes.
 #[allow(
     clippy::disallowed_types,
@@ -473,7 +465,7 @@ type DeadPrefixes = std::collections::HashSet<PrefixKey>;
 struct TraceSearch<'a> {
     prog: &'a Prog,
     values: &'a [Value],
-    init: &'a InitValues,
+    init: &'a BTreeMap<Vec<u32>, Value>,
     forwarding: bool,
     compiled: &'a CompiledStatic<'a>,
     /// Per event: its address, as an index into the trace's distinct
@@ -497,7 +489,7 @@ impl<'a> TraceSearch<'a> {
     fn new(
         prog: &'a Prog,
         values: &'a [Value],
-        init: &'a InitValues,
+        init: &'a BTreeMap<Vec<u32>, Value>,
         forwarding: bool,
         compiled: &'a CompiledStatic<'a>,
     ) -> Self {
@@ -632,7 +624,7 @@ fn positions(order: &[usize]) -> Vec<usize> {
 fn trace_values_ok(
     prog: &Prog,
     values: &[Value],
-    init: &InitValues,
+    init: &BTreeMap<Vec<u32>, Value>,
     pos: &[usize],
     forwarding: bool,
 ) -> Option<Vec<Option<usize>>> {
@@ -989,7 +981,7 @@ mod tests {
                     },
                 ],
             ],
-            init: InitValues::from([(vec![0], Value::Int(0)), (vec![1], Value::Int(0))]),
+            init: BTreeMap::from([(vec![0], Value::Int(0)), (vec![1], Value::Int(0))]),
         };
         assert!(!trace_allowed(&trace, &relaxed));
         assert_eq!(
@@ -1028,7 +1020,7 @@ mod tests {
                 vec![access(AccessKind::Store, 1)],
                 vec![access(AccessKind::Load, 5)],
             ],
-            init: InitValues::from([(vec![0], Value::Int(0))]),
+            init: BTreeMap::from([(vec![0], Value::Int(0))]),
         };
         assert!(!trace_allowed(&trace, &sc));
         assert!(violated_axioms(&trace, &sc).is_empty());
@@ -1077,7 +1069,7 @@ mod tests {
                     },
                 ],
             ],
-            init: InitValues::from([(vec![0], Value::Int(0)), (vec![1], Value::Int(0))]),
+            init: BTreeMap::from([(vec![0], Value::Int(0)), (vec![1], Value::Int(0))]),
         };
         assert!(trace_allowed(&mk(1), &relaxed));
         assert!(

@@ -89,39 +89,6 @@ impl fmt::Display for CorpusLoadError {
 
 impl std::error::Error for CorpusLoadError {}
 
-fn parse_op(spec: &str) -> Result<OpSig, String> {
-    let (key, rest) = spec
-        .split_once('=')
-        .ok_or_else(|| format!("op `{spec}`: expected KEY = PROC[:arg][:ret]"))?;
-    let key = {
-        let mut chars = key.trim().chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => c,
-            _ => return Err(format!("op `{spec}`: KEY must be one character")),
-        }
-    };
-    let mut parts = rest.trim().split(':');
-    let proc_name = parts.next().unwrap_or_default().trim().to_string();
-    if proc_name.is_empty() {
-        return Err(format!("op `{spec}`: missing procedure name"));
-    }
-    let mut num_args = 0;
-    let mut has_ret = false;
-    for flag in parts {
-        match flag.trim() {
-            "arg" => num_args = 1,
-            "ret" => has_ret = true,
-            other => return Err(format!("op `{spec}`: unknown flag `{other}`")),
-        }
-    }
-    Ok(OpSig {
-        key,
-        proc_name,
-        num_args,
-        has_ret,
-    })
-}
-
 /// Loads one corpus entry from a mini-C file with `// cf:` directives.
 ///
 /// # Errors
@@ -178,7 +145,10 @@ pub fn load_file(path: &Path) -> Result<CorpusEntry, CorpusLoadError> {
                 }
                 init = Some((rest.to_string(), line_no));
             }
-            "op" => ops.push((parse_op(rest).map_err(at)?, line_no)),
+            "op" => {
+                let op = OpSig::parse(rest).map_err(|e| at(format!("op `{rest}`: {e}")))?;
+                ops.push((op, line_no));
+            }
             "test" => {
                 let (tname, text) = rest
                     .split_once('=')

@@ -20,7 +20,6 @@
 //!   maps a shape's observation set to itself. The reduction is built
 //!   into the symbolic encoding rather than applied here.
 
-use std::collections::HashSet;
 use std::hash::BuildHasherDefault;
 
 use checkfence::{FxHasher, OpInvocation, OpSig, TestSpec};
@@ -64,13 +63,6 @@ impl SynthBounds {
     #[must_use]
     pub fn with_init_ops(mut self, max_init_ops: usize) -> SynthBounds {
         self.max_init_ops = max_init_ops;
-        self
-    }
-
-    /// Sets the minimum thread count (chainable).
-    #[must_use]
-    pub fn with_min_threads(mut self, min_threads: usize) -> SynthBounds {
-        self.min_threads = min_threads;
         self
     }
 }
@@ -215,6 +207,13 @@ pub fn enumerate_ordered(ops: &[OpSig], bounds: &SynthBounds) -> Vec<TestSpec> {
     out
 }
 
+/// Canonical test names already kept.
+#[allow(
+    clippy::disallowed_types,
+    reason = "a membership memo; never iterated, so hash order cannot reach a result"
+)]
+type Seen = std::collections::HashSet<String, BuildHasherDefault<FxHasher>>;
+
 /// Enumerates every canonical bounded test shape over the operation
 /// universe `ops`.
 ///
@@ -225,7 +224,7 @@ pub fn enumerate_ordered(ops: &[OpSig], bounds: &SynthBounds) -> Vec<TestSpec> {
 /// `bounds`.
 pub fn synthesize(ops: &[OpSig], bounds: &SynthBounds) -> SynthCorpus {
     let ordered = enumerate_ordered(ops, bounds);
-    let mut seen: HashSet<String, BuildHasherDefault<FxHasher>> = HashSet::default();
+    let mut seen = Seen::default();
     let mut tests = Vec::new();
     let generated = ordered.len();
     for test in ordered {

@@ -64,8 +64,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::Mutex;
 
 /// Schema version stamped into every machine-readable artifact this
 /// crate renders (JSONL traces, metrics snapshots) and shared with the
@@ -172,7 +171,6 @@ static BATCH: AtomicU64 = AtomicU64::new(0);
 static COORD_STEP: AtomicU64 = AtomicU64::new(0);
 static COORD_ND: AtomicU64 = AtomicU64::new(0);
 static EVENTS: Mutex<Vec<Event>> = Mutex::new(Vec::new());
-static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 struct ScopeState {
     batch: u64,
@@ -208,13 +206,6 @@ pub fn disable() {
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Microseconds since the process trace epoch. Wall clock is a
-/// nondeterministic side channel: always store it in a field whose name
-/// ends in `_us` so [`strip`] can remove it.
-pub fn now_us() -> u64 {
-    EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
 }
 
 /// Advances the batch sequence number. Call this only from a

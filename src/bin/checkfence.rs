@@ -136,7 +136,7 @@ impl ModelArg {
 struct Options {
     source: PathBuf,
     ops: Vec<OpSig>,
-    tests: Vec<(Option<String>, String)>,
+    tests: Vec<(String, String)>,
     init: Option<String>,
     model: ModelArg,
     model_explicit: bool,
@@ -254,37 +254,6 @@ fn usage() -> &'static str {
      (1 beats 3)"
 }
 
-fn parse_op(spec: &str) -> Result<OpSig, String> {
-    let (key, rest) = spec
-        .split_once('=')
-        .ok_or_else(|| format!("--op `{spec}`: expected KEY=PROC[:arg][:ret]"))?;
-    let mut key_chars = key.chars();
-    let key = match (key_chars.next(), key_chars.next()) {
-        (Some(c), None) => c,
-        _ => return Err(format!("--op `{spec}`: KEY must be one character")),
-    };
-    let mut parts = rest.split(':');
-    let proc_name = parts.next().unwrap_or_default().to_string();
-    if proc_name.is_empty() {
-        return Err(format!("--op `{spec}`: missing procedure name"));
-    }
-    let mut num_args = 0;
-    let mut has_ret = false;
-    for flag in parts {
-        match flag {
-            "arg" => num_args = 1,
-            "ret" => has_ret = true,
-            other => return Err(format!("--op `{spec}`: unknown flag `{other}`")),
-        }
-    }
-    Ok(OpSig {
-        key,
-        proc_name,
-        num_args,
-        has_ret,
-    })
-}
-
 fn parse_model(s: &str) -> Result<ModelArg, String> {
     if let Some(mode) = Mode::all()
         .into_iter()
@@ -344,15 +313,20 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         };
         match arg.as_str() {
             "-h" | "--help" => return Err(String::new()),
-            "--op" => opts.ops.push(parse_op(&value("--op")?)?),
+            "--op" => {
+                let v = value("--op")?;
+                opts.ops
+                    .push(OpSig::parse(&v).map_err(|e| format!("--op `{v}`: {e}"))?);
+            }
             "--test" => {
                 let v = value("--test")?;
-                match v.split_once('=') {
+                let test = match v.split_once('=') {
                     Some((name, text)) if !name.contains('(') => {
-                        opts.tests.push((Some(name.to_string()), text.to_string()));
+                        (name.to_string(), text.to_string())
                     }
-                    _ => opts.tests.push((None, v)),
-                }
+                    _ => (format!("T{}", opts.tests.len()), v),
+                };
+                opts.tests.push(test);
             }
             "--init" => opts.init = Some(value("--init")?),
             "--model" => {
@@ -532,6 +506,18 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if opts.tests.is_empty() {
         return Err("at least one --test is required".into());
     }
+    // Operations and tests are looked up by key and name, so a
+    // duplicate would be shadowed or reported twice under one name.
+    for (i, op) in opts.ops.iter().enumerate() {
+        if opts.ops[..i].iter().any(|o| o.key == op.key) {
+            return Err(format!("duplicate --op key `{}`", op.key));
+        }
+    }
+    for (i, (name, _)) in opts.tests.iter().enumerate() {
+        if opts.tests[..i].iter().any(|(n, _)| n == name) {
+            return Err(format!("duplicate --test name `{name}`"));
+        }
+    }
     if opts.spec_cache.is_some() && opts.tests.len() != 1 {
         return Err("--spec-cache requires exactly one --test".into());
     }
@@ -642,9 +628,8 @@ fn run_with(opts: &Options) -> Result<RunStatus, String> {
     let harness = build_harness(opts)?;
 
     let mut tests = Vec::new();
-    for (i, (name, text)) in opts.tests.iter().enumerate() {
-        let name = name.clone().unwrap_or_else(|| format!("T{i}"));
-        tests.push(TestSpec::parse(&name, text).map_err(|e| e.to_string())?);
+    for (name, text) in &opts.tests {
+        tests.push(TestSpec::parse(name, text).map_err(|e| e.to_string())?);
     }
 
     if opts.run_analyze {

@@ -183,6 +183,43 @@ fn usage_errors_exit_two() {
 }
 
 #[test]
+fn duplicate_op_keys_are_usage_errors() {
+    // A second `p` would be shadowed by the first: its test would run
+    // `put` while the user asked for `get`.
+    for extra in [&[][..], &["--mine-only"][..]] {
+        let out = run(mailbox_args(&mut cli())
+            .args(["--op", "p=get:ret"])
+            .args(extra));
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("duplicate --op key `p`"), "{stderr}");
+    }
+}
+
+#[test]
+fn duplicate_test_names_are_usage_errors() {
+    // Two explicit names, and an explicit name that the second test's
+    // default name (`T` and its position) collides with: either way
+    // two different tests would print under one name.
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("assets/mailbox.c");
+    for (first, second, name) in [
+        ("A=( p | g )", "A=( p | g g )", "A"),
+        ("T1=( p | g )", "( p | g g )", "T1"),
+    ] {
+        let out = run(cli()
+            .arg(&src)
+            .args(["--op", "p=put:arg", "--op", "g=get:ret"])
+            .args(["--test", first, "--test", second, "--model", "tso"]));
+        assert_eq!(out.status.code(), Some(2), "{first} {second}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("duplicate --test name `{name}`")),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn help_prints_usage_with_exit_zero() {
     let out = run(cli().arg("--help"));
     assert!(out.status.success());

@@ -162,43 +162,6 @@ fn spec_model_proofs_attribute_axiom_groups() {
 }
 
 #[test]
-fn provenance_off_queries_are_unaffected_by_instrumented_neighbors() {
-    // The zero-overhead contract: a plain query batched next to a
-    // provenance query runs on a *separate* session pool and reports
-    // exactly the verdict and solver statistics it reports alone.
-    let h = treiber::harness(Variant::Fenced);
-    let t = catalog::by_name("U0").expect("catalog test");
-    let spec = mine_reference(&h, &t).expect("mines").spec;
-
-    let mut alone = Engine::new(EngineConfig::default());
-    let baseline = alone
-        .run(&Query::check_inclusion(&h, &t, spec.clone()).on(Mode::Relaxed))
-        .expect("checks");
-    assert!(baseline.provenance.is_none(), "provenance is opt-in");
-
-    let mut mixed = Engine::new(EngineConfig::default());
-    let batch = [
-        Query::check_inclusion(&h, &t, spec.clone()).on(Mode::Relaxed),
-        Query::check_inclusion(&h, &t, spec)
-            .on(Mode::Relaxed)
-            .with_provenance(),
-    ];
-    let verdicts = mixed.run_batch(&batch);
-    let plain = verdicts[0].as_ref().expect("checks");
-    let instrumented = verdicts[1].as_ref().expect("checks");
-    assert!(plain.provenance.is_none());
-    assert!(instrumented.provenance.is_some());
-    assert_eq!(plain.passed(), baseline.passed());
-    assert_eq!(plain.stats.solves, baseline.stats.solves);
-    assert_eq!(plain.stats.conflicts, baseline.stats.conflicts);
-    assert_eq!(plain.stats.propagations, baseline.stats.propagations);
-    assert_eq!(
-        plain.stats.assumed_literals,
-        baseline.stats.assumed_literals
-    );
-}
-
-#[test]
 fn budget_starved_minimization_degrades_to_the_unminimized_core() {
     // Minimization runs under its own tick budget; starving it must
     // degrade to the raw (verified, unminimized) core — never to an
