@@ -265,4 +265,30 @@ mod tests {
         assert!(TestSpec::parse("x", "' ( e )").is_err());
         assert!(TestSpec::parse("x", "( e + d )").is_err());
     }
+
+    #[test]
+    fn op_sig_parses_the_corpus_grammar() {
+        let sig = |decl: &str| {
+            let o = OpSig::parse(decl).expect("parses");
+            (o.key, o.proc_name, o.num_args, o.has_ret)
+        };
+        assert_eq!(sig("p=put:arg"), ('p', "put".into(), 1, false));
+        assert_eq!(sig(" g = get : ret "), ('g', "get".into(), 0, true));
+        assert_eq!(sig("x=xchg:ret:arg"), ('x', "xchg".into(), 1, true));
+        assert_eq!(sig("n = nop"), ('n', "nop".into(), 0, false));
+    }
+
+    #[test]
+    fn op_sig_parse_says_what_is_malformed() {
+        for (decl, reason) in [
+            ("put:arg", "expected KEY=PROC[:arg][:ret]"),
+            ("pq=put", "KEY must be one character"),
+            (" =put", "KEY must be one character"),
+            ("p=", "missing procedure name"),
+            ("p= :ret", "missing procedure name"),
+            ("p=put:wat", "unknown flag `wat`"),
+        ] {
+            assert_eq!(OpSig::parse(decl).err().as_deref(), Some(reason), "{decl}");
+        }
+    }
 }

@@ -77,6 +77,29 @@ fn starved_budget_is_a_verdict_not_an_error() {
     assert_eq!(engine.stats().sessions, 1, "no session was rebuilt");
 }
 
+/// A budget tightened through `check_mut` reaches a session the pool
+/// built without one: every attempt takes its limits from the engine's
+/// current settings, not from when its session was built.
+#[test]
+fn budget_set_through_check_mut_reaches_a_pooled_session() {
+    let (h, t) = mailbox();
+    let spec = mine_reference(&h, &t).expect("mines").spec;
+    let mut config = EngineConfig::default();
+    config.check.max_retries = 0;
+    let mut engine = Engine::new(config);
+    let on = |m: Mode| Query::check_inclusion(&h, &t, spec.clone()).on(m);
+    assert!(engine.run(&on(Mode::Sc)).expect("runs").passed());
+
+    // Relaxed is a new question for the warm session.
+    engine.check_mut().tick_budget = Some(1);
+    let v = engine.run(&on(Mode::Relaxed)).expect("runs");
+    assert_eq!(v.inconclusive(), Some(InconclusiveReason::Budget));
+
+    engine.check_mut().tick_budget = None;
+    assert!(engine.run(&on(Mode::Relaxed)).expect("runs").passed());
+    assert_eq!(engine.stats().sessions, 1, "no session was rebuilt");
+}
+
 /// The escalating ladder self-heals: a budget far too small for attempt
 /// zero succeeds after geometric growth, and the verdict attributes the
 /// retries it took.

@@ -197,26 +197,45 @@ fn duplicate_op_keys_are_usage_errors() {
 }
 
 #[test]
-fn duplicate_test_names_are_usage_errors() {
-    // Two explicit names, and an explicit name that the second test's
-    // default name (`T` and its position) collides with: either way
-    // two different tests would print under one name.
+fn malformed_op_errors_name_the_flag() {
+    // The parser is shared with the corpus loader; the CLI prefixes its
+    // reason with the `--op` value it came from.
+    let out = run(mailbox_args(&mut cli()).args(["--op", "q=put:wat"]));
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--op `q=put:wat`: unknown flag `wat`"),
+        "{stderr}"
+    );
+}
+
+/// Runs the mailbox with two `--test` values and asserts that the CLI
+/// refuses them as two tests under the one name `name`.
+fn assert_duplicate_test_name(first: &str, second: &str, name: &str) {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("assets/mailbox.c");
-    for (first, second, name) in [
-        ("A=( p | g )", "A=( p | g g )", "A"),
-        ("T1=( p | g )", "( p | g g )", "T1"),
-    ] {
-        let out = run(cli()
-            .arg(&src)
-            .args(["--op", "p=put:arg", "--op", "g=get:ret"])
-            .args(["--test", first, "--test", second, "--model", "tso"]));
-        assert_eq!(out.status.code(), Some(2), "{first} {second}: {out:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(&format!("duplicate --test name `{name}`")),
-            "{stderr}"
-        );
-    }
+    let out = run(cli()
+        .arg(&src)
+        .args(["--op", "p=put:arg", "--op", "g=get:ret"])
+        .args(["--test", first, "--test", second, "--model", "tso"]));
+    assert_eq!(out.status.code(), Some(2), "{first} {second}: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("duplicate --test name `{name}`")),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn duplicate_test_names_are_usage_errors() {
+    // Two different tests would print under one name.
+    assert_duplicate_test_name("A=( p | g )", "A=( p | g g )", "A");
+}
+
+#[test]
+fn default_test_name_collision_is_a_usage_error() {
+    // The second test's default name (`T` and its position) collides
+    // with the first test's explicit name.
+    assert_duplicate_test_name("T1=( p | g )", "( p | g g )", "T1");
 }
 
 #[test]

@@ -162,6 +162,63 @@ fn spec_model_proofs_attribute_axiom_groups() {
 }
 
 #[test]
+fn provenance_engines_pool_one_session_per_key() {
+    // Provenance is engine-wide, so the pool key is (harness, test):
+    // every model's check shares one session and one encoding, and each
+    // verdict carries provenance without changing the plain answer.
+    let h = treiber::harness(Variant::Fenced);
+    let t = catalog::by_name("U0").expect("catalog test");
+    let spec = mine_reference(&h, &t).expect("mines").spec;
+    let queries: Vec<Query> = Mode::hardware()
+        .iter()
+        .map(|m| Query::check_inclusion(&h, &t, spec.clone()).on(*m))
+        .collect();
+    let mut plain = Engine::new(EngineConfig::default());
+    let mut instrumented = Engine::new(EngineConfig::default().with_provenance(true));
+    let plain_verdicts = plain.run_batch(&queries);
+    let instrumented_verdicts = instrumented.run_batch(&queries);
+    for ((mode, p), i) in Mode::hardware()
+        .iter()
+        .zip(&plain_verdicts)
+        .zip(&instrumented_verdicts)
+    {
+        let (p, i) = (p.as_ref().expect("checks"), i.as_ref().expect("checks"));
+        assert!(
+            p.provenance.is_none(),
+            "{}: provenance is opt-in",
+            mode.name()
+        );
+        assert!(i.provenance.is_some(), "{}: no provenance", mode.name());
+        assert_eq!(p.passed(), i.passed(), "{}", mode.name());
+    }
+    for stats in [plain.stats(), instrumented.stats()] {
+        assert_eq!(stats.sessions, 1, "one session per key");
+        assert_eq!(stats.encodes, 1, "one encoding per key");
+    }
+}
+
+#[test]
+fn core_settings_set_through_check_mut_reach_a_pooled_session() {
+    // Core minimization reads the engine's current settings, so a
+    // session built under a starved minimizer minimizes once the
+    // budget is raised, without being rebuilt.
+    let h = treiber::harness(Variant::Fenced);
+    let t = catalog::by_name("U0").expect("catalog test");
+    let mut config = EngineConfig::default().with_provenance(true);
+    config.check.core_minimize_ticks = Some(1);
+    config.check.verify_cores = true;
+    let mut engine = Engine::new(config);
+    let starved = check(&mut engine, &h, &t, Mode::Relaxed);
+    assert!(!starved.provenance.expect("provenance requested").minimized);
+
+    engine.check_mut().core_minimize_ticks = Some(2_000_000);
+    let fed = check(&mut engine, &h, &t, Mode::Relaxed);
+    assert!(fed.passed());
+    assert!(fed.provenance.expect("provenance requested").minimized);
+    assert_eq!(engine.stats().sessions, 1, "no session was rebuilt");
+}
+
+#[test]
 fn budget_starved_minimization_degrades_to_the_unminimized_core() {
     // Minimization runs under its own tick budget; starving it must
     // degrade to the raw (verified, unminimized) core — never to an
