@@ -15,7 +15,7 @@
 //! let outcome = run_ablation("treiber", &[], Oracle::Session, 1).expect("runs");
 //! for report in &outcome.reports {
 //!     println!("{}", report.table());
-//!     assert_eq!(report.session.encodes, 1, "one encoding per matrix");
+//!     assert_eq!(report.encodes, 1, "one encoding per matrix");
 //! }
 //! ```
 

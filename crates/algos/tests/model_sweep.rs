@@ -47,7 +47,7 @@ fn sweep(h: &Harness, test_name: &str) -> Vec<(Mode, bool)> {
         .collect();
     assert_eq!(
         engine.stats().encodes,
-        engine.stats().symexecs,
+        1,
         "sweep must reuse the encoding across modes"
     );
     out

@@ -67,17 +67,17 @@ fn run_engine(h: &Harness, queries: &[Query], jobs: usize) -> Vec<Outcome> {
         .run_batch(queries)
         .into_iter()
         .map(|v| {
-            // The batch path must surface real phase stats — a past
-            // regression filled `PhaseStats::default()` here, so a
-            // default-looking phase on a solved verdict is a bug.
+            // The batch path must surface the query's real record — a
+            // past regression filled default stats here, so a
+            // default-looking record on a solved verdict is a bug.
             if let Ok(v) = &v {
                 assert!(
-                    v.phase.sat_solves >= 1 && v.phase.sat_vars > 0,
-                    "{}: batch verdict dropped its solver phase stats",
+                    v.stats.solves >= 1 && v.stats.vars > 0,
+                    "{}: batch verdict dropped its solver stats",
                     h.name
                 );
                 assert!(
-                    v.phase.total_time > std::time::Duration::ZERO,
+                    v.stats.wall > std::time::Duration::ZERO,
                     "{}: batch verdict carries no elapsed time",
                     h.name
                 );

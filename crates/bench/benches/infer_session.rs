@@ -57,10 +57,9 @@ fn path_name(baseline: bool) -> &'static str {
 
 fn json_side(m: &Measured) -> String {
     format!(
-        "{{\"wall_ms\": {:.1}, \"symexecs\": {}, \"encodes\": {}, \"solves\": {}, \
+        "{{\"wall_ms\": {:.1}, \"encodes\": {}, \"solves\": {}, \
          \"conflicts\": {}, \"propagations\": {}}}",
         m.wall_ms,
-        m.result.symexecs,
         m.result.encodes,
         m.result.sat.solves,
         m.result.sat.conflicts,

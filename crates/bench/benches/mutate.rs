@@ -30,28 +30,26 @@ fn run(subject: &str, oracle: Oracle) -> Measured {
     }
 }
 
-fn totals(m: &Measured) -> (u32, u32, u64, u64, usize, usize) {
-    let mut symexecs = 0;
+fn totals(m: &Measured) -> (u32, u64, u64, usize, usize) {
     let mut encodes = 0;
     let mut solves = 0;
     let mut conflicts = 0;
     let mut mutants = 0;
     let mut cells = 0;
     for r in &m.reports {
-        symexecs += r.session.symexecs;
-        encodes += r.session.encodes;
+        encodes += r.encodes;
         solves += r.solver.solves;
         conflicts += r.solver.conflicts;
         mutants += r.rows.len();
         cells += (r.rows.len() + 1) * r.models.len();
     }
-    (symexecs, encodes, solves, conflicts, mutants, cells)
+    (encodes, solves, conflicts, mutants, cells)
 }
 
 fn json_side(m: &Measured) -> String {
-    let (symexecs, encodes, solves, conflicts, _, _) = totals(m);
+    let (encodes, solves, conflicts, _, _) = totals(m);
     format!(
-        "{{\"wall_ms\": {:.1}, \"symexecs\": {symexecs}, \"encodes\": {encodes}, \
+        "{{\"wall_ms\": {:.1}, \"encodes\": {encodes}, \
          \"solves\": {solves}, \"conflicts\": {conflicts}}}",
         m.wall_ms,
     )
@@ -73,15 +71,14 @@ fn main() {
                 );
             }
         }
-        // The headline claim: one symbolic execution + one encoding per
+        // The headline claim: one encoding (one symbolic execution) per
         // (test, model-universe) answers the entire matrix.
         for r in &session.reports {
-            assert_eq!(r.session.symexecs, 1, "{subject}/{}", r.test);
-            assert_eq!(r.session.encodes, 1, "{subject}/{}", r.test);
+            assert_eq!(r.encodes, 1, "{subject}/{}", r.test);
         }
         let speedup = oneshot.wall_ms / session.wall_ms.max(0.001);
-        let (_, s_enc, _, _, mutants, cells) = totals(&session);
-        let (_, o_enc, _, _, _, _) = totals(&oneshot);
+        let (s_enc, _, _, mutants, cells) = totals(&session);
+        let (o_enc, _, _, _, _) = totals(&oneshot);
         println!(
             "{subject:<10} mutants {mutants:>3}  cells {cells:>4}  session {:>8.1} ms \
              (encodes {s_enc:>2})  oneshot {:>8.1} ms (encodes {o_enc:>3})  speedup {speedup:.2}x",

@@ -60,8 +60,8 @@ fn run(case: &Case, use_spec: bool) -> Measured {
     Measured {
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         passed: v.passed(),
-        sat_vars: v.phase.sat_vars,
-        sat_clauses: v.phase.sat_clauses,
+        sat_vars: v.stats.vars,
+        sat_clauses: v.stats.clauses,
         conflicts: sat.conflicts,
         solves: sat.solves,
     }

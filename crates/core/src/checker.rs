@@ -18,7 +18,7 @@ use cf_lsl::Value;
 use cf_memmodel::AccessKind;
 
 use crate::encode::Encoding;
-use crate::symexec::{SymExec, SymExecError, UnrollStats};
+use crate::symexec::{SymExec, SymExecError};
 use crate::test_spec::{Harness, TestSpec};
 
 /// Configuration of a verification run.
@@ -40,9 +40,6 @@ pub struct CheckConfig {
     /// declaring it inconclusive (the retry ladder; each retry multiplies
     /// the tick budget by [`RETRY_GROWTH`]).
     pub max_retries: u32,
-    /// Unrolling bound for `spin`-marked retry loops (their exit is
-    /// assumed within this many iterations; see the spin-loop reduction).
-    pub spin_bound: u32,
     /// When provenance is enabled: greedy deletion-minimization budget
     /// for extracted assumption cores, in solver ticks. `None` (the
     /// default) skips minimization entirely — the raw final-conflict
@@ -69,6 +66,11 @@ pub const RETRY_GROWTH: u64 = 8;
 /// both stop here.
 pub const MAX_BOUND_ROUNDS: u32 = 8;
 
+/// Unrolling bound for `spin`-marked retry loops: their exit is assumed
+/// within this many iterations (the spin-loop reduction). The engine's
+/// sessions and the reference oracle both unroll with it.
+pub const SPIN_BOUND: u32 = 3;
+
 impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
@@ -76,7 +78,6 @@ impl Default for CheckConfig {
             tick_budget: None,
             deadline: None,
             max_retries: 2,
-            spin_bound: 3,
             core_minimize_ticks: None,
             verify_cores: false,
         }
@@ -227,42 +228,11 @@ impl CheckOutcome {
     }
 }
 
-/// Statistics of one phase (mining or inclusion), the raw material of
-/// Fig. 10 and Fig. 11.
-#[derive(Clone, Debug, Default)]
-pub struct PhaseStats {
-    /// Unrolled-code size.
-    pub unrolled: UnrollStats,
-    /// Time spent building CNF.
-    pub encode_time: Duration,
-    /// Time spent inside the SAT solver.
-    pub solve_time: Duration,
-    /// End-to-end time of the phase.
-    pub total_time: Duration,
-    /// SAT variables of the final encoding.
-    pub sat_vars: usize,
-    /// Clauses of the final encoding.
-    pub sat_clauses: u64,
-    /// SAT conflicts attributable to this phase.
-    pub sat_conflicts: u64,
-    /// SAT propagations attributable to this phase.
-    pub sat_propagations: u64,
-    /// Solver calls attributable to this phase (includes bound-overflow
-    /// queries, so one-shot and session accounting stay comparable).
-    pub sat_solves: u64,
-    /// Solver iterations (mining: one per observation).
-    pub iterations: u32,
-    /// Lazy-unrolling rounds used.
-    pub bound_rounds: u32,
-}
-
 /// Result of specification mining.
 #[derive(Clone, Debug)]
 pub struct MiningResult {
     /// The mined observation set.
     pub spec: ObsSet,
-    /// Statistics.
-    pub stats: PhaseStats,
 }
 
 /// Why a query ended without a verdict (graceful degradation instead of

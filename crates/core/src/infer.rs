@@ -131,12 +131,11 @@ pub struct InferenceResult {
     pub checks: usize,
     /// Wall-clock time of the whole search.
     pub elapsed: Duration,
-    /// Symbolic executions performed across the search (sessions: one per
-    /// test unless loop bounds grew; baseline: one per check round).
-    pub symexecs: u32,
-    /// CNF encodings built across the search.
+    /// CNF encodings built across the search, each one symbolic
+    /// execution (sessions: one per test unless loop bounds grew;
+    /// baseline: one per check round).
     pub encodes: u32,
-    /// Cumulative SAT-solver statistics across the search.
+    /// SAT-solver counters summed over the search's checks.
     pub sat: cf_sat::Stats,
 }
 
@@ -402,15 +401,13 @@ pub fn infer(
         .map(|(s, _)| s.clone())
         .collect();
     let program = apply_candidates(&harness.program, &kept);
-    let stats = engine.stats();
     Ok(InferenceResult {
         program,
         candidates: all.len(),
         kept,
         checks,
         elapsed: t0.elapsed(),
-        symexecs: stats.symexecs,
-        encodes: stats.encodes,
+        encodes: engine.stats().encodes,
         sat: engine.solver_stats(),
     })
 }
@@ -438,7 +435,7 @@ pub fn infer_baseline(
     }
 
     let all = candidate_sites(&harness.program, config);
-    let mut symexecs = 0u32;
+    let mut encodes = 0u32;
     let mut sat = cf_sat::Stats::default();
 
     let passes = |enabled: &[bool], checks: &mut usize| -> Result<Option<String>, CheckError> {
@@ -459,10 +456,8 @@ pub fn infer_baseline(
             *checks += 1;
             let query = Query::check_inclusion(&build, t, Arc::clone(spec)).on(mode);
             let v = crate::oracle::oneshot(&query, &CheckConfig::default(), &[])?;
-            symexecs += v.phase.bound_rounds;
-            sat.conflicts += v.phase.sat_conflicts;
-            sat.propagations += v.phase.sat_propagations;
-            sat.solves += v.phase.sat_solves;
+            encodes += v.stats.encodes;
+            sat.add(&v.stats.solver_stats());
             if !v.passed() {
                 return Ok(Some(t.name.clone()));
             }
@@ -485,8 +480,7 @@ pub fn infer_baseline(
         kept,
         checks,
         elapsed: t0.elapsed(),
-        symexecs,
-        encodes: symexecs,
+        encodes,
         sat,
     })
 }

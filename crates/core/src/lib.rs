@@ -101,7 +101,7 @@ pub mod query;
 
 pub use checker::{
     CheckConfig, CheckError, CheckOutcome, Counterexample, FailureKind, InconclusiveReason,
-    MiningResult, ObsSet, PhaseStats, TraceStep, MAX_BOUND_ROUNDS, RETRY_GROWTH,
+    MiningResult, ObsSet, TraceStep, MAX_BOUND_ROUNDS, RETRY_GROWTH, SPIN_BOUND,
 };
 pub use cnf::CnfBuilder;
 pub use encode::{EncVal, Encoding, ModelSel, OrderEncoding};
@@ -113,7 +113,7 @@ pub use query::{
     run_indexed, Answer, Engine, EngineConfig, EngineStats, Query, QueryKind, QueryStats, Verdict,
 };
 pub use range::{analyze, RangeInfo, ValueSet};
-pub use session::{CheckSession, SessionConfig, SessionStats};
+pub use session::{CheckSession, SessionConfig};
 pub use symexec::{
     execute, ErrorCond, ErrorKind, Event, FenceEvt, LoopBounds, ObsEntry, ObsRole, SymExec,
     SymExecError, UnrollStats,

@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use cf_lsl::{ExecError, Machine, ProcId, Value};
 
-use crate::checker::{CheckError, Counterexample, FailureKind, MiningResult, ObsSet, PhaseStats};
+use crate::checker::{CheckError, Counterexample, FailureKind, MiningResult, ObsSet};
 use crate::symexec::SymExecError;
 use crate::test_spec::{Harness, OpSig, TestSpec};
 
@@ -48,7 +48,6 @@ type ResolvedOp = (OpSig, ProcId);
 pub fn mine_reference(harness: &Harness, test: &TestSpec) -> Result<MiningResult, CheckError> {
     crate::checker::validate_test_shape(test)?;
     let t0 = Instant::now();
-    let mut stats = PhaseStats::default();
 
     // Resolve every operation and procedure up front, so a harness
     // mistake is an error before any schedule runs.
@@ -113,9 +112,10 @@ pub fn mine_reference(harness: &Harness, test: &TestSpec) -> Result<MiningResult
     );
 
     let mut vectors = BTreeSet::new();
+    let mut iterations = 0u64;
     for args_bits in 0u32..(1 << total_args) {
         for schedule in &schedules {
-            stats.iterations += 1;
+            iterations += 1;
             match run_schedule(
                 harness,
                 init_proc,
@@ -142,7 +142,7 @@ pub fn mine_reference(harness: &Harness, test: &TestSpec) -> Result<MiningResult
             }
         }
     }
-    stats.total_time = t0.elapsed();
+    let mine_time = t0.elapsed();
     // Reference mining is called both from coordinators and from
     // parallel per-harness workers (synth), so it cannot claim a
     // deterministic step number — nd keeps stripped traces stable.
@@ -151,13 +151,12 @@ pub fn mine_reference(harness: &Harness, test: &TestSpec) -> Result<MiningResult
             ("harness", cf_trace::s(harness.name.clone())),
             ("test", cf_trace::s(test.name.clone())),
             ("observations", cf_trace::u(vectors.len() as u64)),
-            ("iterations", cf_trace::u(u64::from(stats.iterations))),
-            ("mine_us", cf_trace::u(stats.total_time.as_micros() as u64)),
+            ("iterations", cf_trace::u(iterations)),
+            ("mine_us", cf_trace::u(mine_time.as_micros() as u64)),
         ]
     });
     Ok(MiningResult {
         spec: ObsSet { vectors },
-        stats,
     })
 }
 

@@ -51,7 +51,6 @@ use cf_spec::ModelSpec;
 use crate::checker::{CheckConfig, CheckError, CheckOutcome, FailureKind};
 use crate::encode::ModelSel;
 use crate::query::{Engine, EngineConfig, Query, Verdict};
-use crate::session::SessionStats;
 use crate::test_spec::{Harness, TestSpec};
 
 /// A mutation operator.
@@ -581,8 +580,9 @@ pub struct MatrixConfig {
     pub jobs: usize,
     /// Attach verdict provenance to every cell: surviving cells carry a
     /// proof core, caught cells the witness environment, rendered by
-    /// [`MutationReport::explain`]. Off by default — provenance queries
-    /// run on their own session pool.
+    /// [`MutationReport::explain`]. Off by default. It sets
+    /// [`EngineConfig::provenance`], so the matrix's one session is
+    /// built instrumented; there is no separate provenance pool.
     pub provenance: bool,
 }
 
@@ -693,11 +693,12 @@ pub struct MutationReport {
     /// Sessions the engine pooled for this matrix (1 at any `jobs`; the
     /// one-shot oracle reports one "session" per cell).
     pub sessions: usize,
-    /// Session amortization counters summed over the pool (`encodes ==
-    /// sessions` unless loop bounds grew; the one-shot oracle reports
-    /// its totals here).
-    pub session: SessionStats,
-    /// Cumulative SAT statistics.
+    /// CNF encodings the cells built, each one symbolic execution
+    /// (`encodes == sessions` unless loop bounds grew).
+    pub encodes: u32,
+    /// Queries answered: one per cell.
+    pub queries: u32,
+    /// SAT counters summed over the cells' [`QueryStats`](crate::QueryStats).
     pub solver: cf_sat::Stats,
     /// End-to-end wall-clock time.
     pub elapsed: Duration,
@@ -799,12 +800,8 @@ impl MutationReport {
     /// everything deliberately kept out of [`MutationReport::table`].
     pub fn summary(&self) -> String {
         format!(
-            "sessions {}  symexecs {}  encodes {}  queries {}  ({:.2?})",
-            self.sessions,
-            self.session.symexecs,
-            self.session.encodes,
-            self.session.queries,
-            self.elapsed
+            "sessions {}  encodes {}  queries {}  ({:.2?})",
+            self.sessions, self.encodes, self.queries, self.elapsed
         )
     }
 }
@@ -935,11 +932,8 @@ pub fn run_mutation_matrix(
         baseline_explains,
         rows,
         sessions: stats.sessions,
-        session: SessionStats {
-            symexecs: stats.symexecs,
-            encodes: stats.encodes,
-            queries: stats.queries,
-        },
+        encodes: stats.encodes,
+        queries: stats.queries,
         solver: engine.solver_stats(),
         elapsed: t0.elapsed(),
     })
@@ -963,7 +957,7 @@ pub fn run_mutation_matrix_oneshot(
     let t0 = Instant::now();
     let spec = std::sync::Arc::new(crate::mine::mine_reference(harness, test)?.spec);
     let models = config.models();
-    let mut session = SessionStats::default();
+    let (mut encodes, mut queries) = (0u32, 0u32);
     let mut solver = cf_sat::Stats::default();
     let mut check_build =
         |program: Program, name: String| -> Result<Vec<MutantVerdict>, CheckError> {
@@ -975,15 +969,12 @@ pub fn run_mutation_matrix_oneshot(
             };
             let mut verdicts = Vec::with_capacity(models.len());
             for (_, sel) in &models {
-                session.queries += 1;
+                queries += 1;
                 let query = Query::check_inclusion(&build, test, spec.clone()).on_model(*sel);
                 let r = crate::oracle::oneshot(&query, &config.check, &config.specs);
                 if let Ok(v) = &r {
-                    session.symexecs += v.phase.bound_rounds;
-                    session.encodes += v.phase.bound_rounds;
-                    solver.conflicts += v.phase.sat_conflicts;
-                    solver.propagations += v.phase.sat_propagations;
-                    solver.solves += v.phase.sat_solves;
+                    encodes += v.stats.encodes;
+                    solver.add(&v.stats.solver_stats());
                 }
                 verdicts.push(verdict_of_query(r)?.0);
             }
@@ -1005,7 +996,6 @@ pub fn run_mutation_matrix_oneshot(
             verdicts,
         });
     }
-    let sessions = session.queries as usize;
     Ok(MutationReport {
         harness: harness.name.clone(),
         test: test.name.clone(),
@@ -1013,8 +1003,9 @@ pub fn run_mutation_matrix_oneshot(
         models: models.into_iter().map(|(n, _)| n).collect(),
         baseline,
         rows,
-        sessions,
-        session,
+        sessions: queries as usize,
+        encodes,
+        queries,
         solver,
         elapsed: t0.elapsed(),
     })
@@ -1113,8 +1104,7 @@ mod tests {
             report.baseline
         );
         // One encoding answered the whole matrix.
-        assert_eq!(report.session.symexecs, 1);
-        assert_eq!(report.session.encodes, 1);
+        assert_eq!(report.encodes, 1);
         // Deleting either fence is caught on relaxed (the last builtin
         // column), and the store-store deletion already on pso.
         let relaxed = report.models.iter().position(|m| m == "relaxed").unwrap();

@@ -26,7 +26,7 @@ use cf_spec::ModelSpec;
 
 use crate::checker::{
     decode_counterexample, exhausted_err, validate_spec_width, validate_test_shape, CheckConfig,
-    CheckError, CheckOutcome, FailureKind, ObsSet, PhaseStats, MAX_BOUND_ROUNDS,
+    CheckError, CheckOutcome, FailureKind, ObsSet, MAX_BOUND_ROUNDS, SPIN_BOUND,
 };
 use crate::commit::encode_abstract_machine;
 use crate::encode::{Encoding, ModelSel, OrderEncoding};
@@ -92,24 +92,23 @@ pub fn oneshot(
             }
         },
     };
-    let mut phase = PhaseStats::default();
-    let mut sat = cf_sat::Stats::default();
-    let payload = |sx: &SymExec, enc: &mut Encoding, asm: &[Lit], phase: &mut PhaseStats| {
+    let mut stats = QueryStats::default();
+    let payload = |sx: &SymExec, enc: &mut Encoding, asm: &[Lit]| {
         match query.kind() {
             QueryKind::Mine => {
                 // Any serial execution with an error is a sequential bug.
                 let mut with_err = asm.to_vec();
                 with_err.push(enc.error_lit);
-                if solve(enc, &with_err, phase)? {
+                if solve(enc, &with_err)? {
                     let name = enc.model_name(model);
                     let cx = decode_counterexample(sx, enc, FailureKind::SerialError, name);
                     return Err(CheckError::SerialBug(Box::new(cx)));
                 }
-                let vectors = enumerate(enc, asm, phase)?;
+                let vectors = enumerate(enc, asm)?;
                 Ok(Round::Bounded(Answer::Observations(ObsSet { vectors })))
             }
             QueryKind::Enumerate => {
-                let vectors = enumerate(enc, asm, phase)?;
+                let vectors = enumerate(enc, asm)?;
                 Ok(Round::Bounded(Answer::Observations(ObsSet { vectors })))
             }
             QueryKind::CheckInclusion { spec } => {
@@ -125,30 +124,21 @@ pub fn oneshot(
                     no_match = enc.cnf.and(no_match, !all_eq);
                 }
                 let bad = enc.cnf.or(enc.error_lit, no_match);
-                outcome(sx, enc, asm, bad, model, phase)
+                outcome(sx, enc, asm, bad, model)
             }
             QueryKind::CommitMethod { ty } => {
-                let te = Instant::now();
                 let tt = enc.cnf.tt();
                 let mismatch = encode_abstract_machine(sx, enc, *ty, tt)?;
-                phase.encode_time += te.elapsed();
-                phase.iterations += 1;
                 let bad = enc.cnf.or(enc.error_lit, mismatch);
-                outcome(sx, enc, asm, bad, model, phase)
+                outcome(sx, enc, asm, bad, model)
             }
         }
     };
-    let answer = with_bounds(
-        query, config, modes, universe, &mut phase, &mut sat, payload,
-    )?;
-    phase.sat_conflicts = sat.conflicts;
-    phase.sat_propagations = sat.propagations;
-    phase.sat_solves = sat.solves;
-    phase.total_time = t0.elapsed();
+    let answer = with_bounds(query, config, modes, universe, &mut stats, payload)?;
+    stats.wall = t0.elapsed();
     Ok(Verdict {
         answer,
-        phase,
-        stats: QueryStats::from_delta(sat, t0.elapsed(), 0),
+        stats,
         provenance: None,
     })
 }
@@ -157,36 +147,27 @@ pub fn oneshot(
 /// round: solve for executions that exceed the loop bounds, run the
 /// payload on the within-bounds executions, and grow the exceeded
 /// bounds while a bound-sensitive result could be invalidated by them.
-/// `sat` accumulates the statistics of every round's solver.
+/// Each round charges `stats` with its encoding's solver work and its
+/// solve calls.
 fn with_bounds(
     query: &Query<'_>,
     config: &CheckConfig,
     modes: ModeSet,
     specs: &[ModelSpec],
-    phase: &mut PhaseStats,
-    sat: &mut cf_sat::Stats,
-    mut payload: impl FnMut(
-        &SymExec,
-        &mut Encoding,
-        &[Lit],
-        &mut PhaseStats,
-    ) -> Result<Round<Answer>, CheckError>,
+    stats: &mut QueryStats,
+    mut payload: impl FnMut(&SymExec, &mut Encoding, &[Lit]) -> Result<Round<Answer>, CheckError>,
 ) -> Result<Answer, CheckError> {
     let mut bounds = LoopBounds::new();
     // One deadline covers the whole query, bound-growth rounds
     // included; tick budgets are per solve call.
     let deadline_at = config.deadline.map(|d| Instant::now() + d);
-    for round in 0..MAX_BOUND_ROUNDS {
-        phase.bound_rounds = round + 1;
-        let sx = execute(query.harness(), query.test(), &bounds, config.spin_bound)?;
-        let t0 = Instant::now();
+    for _ in 0..MAX_BOUND_ROUNDS {
+        let sx = execute(query.harness(), query.test(), &bounds, SPIN_BOUND)?;
         let range = analyze(&sx, config.range_analysis);
         let mut enc =
             Encoding::build_full(&sx, &range, modes, specs, OrderEncoding::Pairwise, false);
-        phase.encode_time += t0.elapsed();
-        phase.unrolled = sx.stats;
-        phase.sat_vars = enc.cnf.num_vars();
-        phase.sat_clauses = enc.cnf.num_clauses();
+        stats.charge(enc.cnf.solver.stats());
+        stats.encodes += 1;
         enc.cnf.solver.set_tick_budget(config.tick_budget);
         enc.cnf.solver.set_deadline(deadline_at);
 
@@ -201,7 +182,7 @@ fn with_bounds(
             let mut clause = vec![!act];
             clause.extend(enc.exceeded.iter().map(|(_, l)| *l));
             enc.cnf.clause(clause);
-            if solve(&mut enc, &[act], phase)? {
+            if solve(&mut enc, &[act])? {
                 for key in enc.exceeded_keys() {
                     *bounds.entry(key).or_insert(1) += 1;
                 }
@@ -212,8 +193,11 @@ fn with_bounds(
             }
         };
         let assumptions: Vec<Lit> = enc.exceeded.iter().map(|(_, l)| !*l).collect();
-        let result = payload(&sx, &mut enc, &assumptions, phase);
-        sat.add(enc.cnf.solver.stats());
+        let result = payload(&sx, &mut enc, &assumptions);
+        // The solver is fresh, so all of its solve work is this round's.
+        stats.charge(enc.cnf.solver.solve_stats());
+        stats.vars = enc.cnf.num_vars();
+        stats.clauses = enc.cnf.num_clauses();
         match result? {
             Round::Final(answer) => return Ok(answer),
             Round::Bounded(answer) if !overflow => return Ok(answer),
@@ -226,17 +210,10 @@ fn with_bounds(
     })
 }
 
-/// One timed solve: `true` on Sat, `false` on Unsat, and exhaustion as
+/// One solve: `true` on Sat, `false` on Unsat, and exhaustion as
 /// an error.
-fn solve(
-    enc: &mut Encoding,
-    assumptions: &[Lit],
-    phase: &mut PhaseStats,
-) -> Result<bool, CheckError> {
-    let t = Instant::now();
-    let r = enc.cnf.solver.solve_with(assumptions);
-    phase.solve_time += t.elapsed();
-    match r {
+fn solve(enc: &mut Encoding, assumptions: &[Lit]) -> Result<bool, CheckError> {
+    match enc.cnf.solver.solve_with(assumptions) {
         SolveResult::Sat => Ok(true),
         SolveResult::Unsat => Ok(false),
         SolveResult::Unknown => Err(exhausted_err(&enc.cnf.solver)),
@@ -245,16 +222,11 @@ fn solve(
 
 /// Enumerates the observations of the error-free executions under
 /// `assumptions` by iterated solving with blocking clauses.
-fn enumerate(
-    enc: &mut Encoding,
-    assumptions: &[Lit],
-    phase: &mut PhaseStats,
-) -> Result<BTreeSet<Vec<Value>>, CheckError> {
+fn enumerate(enc: &mut Encoding, assumptions: &[Lit]) -> Result<BTreeSet<Vec<Value>>, CheckError> {
     let mut clean = assumptions.to_vec();
     clean.push(!enc.error_lit);
     let mut vectors = BTreeSet::new();
-    while solve(enc, &clean, phase)? {
-        phase.iterations += 1;
+    while solve(enc, &clean)? {
         let obs = enc.decode_obs();
         let mut block: Vec<Lit> = Vec::with_capacity(obs.len());
         for (i, v) in obs.iter().enumerate() {
@@ -275,11 +247,10 @@ fn outcome(
     assumptions: &[Lit],
     bad: Lit,
     model: ModelSel,
-    phase: &mut PhaseStats,
 ) -> Result<Round<Answer>, CheckError> {
     let mut a = assumptions.to_vec();
     a.push(bad);
-    if !solve(enc, &a, phase)? {
+    if !solve(enc, &a)? {
         return Ok(Round::Bounded(Answer::Outcome(CheckOutcome::Pass)));
     }
     let kind = if enc.cnf.lit_value(enc.error_lit) {

@@ -21,10 +21,10 @@
 //!   and runs up to [`EngineConfig::jobs`] keys' sessions at once (one
 //!   session per key at any job count, so every key encodes once).
 //!
-//! Every [`Verdict`] carries per-query solver attribution
-//! ([`QueryStats`], computed with [`cf_sat::Stats::since`]) next to the
-//! per-phase [`PhaseStats`], so batch drivers can report cost per
-//! question instead of only session totals.
+//! Every [`Verdict`] carries the one record of its query's work
+//! ([`QueryStats`]: the encodings it built and its solve calls), so
+//! batch drivers can report cost per question; the engine's totals are
+//! running sums of these records.
 //!
 //! The engine is the one checking path. The same [`Query`] values also
 //! run through [`crate::oracle::oneshot`], the independent reference
@@ -85,13 +85,12 @@ use cf_memmodel::{Mode, ModeSet};
 use cf_spec::ModelSpec;
 
 use crate::checker::{
-    CheckConfig, CheckError, CheckOutcome, Counterexample, InconclusiveReason, ObsSet, PhaseStats,
-    RETRY_GROWTH,
+    CheckConfig, CheckError, CheckOutcome, Counterexample, InconclusiveReason, ObsSet, RETRY_GROWTH,
 };
 use crate::commit::AbstractType;
 use crate::encode::ModelSel;
 use crate::provenance::{Provenance, ProvenanceKind};
-use crate::session::{CheckSession, SessionConfig, SessionStats};
+use crate::session::{CheckSession, SessionConfig};
 use crate::test_spec::{Harness, TestSpec};
 
 /// The question a [`Query`] asks.
@@ -300,20 +299,31 @@ pub enum Answer {
     },
 }
 
-/// Per-query solver attribution, measured with [`cf_sat::Stats::since`]
-/// around exactly this query's solver activity.
+/// The record of one query's work, counted where the work is done:
+/// each lazy-unrolling round adds the solver work of an encoding it
+/// builds (unit propagation while the CNF is built) and of its own
+/// solve calls, bound-overflow probes included. Work on a discarded
+/// encoding is kept when a bound grows, and across every retry attempt.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Solver calls issued by this query (incl. bound-overflow probes).
     pub solves: u64,
-    /// Conflicts attributable to this query.
+    /// Conflicts of this query.
     pub conflicts: u64,
-    /// Restarts attributable to this query.
+    /// Restarts of this query.
     pub restarts: u64,
-    /// Propagations attributable to this query.
+    /// Propagations of this query.
     pub propagations: u64,
     /// Assumption literals passed for this query.
     pub assumed_literals: u64,
+    /// Encodings this query built: 0 on a warm session, one more per
+    /// loop-bound growth.
+    pub encodes: u32,
+    /// Variables of the last encoding the query ran on, query-local
+    /// circuits included.
+    pub vars: usize,
+    /// Clauses of that encoding.
+    pub clauses: u64,
     /// Wall-clock time of the query end to end (including retries).
     pub wall: Duration,
     /// Budget-escalation retries the engine spent on this query.
@@ -321,28 +331,43 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
-    pub(crate) fn from_delta(delta: cf_sat::Stats, wall: Duration, retries: u32) -> QueryStats {
-        QueryStats {
-            solves: delta.solves,
-            conflicts: delta.conflicts,
-            restarts: delta.restarts,
-            propagations: delta.propagations,
-            assumed_literals: delta.assumed_literals,
-            wall,
-            retries,
+    /// Solver ticks (propagations + conflicts), the unit of tick
+    /// budgets and of the `--profile` ledger.
+    pub fn ticks(&self) -> u64 {
+        self.propagations + self.conflicts
+    }
+
+    /// The record's solver counters as [`cf_sat::Stats`]. Decisions,
+    /// learnt literals and reductions are not part of the record and
+    /// read 0.
+    pub fn solver_stats(&self) -> cf_sat::Stats {
+        cf_sat::Stats {
+            solves: self.solves,
+            conflicts: self.conflicts,
+            restarts: self.restarts,
+            propagations: self.propagations,
+            assumed_literals: self.assumed_literals,
+            ..cf_sat::Stats::default()
         }
+    }
+
+    /// Adds solver counters (a delta of one solver) to the record.
+    pub(crate) fn charge(&mut self, work: &cf_sat::Stats) {
+        self.solves += work.solves;
+        self.conflicts += work.conflicts;
+        self.restarts += work.restarts;
+        self.propagations += work.propagations;
+        self.assumed_literals += work.assumed_literals;
     }
 }
 
-/// The unified result of one [`Query`]: the answer plus this query's
-/// phase breakdown and solver attribution.
+/// The unified result of one [`Query`]: the answer plus the record of
+/// this query's work.
 #[derive(Clone, Debug)]
 pub struct Verdict {
     /// The answer payload.
     pub answer: Answer,
-    /// Encode/solve/bound-round breakdown of the query.
-    pub phase: PhaseStats,
-    /// Per-query solver counters ([`cf_sat::Stats::since`] deltas).
+    /// The query's work ([`QueryStats`]).
     pub stats: QueryStats,
     /// What the verdict leaned on, when [`EngineConfig::provenance`] is
     /// on and the query produced a pass/fail outcome. `None` for
@@ -504,18 +529,18 @@ impl EngineConfig {
     }
 }
 
-/// Aggregated pool counters: the amortization ledger of the engine.
+/// The amortization ledger of the engine: its pool size, and running
+/// sums of the records of the queries it answered.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Live sessions in the pool: one per (harness, test) key the
     /// engine has answered, at any [`EngineConfig::jobs`].
     pub sessions: usize,
-    /// Symbolic executions across all sessions.
-    pub symexecs: u32,
-    /// CNF encodings built across all sessions (== `sessions` unless
-    /// lazy unrolling grew a loop bound).
+    /// CNF encodings the engine's queries built (== `sessions` unless
+    /// lazy unrolling grew a loop bound). Each encoding is one symbolic
+    /// execution.
     pub encodes: u32,
-    /// Queries answered across all sessions.
+    /// Queries answered, errors included; retries do not count again.
     pub queries: u32,
 }
 
@@ -538,6 +563,11 @@ struct Slot<'h> {
 pub struct Engine<'h> {
     config: EngineConfig,
     pool: Vec<Slot<'h>>,
+    /// Running sums of every answered query's [`QueryStats`], so the
+    /// totals do not depend on which sessions are still pooled.
+    solver: cf_sat::Stats,
+    encodes: u32,
+    queries: u32,
 }
 
 impl<'h> Engine<'h> {
@@ -546,6 +576,9 @@ impl<'h> Engine<'h> {
         Engine {
             config,
             pool: Vec::new(),
+            solver: cf_sat::Stats::default(),
+            encodes: 0,
+            queries: 0,
         }
     }
 
@@ -557,35 +590,26 @@ impl<'h> Engine<'h> {
     /// Mutable access to the check settings, for adjusting resource
     /// governance (budgets, deadlines, retries, core post-processing)
     /// between batches; every later query reads them. `range_analysis`
-    /// and `spin_bound` shape an encoding, so changing them applies only
-    /// to sessions built later. The model universe, `jobs` and
+    /// shapes an encoding, so changing it applies only to sessions built
+    /// later. The model universe, `jobs` and
     /// provenance are fixed at [`Engine::new`].
     pub fn check_mut(&mut self) -> &mut CheckConfig {
         &mut self.config.check
     }
 
-    /// Aggregated amortization counters over the whole pool.
+    /// The amortization ledger: pool size, encodes and queries.
     pub fn stats(&self) -> EngineStats {
-        let mut out = EngineStats {
+        EngineStats {
             sessions: self.pool.len(),
-            ..EngineStats::default()
-        };
-        for slot in &self.pool {
-            let s: SessionStats = slot.session.stats();
-            out.symexecs += s.symexecs;
-            out.encodes += s.encodes;
-            out.queries += s.queries;
+            encodes: self.encodes,
+            queries: self.queries,
         }
-        out
     }
 
-    /// Cumulative SAT statistics summed over every pooled solver.
+    /// The solver counters of every query the engine answered, summed
+    /// ([`QueryStats::solver_stats`]).
     pub fn solver_stats(&self) -> cf_sat::Stats {
-        let mut out = cf_sat::Stats::default();
-        for slot in &self.pool {
-            out.add(&slot.session.solver_stats());
-        }
-        out
+        self.solver
     }
 
     /// Answers one query on its key's pooled session.
@@ -684,7 +708,10 @@ impl<'h> Engine<'h> {
                 })
                 .collect::<Vec<_>>()
         });
-        for (i, r) in answered.into_iter().flatten() {
+        for (i, (r, spent)) in answered.into_iter().flatten() {
+            self.solver.add(&spent.solver_stats());
+            self.encodes += spent.encodes;
+            self.queries += 1;
             results[i] = Some(r);
         }
 
@@ -835,16 +862,14 @@ fn build_session<'h>(query: &Query<'h>, config: &EngineConfig) -> CheckSession<'
 /// query's key, and the in-flight query is resubmitted once. If the
 /// retry dies too, only this query degrades — to
 /// [`InconclusiveReason::ShardCrashed`] — and the slot stays empty for
-/// the remaining members, each rebuilding at most once more.
+/// the remaining members, each rebuilding at most once more. Returns
+/// the query's record next to the result, because an error carries
+/// none; the work of a crashed attempt is discarded with its session.
 fn exec_isolated<'h>(
     slot: &mut Option<CheckSession<'h>>,
     query: &Query<'h>,
     config: &EngineConfig,
-) -> Result<Verdict, CheckError> {
-    // The phase accumulator lives outside the resubmit loop so a
-    // crashed-worker verdict still reports the encode/solve work done
-    // before the panic instead of an all-zero placeholder.
-    let mut phase = PhaseStats::default();
+) -> (Result<Verdict, CheckError>, QueryStats) {
     for resubmit in 0..2u64 {
         let session = slot.get_or_insert_with(|| build_session(query, config));
         #[cfg(feature = "faults")]
@@ -856,7 +881,7 @@ fn exec_isolated<'h>(
             if injected == Some(cf_sat::faults::FaultKind::Panic) {
                 panic!("injected worker fault: {}", query.describe());
             }
-            exec(session, query, &config.check, &mut phase)
+            exec(session, query, &config.check)
         }));
         match attempt {
             Ok(result) => return result,
@@ -879,19 +904,19 @@ fn exec_isolated<'h>(
             ("wall_us", cf_trace::u(0)),
         ]
     });
-    Ok(Verdict {
+    let verdict = Verdict {
         answer: Answer::Inconclusive {
             reason: InconclusiveReason::ShardCrashed,
             spent: 0,
         },
-        phase,
         stats: QueryStats::default(),
         provenance: None,
-    })
+    };
+    (Ok(verdict), QueryStats::default())
 }
 
-/// Runs one query on its session with the escalating retry ladder,
-/// attributing solver work and wall time across all attempts.
+/// Runs one query on its session with the escalating retry ladder; the
+/// session's record of the query's work covers every attempt.
 ///
 /// Attempt `n` runs with the [`CheckConfig::tick_budget`] scaled by
 /// [`RETRY_GROWTH`]`^n`; the wall-clock deadline, if any, is re-armed
@@ -903,10 +928,8 @@ fn exec(
     session: &mut CheckSession<'_>,
     query: &Query<'_>,
     check: &CheckConfig,
-    phase: &mut PhaseStats,
-) -> Result<Verdict, CheckError> {
+) -> (Result<Verdict, CheckError>, QueryStats) {
     let t0 = Instant::now();
-    let before = session.solver_stats();
     let mut scale: u64 = 1;
     let mut retries: u32 = 0;
     cf_trace::emit("query_start", || {
@@ -921,31 +944,7 @@ fn exec(
             ),
         ]
     });
-    let done = |delta: cf_sat::Stats,
-                outcome: &'static str,
-                reason: Option<String>,
-                retries: u32,
-                wall: Duration| {
-        cf_trace::emit("query_done", || {
-            let mut fields = vec![
-                ("class", cf_trace::s(query.kind.name())),
-                ("outcome", cf_trace::s(outcome)),
-            ];
-            if let Some(r) = reason {
-                fields.push(("reason", cf_trace::s(r)));
-            }
-            fields.extend([
-                ("ticks", cf_trace::u(delta.ticks())),
-                ("conflicts", cf_trace::u(delta.conflicts)),
-                ("propagations", cf_trace::u(delta.propagations)),
-                ("solves", cf_trace::u(delta.solves)),
-                ("retries", cf_trace::u(u64::from(retries))),
-                ("wall_us", cf_trace::u(wall.as_micros() as u64)),
-            ]);
-            fields
-        });
-    };
-    loop {
+    let answer = loop {
         let tick_budget = check.tick_budget.map(|b| b.saturating_mul(scale));
         session.set_limits(tick_budget, check.deadline.map(|d| Instant::now() + d));
         cf_trace::emit("attempt", || {
@@ -955,100 +954,96 @@ fn exec(
             }
             fields
         });
-        match exec_once(session, query, check, phase) {
+        match exec_once(session, query, check) {
+            Err(CheckError::Exhausted(reason)) if retries < check.max_retries => {
+                retries += 1;
+                scale = scale.saturating_mul(RETRY_GROWTH);
+                cf_trace::emit("retry", || {
+                    vec![
+                        ("attempt", cf_trace::u(u64::from(retries))),
+                        ("reason", cf_trace::s(reason.slug())),
+                        ("spent", cf_trace::u(session.spent().ticks())),
+                    ]
+                });
+            }
             Err(CheckError::Exhausted(reason)) => {
-                if retries < check.max_retries {
-                    retries += 1;
-                    scale = scale.saturating_mul(RETRY_GROWTH);
-                    cf_trace::emit("retry", || {
-                        vec![
-                            ("attempt", cf_trace::u(u64::from(retries))),
-                            ("reason", cf_trace::s(reason.slug())),
-                            (
-                                "spent",
-                                cf_trace::u(session.solver_stats().since(&before).ticks()),
-                            ),
-                        ]
-                    });
-                    continue;
-                }
-                let delta = session.solver_stats().since(&before);
-                phase.total_time = t0.elapsed();
-                done(
-                    delta,
-                    "inconclusive",
-                    Some(reason.slug().to_string()),
-                    retries,
-                    t0.elapsed(),
-                );
-                // Drop any provenance a half-finished attempt left
-                // behind; an inconclusive verdict proves nothing.
-                let _ = session.take_provenance();
-                return Ok(Verdict {
-                    answer: Answer::Inconclusive {
-                        reason,
-                        spent: delta.ticks(),
-                    },
-                    phase: phase.clone(),
-                    stats: QueryStats::from_delta(delta, t0.elapsed(), retries),
-                    provenance: None,
-                });
+                break Ok(Answer::Inconclusive {
+                    reason,
+                    spent: session.spent().ticks(),
+                })
             }
-            Err(e) => {
-                let delta = session.solver_stats().since(&before);
-                phase.total_time = t0.elapsed();
-                done(delta, "error", None, retries, t0.elapsed());
-                return Err(e);
-            }
-            Ok(answer) => {
-                let delta = session.solver_stats().since(&before);
-                phase.total_time = t0.elapsed();
-                let outcome = match &answer {
-                    Answer::Outcome(o) if o.passed() => "pass",
-                    Answer::Outcome(_) => "fail",
-                    Answer::Observations(_) => "observations",
-                    Answer::Inconclusive { .. } => "inconclusive",
-                };
-                done(delta, outcome, None, retries, t0.elapsed());
-                let provenance = session.take_provenance();
-                if let Some(p) = &provenance {
-                    cf_trace::emit("provenance", || {
-                        vec![
-                            (
-                                "kind",
-                                cf_trace::s(match p.kind {
-                                    ProvenanceKind::Proof => "proof",
-                                    ProvenanceKind::Witness => "witness",
-                                }),
-                            ),
-                            ("core_size", cf_trace::u(p.core_size as u64)),
-                            ("minimized", cf_trace::u(u64::from(p.minimized))),
-                            ("uses", cf_trace::s(p.summary())),
-                        ]
-                    });
-                }
-                return Ok(Verdict {
-                    answer,
-                    phase: phase.clone(),
-                    stats: QueryStats::from_delta(delta, t0.elapsed(), retries),
-                    provenance,
-                });
-            }
+            other => break other,
         }
+    };
+    let mut stats = session.take_spent();
+    stats.wall = t0.elapsed();
+    stats.retries = retries;
+    let (outcome, reason) = match &answer {
+        Ok(Answer::Outcome(o)) if o.passed() => ("pass", None),
+        Ok(Answer::Outcome(_)) => ("fail", None),
+        Ok(Answer::Observations(_)) => ("observations", None),
+        Ok(Answer::Inconclusive { reason, .. }) => ("inconclusive", Some(reason.slug())),
+        Err(_) => ("error", None),
+    };
+    cf_trace::emit("query_done", || {
+        let mut fields = vec![
+            ("class", cf_trace::s(query.kind.name())),
+            ("outcome", cf_trace::s(outcome)),
+        ];
+        if let Some(r) = reason {
+            fields.push(("reason", cf_trace::s(r)));
+        }
+        fields.extend([
+            ("ticks", cf_trace::u(stats.ticks())),
+            ("conflicts", cf_trace::u(stats.conflicts)),
+            ("propagations", cf_trace::u(stats.propagations)),
+            ("solves", cf_trace::u(stats.solves)),
+            ("retries", cf_trace::u(u64::from(retries))),
+            ("wall_us", cf_trace::u(stats.wall.as_micros() as u64)),
+        ]);
+        fields
+    });
+    let answer = match answer {
+        Ok(answer) => answer,
+        Err(e) => return (Err(e), stats),
+    };
+    // An inconclusive verdict proves nothing: drop any provenance a
+    // half-finished attempt left behind.
+    let provenance = session
+        .take_provenance()
+        .filter(|_| !matches!(answer, Answer::Inconclusive { .. }));
+    if let Some(p) = &provenance {
+        cf_trace::emit("provenance", || {
+            vec![
+                (
+                    "kind",
+                    cf_trace::s(match p.kind {
+                        ProvenanceKind::Proof => "proof",
+                        ProvenanceKind::Witness => "witness",
+                    }),
+                ),
+                ("core_size", cf_trace::u(p.core_size as u64)),
+                ("minimized", cf_trace::u(u64::from(p.minimized))),
+                ("uses", cf_trace::s(p.summary())),
+            ]
+        });
     }
+    let verdict = Verdict {
+        answer,
+        stats,
+        provenance,
+    };
+    (Ok(verdict), stats)
 }
 
 /// One un-retried attempt at a query: dispatch by kind, plus the
 /// `solve:` fault hook (synthetic exhaustion consumes no solver work;
 /// a stall sleeps here, *after* the deadline was armed, so the solver's
-/// own deadline check is what trips). Phase timings accumulate into
-/// `phase` on every path, so exhausted and crashed attempts keep their
-/// partial attribution.
+/// own deadline check is what trips).
 fn exec_once(
     session: &mut CheckSession<'_>,
     query: &Query<'_>,
     check: &CheckConfig,
-    phase: &mut PhaseStats,
 ) -> Result<Answer, CheckError> {
     #[cfg(feature = "faults")]
     match cf_sat::faults::hit(&format!("solve:{}", query.describe())) {
@@ -1064,18 +1059,18 @@ fn exec_once(
         None => {}
     }
     match &query.kind {
-        QueryKind::Mine => session.query_mine(phase).map(Answer::Observations),
+        QueryKind::Mine => session.query_mine().map(Answer::Observations),
         QueryKind::Enumerate => session
-            .query_enumerate(query.model, &query.toggles, phase)
+            .query_enumerate(query.model, &query.toggles)
             .map(Answer::Observations),
         QueryKind::CheckInclusion { spec } => session
-            .query_inclusion(query.model, spec.as_ref(), &query.toggles, check, phase)
+            .query_inclusion(query.model, spec.as_ref(), &query.toggles, check)
             .map(Answer::Outcome),
         QueryKind::CommitMethod { ty } => {
             let ModelSel::Builtin(mode) = query.model else {
                 unreachable!("validated: commit queries use built-in models");
             };
-            session.query_commit(mode, *ty, phase).map(Answer::Outcome)
+            session.query_commit(mode, *ty).map(Answer::Outcome)
         }
     }
 }

@@ -34,7 +34,7 @@
 //! query kind runs through: when a query discovers executions exceeding
 //! the current loop bounds, the session re-executes and re-encodes at
 //! larger bounds (this is the only event that discards solver state;
-//! [`SessionStats`] counts it).
+//! [`QueryStats::encodes`] counts it).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
@@ -46,11 +46,12 @@ use cf_spec::ModelSpec;
 
 use crate::checker::{
     decode_counterexample, exhausted_err, CheckConfig, CheckError, CheckOutcome, FailureKind,
-    ObsSet, PhaseStats, MAX_BOUND_ROUNDS,
+    ObsSet, MAX_BOUND_ROUNDS, SPIN_BOUND,
 };
 use crate::commit::{encode_abstract_machine, AbstractType};
 use crate::encode::{Encoding, ModelSel, OrderEncoding};
 use crate::provenance::{Provenance, ProvenanceKind};
+use crate::query::QueryStats;
 use crate::range::analyze;
 use crate::symexec::{execute, LoopBounds, SymExec};
 use crate::test_spec::{Harness, TestSpec};
@@ -73,7 +74,9 @@ pub struct SessionConfig {
     pub order_encoding: OrderEncoding,
     /// Whether the range analysis runs.
     pub range_analysis: bool,
-    /// Unrolling bound for `spin`-marked retry loops.
+    /// Always [`SPIN_BOUND`], which is what sessions unroll `spin`
+    /// loops with; this copy is not read by the session. It stays only
+    /// because perfbench's ledger reads it (ROADMAP item 6).
     pub spin_bound: u32,
     /// Whether inclusion verdicts carry [`Provenance`]: real fences are
     /// made assumption-addressable (wrapped in synthetic toggle sites)
@@ -93,22 +96,10 @@ impl SessionConfig {
             specs: Vec::new(),
             order_encoding: OrderEncoding::Pairwise,
             range_analysis: config.range_analysis,
-            spin_bound: config.spin_bound,
+            spin_bound: SPIN_BOUND,
             provenance: false,
         }
     }
-}
-
-/// Counters proving (or disproving) the session's amortization claim:
-/// many queries per symbolic execution / encode.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Symbolic executions performed (1 unless loop bounds grew).
-    pub symexecs: u32,
-    /// CNF encodings built (1 unless loop bounds grew).
-    pub encodes: u32,
-    /// Public queries answered (mining, inclusion, enumeration, commit).
-    pub queries: u32,
 }
 
 /// The per-encoding state: everything discarded when loop bounds grow.
@@ -187,7 +178,10 @@ pub struct CheckSession<'h> {
     limits: (Option<u64>, Option<Instant>),
     bounds: LoopBounds,
     state: Option<State>,
-    stats: SessionStats,
+    /// The work of the query in flight: each lazy-unrolling round
+    /// charges the encoding it builds and its own solve calls, and the
+    /// engine takes the record when the query ends.
+    spent: QueryStats,
     /// The provenance-instrumented copy of the harness (real fences
     /// wrapped in synthetic toggle sites). Built once, survives bound
     /// growth. `None` unless [`SessionConfig::provenance`] is on.
@@ -210,7 +204,7 @@ impl<'h> CheckSession<'h> {
             limits: (None, None),
             bounds: LoopBounds::new(),
             state: None,
-            stats: SessionStats::default(),
+            spent: QueryStats::default(),
             prov_harness: None,
             fence_coords: BTreeMap::new(),
             last_provenance: None,
@@ -231,41 +225,31 @@ impl<'h> CheckSession<'h> {
         self.last_provenance.take()
     }
 
-    /// Amortization counters.
-    pub fn stats(&self) -> SessionStats {
-        self.stats
+    /// The work charged to the query in flight so far.
+    pub(crate) fn spent(&self) -> &QueryStats {
+        &self.spent
     }
 
-    /// Cumulative statistics of the persistent solver (zero before the
-    /// first query builds the encoding).
-    pub fn solver_stats(&self) -> cf_sat::Stats {
-        self.state
-            .as_ref()
-            .map(|st| *st.enc.cnf.solver.stats())
-            .unwrap_or_default()
+    /// Takes (and clears) the work charged to the query in flight.
+    pub(crate) fn take_spent(&mut self) -> QueryStats {
+        std::mem::take(&mut self.spent)
     }
 
     /// The [`QueryKind::Mine`](crate::query::QueryKind::Mine) body:
     /// the SAT-enumerated observation set of all error-free serial
-    /// executions (§3.2). Phase timings accumulate into `stats` — also
-    /// on the error path, so exhausted queries keep their partial
-    /// attribution (the caller stamps `total_time`).
+    /// executions (§3.2).
     ///
     /// # Errors
     ///
     /// [`CheckError::SerialBug`] if a serial execution raises a runtime
     /// error; infrastructure errors otherwise.
-    pub(crate) fn query_mine(&mut self, stats: &mut PhaseStats) -> Result<ObsSet, CheckError> {
-        self.stats.queries += 1;
+    pub(crate) fn query_mine(&mut self) -> Result<ObsSet, CheckError> {
         let serial = ModelSel::Builtin(Mode::Serial);
-        self.with_bounds(serial, &[], stats, |sx, enc, asm, stats| {
+        self.with_bounds(serial, &[], |sx, enc, asm| {
             // Any serial execution with an error is a sequential bug.
             let mut with_err = asm.to_vec();
             with_err.push(enc.error_lit);
-            let t = Instant::now();
-            let r = enc.cnf.solver.solve_with(&with_err);
-            stats.solve_time += t.elapsed();
-            match r {
+            match enc.cnf.solver.solve_with(&with_err) {
                 SolveResult::Sat => {
                     let name = enc.model_name(serial);
                     let cx = decode_counterexample(sx, enc, FailureKind::SerialError, name);
@@ -275,7 +259,7 @@ impl<'h> CheckSession<'h> {
                 SolveResult::Unsat => {}
             }
             // Enumerate observations of error-free serial executions.
-            let vectors = Self::enumerate_gated(enc, asm, stats)?;
+            let vectors = Self::enumerate_gated(enc, asm)?;
             Ok(Round::Bounded(ObsSet { vectors }))
         })
     }
@@ -292,11 +276,9 @@ impl<'h> CheckSession<'h> {
         &mut self,
         model: ModelSel,
         active_toggles: &[u32],
-        stats: &mut PhaseStats,
     ) -> Result<ObsSet, CheckError> {
-        self.stats.queries += 1;
-        self.with_bounds(model, active_toggles, stats, |_sx, enc, asm, stats| {
-            let vectors = Self::enumerate_gated(enc, asm, stats)?;
+        self.with_bounds(model, active_toggles, |_sx, enc, asm| {
+            let vectors = Self::enumerate_gated(enc, asm)?;
             Ok(Round::Bounded(ObsSet { vectors }))
         })
     }
@@ -311,7 +293,6 @@ impl<'h> CheckSession<'h> {
     fn enumerate_gated(
         enc: &mut Encoding,
         asm: &[Lit],
-        stats: &mut PhaseStats,
     ) -> Result<BTreeSet<Vec<cf_lsl::Value>>, CheckError> {
         let q = enc.cnf.fresh();
         let mut clean = asm.to_vec();
@@ -319,12 +300,8 @@ impl<'h> CheckSession<'h> {
         clean.push(q);
         let mut vectors = BTreeSet::new();
         loop {
-            let t = Instant::now();
-            let r = enc.cnf.solver.solve_with(&clean);
-            stats.solve_time += t.elapsed();
-            match r {
+            match enc.cnf.solver.solve_with(&clean) {
                 SolveResult::Sat => {
-                    stats.iterations += 1;
                     let obs = enc.decode_obs();
                     let mut block: Vec<Lit> = Vec::with_capacity(obs.len() + 1);
                     block.push(!q);
@@ -347,18 +324,14 @@ impl<'h> CheckSession<'h> {
     /// The
     /// [`QueryKind::CheckInclusion`](crate::query::QueryKind::CheckInclusion)
     /// body: toggle sites are just assumption polarities. A PASS core
-    /// is minimized and verified as `check` says. Phase timings
-    /// accumulate into `stats` — also on the error path — and the
-    /// caller stamps `total_time`.
+    /// is minimized and verified as `check` says.
     pub(crate) fn query_inclusion(
         &mut self,
         model: ModelSel,
         spec: &ObsSet,
         active_toggles: &[u32],
         check: &CheckConfig,
-        stats: &mut PhaseStats,
     ) -> Result<CheckOutcome, CheckError> {
-        self.stats.queries += 1;
         self.last_provenance = None;
         let prov = self.config.provenance;
         let min_ticks = check.core_minimize_ticks;
@@ -366,10 +339,10 @@ impl<'h> CheckSession<'h> {
         // Building the state populates `fence_coords` (the fence-wrap
         // pass runs there); force it before snapshotting the map, or
         // the very first query would see no coordinates.
-        self.ensure_state(stats)?;
+        self.ensure_state()?;
         let coords = self.fence_coords.clone();
         let mut prov_out: Option<Provenance> = None;
-        let result = self.with_bounds(model, active_toggles, stats, |sx, enc, asm, stats| {
+        let result = self.with_bounds(model, active_toggles, |sx, enc, asm| {
             // The spec-membership circuit is a pure definition: cache it
             // per spec, so the fence-inference loop (same spec, different
             // toggle vector) encodes it once.
@@ -377,10 +350,7 @@ impl<'h> CheckSession<'h> {
             let bad = enc.cnf.or(enc.error_lit, no_match);
             let mut a = asm.to_vec();
             a.push(bad);
-            let t = Instant::now();
-            let r = enc.cnf.solver.solve_with(&a);
-            stats.solve_time += t.elapsed();
-            match r {
+            match enc.cnf.solver.solve_with(&a) {
                 SolveResult::Unsat => {
                     if prov {
                         // The decisive solve's final-conflict core —
@@ -392,16 +362,11 @@ impl<'h> CheckSession<'h> {
                             .map(<[Lit]>::to_vec)
                             .unwrap_or_default();
                         let (core, minimized) = match min_ticks {
-                            Some(budget) => {
-                                let t = Instant::now();
-                                let out = enc
-                                    .cnf
-                                    .solver
-                                    .minimize_core(Some(budget))
-                                    .unwrap_or((raw, false));
-                                stats.solve_time += t.elapsed();
-                                out
-                            }
+                            Some(budget) => enc
+                                .cnf
+                                .solver
+                                .minimize_core(Some(budget))
+                                .unwrap_or((raw, false)),
                             None => (raw, false),
                         };
                         if verify {
@@ -456,9 +421,7 @@ impl<'h> CheckSession<'h> {
     /// body: the commit-point method (the Fig. 12 baseline) under
     /// `mode`. The abstract machine is built once per encoding and gated
     /// on a per-machine literal, so commit queries coexist with
-    /// observation queries on one solver. Phase timings accumulate into
-    /// `stats` — also on the error path — and the caller stamps
-    /// `total_time`.
+    /// observation queries on one solver.
     ///
     /// # Errors
     ///
@@ -468,18 +431,14 @@ impl<'h> CheckSession<'h> {
         &mut self,
         mode: Mode,
         ty: AbstractType,
-        stats: &mut PhaseStats,
     ) -> Result<CheckOutcome, CheckError> {
-        self.stats.queries += 1;
         let model = ModelSel::Builtin(mode);
-        self.with_bounds(model, &[], stats, |sx, enc, asm, stats| {
+        self.with_bounds(model, &[], |sx, enc, asm| {
             let (gate, mismatch) = match enc.commit_cache_lookup(ty) {
                 Some(cached) => cached,
                 None => {
-                    let te = Instant::now();
                     let gate = enc.cnf.fresh();
                     let mismatch = encode_abstract_machine(sx, enc, ty, gate)?;
-                    stats.encode_time += te.elapsed();
                     enc.commit_cache_insert(ty, gate, mismatch);
                     (gate, mismatch)
                 }
@@ -488,11 +447,7 @@ impl<'h> CheckSession<'h> {
             a.push(gate);
             let bad = enc.cnf.or(enc.error_lit, mismatch);
             a.push(bad);
-            let t = Instant::now();
-            let r = enc.cnf.solver.solve_with(&a);
-            stats.solve_time += t.elapsed();
-            stats.iterations += 1;
-            match r {
+            match enc.cnf.solver.solve_with(&a) {
                 SolveResult::Sat => {
                     let kind = if enc.cnf.lit_value(enc.error_lit) {
                         FailureKind::RuntimeError
@@ -511,8 +466,11 @@ impl<'h> CheckSession<'h> {
 
     // ------------------------------------------------------------ internals
 
-    /// Builds (or reuses) the encoding for the current loop bounds.
-    fn ensure_state(&mut self, stats: &mut PhaseStats) -> Result<(), CheckError> {
+    /// Builds (or reuses) the encoding for the current loop bounds. A
+    /// build charges the query in flight with one encode and the
+    /// solver work the encoding did: unit clauses propagate eagerly
+    /// while the CNF is built, outside any solve call.
+    fn ensure_state(&mut self) -> Result<(), CheckError> {
         if self.state.is_none() {
             if self.config.provenance && self.prov_harness.is_none() {
                 let (wrapped, coords) = wrap_fences(self.harness);
@@ -520,8 +478,7 @@ impl<'h> CheckSession<'h> {
                 self.fence_coords = coords;
             }
             let harness: &Harness = self.prov_harness.as_deref().unwrap_or(self.harness);
-            let sx = execute(harness, self.test, &self.bounds, self.config.spin_bound)?;
-            self.stats.symexecs += 1;
+            let sx = execute(harness, self.test, &self.bounds, SPIN_BOUND)?;
             let t0 = Instant::now();
             let range = analyze(&sx, self.config.range_analysis);
             let mut enc = Encoding::build_full(
@@ -532,18 +489,14 @@ impl<'h> CheckSession<'h> {
                 self.config.order_encoding,
                 self.config.provenance,
             );
-            stats.encode_time += t0.elapsed();
-            self.stats.encodes += 1;
+            let encoded = *enc.cnf.solver.stats();
+            self.spent.charge(&encoded);
+            self.spent.encodes += 1;
             cf_trace::emit("encode", || {
                 vec![
                     ("vars", cf_trace::u(enc.cnf.num_vars() as u64)),
                     ("clauses", cf_trace::u(enc.cnf.num_clauses())),
-                    // Unit clauses propagate eagerly while the CNF is
-                    // built (outside any solve call), so the fresh
-                    // solver's tick count here is exactly the
-                    // encode-phase solver work — the profile needs it
-                    // to close the attribution ledger.
-                    ("ticks", cf_trace::u(enc.cnf.solver.stats().ticks())),
+                    ("ticks", cf_trace::u(encoded.ticks())),
                     ("encode_us", cf_trace::u(t0.elapsed().as_micros() as u64)),
                 ]
             });
@@ -615,20 +568,13 @@ impl<'h> CheckSession<'h> {
     /// Solves the bound-overflow query; `Some(keys)` lists the loops to
     /// grow. The query runs under the same mode/toggle assumptions as the
     /// payload, so bounds only grow for executions the query can see.
-    fn overflow_keys(
-        st: &mut State,
-        base: &[Lit],
-        stats: &mut PhaseStats,
-    ) -> Result<Option<Vec<String>>, CheckError> {
+    fn overflow_keys(st: &mut State, base: &[Lit]) -> Result<Option<Vec<String>>, CheckError> {
         let Some(act) = st.overflow_act else {
             return Ok(None);
         };
         let mut asm = base.to_vec();
         asm.push(act);
-        let t = Instant::now();
-        let r = st.enc.cnf.solver.solve_with(&asm);
-        stats.solve_time += t.elapsed();
-        match r {
+        match st.enc.cnf.solver.solve_with(&asm) {
             SolveResult::Sat => Ok(Some(st.enc.exceeded_keys())),
             SolveResult::Unsat => Ok(None),
             SolveResult::Unknown => Err(exhausted_err(&st.enc.cnf.solver)),
@@ -653,45 +599,34 @@ impl<'h> CheckSession<'h> {
     /// restricted to within-bounds executions and says whether its
     /// result is final (a counterexample) or bound-sensitive (a pass or
     /// an observation set, valid only if no execution escapes the
-    /// bounds).
+    /// bounds). Every round charges its solve calls to the query in
+    /// flight, on the error paths too.
     fn with_bounds<T>(
         &mut self,
         model: ModelSel,
         active_toggles: &[u32],
-        stats: &mut PhaseStats,
-        mut payload: impl FnMut(
-            &SymExec,
-            &mut Encoding,
-            &[Lit],
-            &mut PhaseStats,
-        ) -> Result<Round<T>, CheckError>,
+        mut payload: impl FnMut(&SymExec, &mut Encoding, &[Lit]) -> Result<Round<T>, CheckError>,
     ) -> Result<T, CheckError> {
-        for round in 0..MAX_BOUND_ROUNDS {
-            stats.bound_rounds = round + 1;
-            self.ensure_state(stats)?;
+        for _ in 0..MAX_BOUND_ROUNDS {
+            self.ensure_state()?;
             let st = self.state.as_mut().expect("state built");
-            let sat0 = *st.enc.cnf.solver.stats();
+            let solved = *st.enc.cnf.solver.solve_stats();
             let base = Self::base_assumptions(&st.enc, model, active_toggles);
             // Overflow first: the payload may add (gated) clauses, but
             // more importantly a pass is only bound-valid if no execution
             // escapes the bounds under these assumptions.
-            let overflow = Self::overflow_keys(st, &base, stats)?;
-            let mut asm = base;
-            asm.extend(st.enc.exceeded.iter().map(|(_, l)| !*l));
-            let result = payload(&st.sx, &mut st.enc, &asm, stats);
-            stats.unrolled = st.sx.stats;
-            stats.sat_vars = st.enc.cnf.num_vars();
-            stats.sat_clauses = st.enc.cnf.num_clauses();
-            let sat1 = st.enc.cnf.solver.stats().since(&sat0);
-            stats.sat_conflicts += sat1.conflicts;
-            stats.sat_propagations += sat1.propagations;
-            stats.sat_solves += sat1.solves;
+            let result = Self::overflow_keys(st, &base).and_then(|overflow| {
+                let mut asm = base;
+                asm.extend(st.enc.exceeded.iter().map(|(_, l)| !*l));
+                Ok((payload(&st.sx, &mut st.enc, &asm)?, overflow))
+            });
+            self.spent
+                .charge(&st.enc.cnf.solver.solve_stats().since(&solved));
+            self.spent.vars = st.enc.cnf.num_vars();
+            self.spent.clauses = st.enc.cnf.num_clauses();
             match result? {
-                Round::Final(t) => return Ok(t),
-                Round::Bounded(t) => match overflow {
-                    None => return Ok(t),
-                    Some(keys) => self.grow_bounds(keys),
-                },
+                (Round::Final(t), _) | (Round::Bounded(t), None) => return Ok(t),
+                (Round::Bounded(_), Some(keys)) => self.grow_bounds(keys),
             }
         }
         Err(CheckError::BoundsDiverged {

@@ -47,6 +47,8 @@ pub struct StructField {
     pub ty: CType,
     /// `Some(n)` for `ty name[n]`.
     pub array: Option<u32>,
+    /// Source line of the field's declarator.
+    pub line: usize,
 }
 
 /// A top-level item.
@@ -67,6 +69,8 @@ pub enum Item {
         ty: CType,
         /// `Some(n)` for arrays.
         array: Option<u32>,
+        /// Source line of the declarator.
+        line: usize,
     },
     /// A function definition or extern declaration.
     Func(Func),

@@ -103,7 +103,7 @@ impl Lowerer {
             if let Item::Struct { name, fields } = item {
                 let mut defs = Vec::new();
                 for f in fields {
-                    let mt = self.mem_type(&f.ty, f.array, 0)?;
+                    let mt = self.mem_type(&f.ty, f.array, f.line)?;
                     defs.push((f.name.clone(), mt));
                 }
                 let id = self.program.types.define(StructDef {
@@ -125,8 +125,14 @@ impl Lowerer {
 
     fn collect_globals(&mut self, ast: &Ast) -> Result<(), MinicError> {
         for item in &ast.items {
-            if let Item::Global { name, ty, array } = item {
-                let mt = self.mem_type(ty, *array, 0)?;
+            if let Item::Global {
+                name,
+                ty,
+                array,
+                line,
+            } = item
+            {
+                let mt = self.mem_type(ty, *array, *line)?;
                 let base = self.program.add_global(name.clone(), mt);
                 self.globals
                     .insert(name.clone(), (base, ty.clone(), *array));

@@ -278,9 +278,15 @@ impl Parser {
             let base = self.parse_type_no_stars()?;
             loop {
                 let ty = self.parse_stars(base.clone());
+                let line = self.line();
                 let name = self.expect_ident()?;
                 let array = self.parse_array_suffix()?;
-                fields.push(StructField { name, ty, array });
+                fields.push(StructField {
+                    name,
+                    ty,
+                    array,
+                    line,
+                });
                 if !self.eat(&Token::Comma) {
                     break;
                 }
@@ -382,15 +388,20 @@ impl Parser {
         }
         // Global variable(s).
         let mut items = Vec::new();
-        let mut ty = ty;
-        let mut name = name;
+        let (mut ty, mut name, mut line) = (ty, name, line);
         loop {
             let array = self.parse_array_suffix()?;
-            items.push(Item::Global { name, ty, array });
+            items.push(Item::Global {
+                name,
+                ty,
+                array,
+                line,
+            });
             if !self.eat(&Token::Comma) {
                 break;
             }
             ty = self.parse_stars(base.clone());
+            line = self.line();
             name = self.expect_ident()?;
         }
         self.expect(&Token::Semi)?;

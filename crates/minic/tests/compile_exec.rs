@@ -329,3 +329,23 @@ fn errors_inside_atomic_blocks_are_reported() {
     assert_eq!(err.line, 2, "{err}");
     assert!(err.message.contains("`tre`"), "{err}");
 }
+
+#[test]
+fn layout_errors_name_the_declaration_line() {
+    // Struct fields and globals are laid out before any function is
+    // lowered; their errors still point at the declarator's line.
+    let err = compile("int x;\nvoid g;").expect_err("void global");
+    assert_eq!(err.line, 2, "{err}");
+    assert!(err.message.contains("`void` object has no layout"), "{err}");
+    let err = compile("int x;\nstruct T {\n  int a;\n  void v;\n};").expect_err("void field");
+    assert_eq!(err.line, 4, "{err}");
+    assert!(err.message.contains("`void` object has no layout"), "{err}");
+    let err = compile("struct T { struct U u; };\nstruct U { int a; };").expect_err("forward use");
+    assert_eq!(err.line, 1, "{err}");
+    assert!(
+        err.message
+            .contains("struct `U` used by value before its definition"),
+        "{err}"
+    );
+    assert!(err.to_string().starts_with("line 1: "), "{err}");
+}

@@ -127,6 +127,8 @@ pub struct Solver {
 
     max_learnts: f64,
     stats: Stats,
+    // the part of `stats` accumulated inside solve calls
+    solve_stats: Stats,
     tick_budget: Option<u64>,
     deadline: Option<std::time::Instant>,
     stop_cause: Option<StopCause>,
@@ -170,6 +172,7 @@ impl Solver {
             clause_buf: Vec::new(),
             max_learnts: 0.0,
             stats: Stats::default(),
+            solve_stats: Stats::default(),
             tick_budget: None,
             deadline: None,
             stop_cause: None,
@@ -207,6 +210,14 @@ impl Solver {
     /// Cumulative statistics.
     pub fn stats(&self) -> &Stats {
         &self.stats
+    }
+
+    /// The part of [`Solver::stats`] accumulated inside solve calls: the
+    /// sum of every [`SolveEvent::delta`] so far. It leaves out the
+    /// level-0 propagation that [`Solver::add_clause`] does between
+    /// calls.
+    pub fn solve_stats(&self) -> &Stats {
+        &self.solve_stats
     }
 
     /// Limits the next `solve` calls to roughly `ticks` *ticks*, where a
@@ -325,11 +336,13 @@ impl Solver {
         // return path of the search body, early outs included.
         let before = self.stats;
         let result = self.solve_with_inner(assumptions);
+        let delta = self.stats.since(&before);
+        self.solve_stats.add(&delta);
         if let Some(hook) = &mut self.solve_hook {
             let event = SolveEvent {
                 result,
                 stop: self.stop_cause,
-                delta: self.stats.since(&before),
+                delta,
             };
             (hook.0)(&event);
         }
@@ -1046,6 +1059,34 @@ mod tests {
         clause(&mut s, &[1, -1]);
         assert_eq!(s.num_clauses(), 0);
         assert_eq!(s.solve(), SolveResult::Sat);
+    }
+
+    #[test]
+    fn solve_stats_leave_out_propagation_between_solve_calls() {
+        let mut s = Solver::new();
+        clause(&mut s, &[-1, 2]);
+        clause(&mut s, &[-2, 3]);
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Stats::default()));
+        let sink = seen.clone();
+        s.set_solve_hook(Some(SolveHook::new(move |ev| {
+            sink.lock().expect("hook lock").add(&ev.delta);
+        })));
+        let a = lit(&mut s, 1);
+        assert_eq!(s.solve_with(&[a]), SolveResult::Sat);
+        // A unit clause propagates 1 → 2 → 3 at level 0, outside any
+        // solve call.
+        let before = *s.stats();
+        clause(&mut s, &[1]);
+        assert_eq!(s.stats().propagations, before.propagations + 3);
+        assert_eq!(s.solve(), SolveResult::Sat);
+        let solved = *s.solve_stats();
+        assert_eq!(
+            solved,
+            *seen.lock().expect("hook lock"),
+            "sum of the deltas"
+        );
+        assert_eq!(solved.solves, 2);
+        assert_eq!(s.stats().propagations, solved.propagations + 3);
     }
 
     #[test]

@@ -297,23 +297,27 @@ pub fn load_file(path: &Path) -> Result<CorpusEntry, CorpusLoadError> {
     if tests.is_empty() {
         return Err(fail("no `// cf: test` directives".into()));
     }
+    let program = cf_minic::compile(&source).map_err(|e| fail(format!("compile error: {e}")))?;
+    for (op, line) in &ops {
+        if program.proc_id(&op.proc_name).is_none() {
+            return Err(fail(format!(
+                "line {line}: op procedure `{}` not found",
+                op.proc_name
+            )));
+        }
+    }
+    if let Some((init, line)) = &init {
+        if program.proc_id(init).is_none() {
+            return Err(fail(format!(
+                "line {line}: init procedure `{init}` not found"
+            )));
+        }
+    }
     let ops: Vec<OpSig> = ops.into_iter().map(|(o, _)| o).collect();
     let tests: Vec<TestSpec> = tests.into_iter().map(|(t, _)| t).collect();
     let expects: Vec<Expect> = expects.into_iter().map(|(e, _)| e).collect();
     let explains: Vec<Explain> = explains.into_iter().map(|(e, _)| e).collect();
     let init = init.map(|(i, _)| i);
-
-    let program = cf_minic::compile(&source).map_err(|e| fail(format!("compile error: {e}")))?;
-    for op in &ops {
-        if program.proc_id(&op.proc_name).is_none() {
-            return Err(fail(format!("op procedure `{}` not found", op.proc_name)));
-        }
-    }
-    if let Some(init) = &init {
-        if program.proc_id(init).is_none() {
-            return Err(fail(format!("init procedure `{init}` not found")));
-        }
-    }
     Ok(CorpusEntry {
         name: name.clone(),
         path: path.to_path_buf(),

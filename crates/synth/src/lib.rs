@@ -68,4 +68,6 @@ mod run;
 mod synthesize;
 
 pub use run::{run_corpus, CorpusConfig, CorpusReport, CorpusRow, CorpusVerdict};
-pub use synthesize::{canonicalize, enumerate_ordered, synthesize, SynthBounds, SynthCorpus};
+pub use synthesize::{
+    canonicalize, enumerate_ordered, synthesize, SynthBounds, SynthCorpus, MIN_THREADS,
+};

@@ -59,8 +59,9 @@ pub struct CorpusConfig {
     /// Attach verdict provenance to every *solved* cell (proof cores on
     /// passes, witness environments on failures), rendered by
     /// [`CorpusReport::explain`]. Inferred cells carry no provenance —
-    /// no solve ran for them. Off by default; provenance queries run on
-    /// their own session pool.
+    /// no solve ran for them. Off by default. It sets
+    /// [`EngineConfig::provenance`], so every test's one session is built
+    /// instrumented; there is no separate provenance pool.
     pub provenance: bool,
 }
 

@@ -24,14 +24,16 @@ use std::hash::BuildHasherDefault;
 
 use checkfence::{FxHasher, OpInvocation, OpSig, TestSpec};
 
+/// The fewest threads a synthesized test has: one-thread tests are
+/// serial by construction, so every observation they can make is in
+/// the mined specification already.
+pub const MIN_THREADS: usize = 2;
+
 /// The enumeration bounds of a synthesis run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SynthBounds {
-    /// Minimum number of threads per test. Defaults to 2: one-thread
-    /// tests are serial by construction, so every observation they can
-    /// make is in the mined specification already.
-    pub min_threads: usize,
-    /// Maximum number of threads per test (the paper's `T`).
+    /// Maximum number of threads per test (the paper's `T`); bounds
+    /// below [`MIN_THREADS`] synthesize nothing.
     pub max_threads: usize,
     /// Maximum operations per thread (the paper's `K`).
     pub max_ops_per_thread: usize,
@@ -47,11 +49,10 @@ pub struct SynthBounds {
 
 impl SynthBounds {
     /// Bounds with `max_threads` threads and `max_ops_per_thread`
-    /// operations per thread; two-thread minimum, init prefixes of at
-    /// most one operation, and an 8-bit argument cap.
+    /// operations per thread; init prefixes of at most one operation,
+    /// and an 8-bit argument cap.
     pub fn new(max_threads: usize, max_ops_per_thread: usize) -> SynthBounds {
         SynthBounds {
-            min_threads: 2,
             max_threads,
             max_ops_per_thread,
             max_init_ops: 1,
@@ -161,7 +162,7 @@ pub fn enumerate_ordered(ops: &[OpSig], bounds: &SynthBounds) -> Vec<TestSpec> {
 
     let mut out = Vec::new();
     for init in &inits {
-        for n in bounds.min_threads.max(1)..=bounds.max_threads {
+        for n in MIN_THREADS..=bounds.max_threads {
             // Ordered n-tuples of words, odometer-style.
             if words.is_empty() {
                 continue;

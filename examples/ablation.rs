@@ -24,7 +24,7 @@ fn main() {
             // lazy re-unrolling, which re-encodes.)
             if matches!(name, "treiber" | "ms2") {
                 assert_eq!(
-                    report.session.encodes, 1,
+                    report.encodes, 1,
                     "{name}: the whole matrix must share one encoding"
                 );
             }

@@ -32,9 +32,9 @@ fn main() {
         CheckOutcome::Pass => println!(
             "PASS: all Relaxed executions are serializable \
              ({} SAT vars, {} clauses, {:.3}s)",
-            verdict.phase.sat_vars,
-            verdict.phase.sat_clauses,
-            verdict.phase.total_time.as_secs_f64()
+            verdict.stats.vars,
+            verdict.stats.clauses,
+            verdict.stats.wall.as_secs_f64()
         ),
         CheckOutcome::Fail(cx) => println!("FAIL:\n{cx}"),
     }

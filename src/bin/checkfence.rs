@@ -43,7 +43,8 @@
 //!                               hardware lattice (plus a --model .cfm
 //!                               column) and print a Fig. 5-style
 //!                               coverage table; replaces <SOURCE.c>
-//!   --threads T                 synthesis bound: threads per test  [2]
+//!   --threads T                 synthesis bound: threads per test,
+//!                               at least 2  [2]
 //!   --ops K                     synthesis bound: operations per
 //!                               thread  [2]
 //!   --jobs N                    mine and check up to N tests at once,
@@ -226,7 +227,8 @@ fn usage() -> &'static str {
      \x20                            test corpus of a bundled data type\n\
      \x20                            (e.g. treiber, ms2, lamport-unfenced);\n\
      \x20                            replaces <SOURCE.c>\n\
-     \x20 --threads T                synthesis bound: threads per test [2]\n\
+     \x20 --threads T                synthesis bound: threads per test,\n\
+     \x20                            at least 2 [2]\n\
      \x20 --ops K                    synthesis bound: ops per thread [2]\n\
      \x20 --jobs N                   mine and check up to N tests at once\n\
      \x20                            (one session per test at any N) [1]\n\
@@ -442,6 +444,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         }
         if opts.run_analyze {
             return Err("--analyze reports on --op/--test harnesses; drop --synth".into());
+        }
+        if opts.threads < cf_synth::MIN_THREADS {
+            return Err(format!(
+                "--threads {}: synthesized tests need at least {} threads \
+                 (one-thread tests are serial, so they cannot fail)",
+                opts.threads,
+                cf_synth::MIN_THREADS
+            ));
         }
         if !matches!(opts.method, Method::Observation) {
             return Err("--synth uses the observation method; drop --method".into());

@@ -441,6 +441,17 @@ fn synth_coverage_table_is_identical_across_jobs() {
 }
 
 #[test]
+fn synth_rejects_fewer_than_two_threads() {
+    // One-thread tests are serial, so a one-thread synthesis would
+    // check nothing and pass vacuously.
+    let out = run(cli().args(["--synth", "treiber", "--threads", "1", "--ops", "1"]));
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("need at least 2 threads"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing is synthesized: {out:?}");
+}
+
+#[test]
 fn synth_usage_errors_exit_two() {
     // --synth replaces the source file and the op/test flags.
     let out = run(mailbox_args(&mut cli()).args(["--synth", "treiber"]));

@@ -1,6 +1,7 @@
 //! Seeded malformed-input test: every source under `corpus/`,
 //! `corpus/c11/` and `specs/`, with a few characters deleted, inserted
-//! or replaced, must load to a result or an error, never a panic.
+//! or replaced, must load to a result or an error, never a panic, and
+//! every error must name the line it is about.
 //!
 //! The mutations are deterministic (`cf_sat::xorshift::Rng`, one seed per
 //! file), so a failure names the file and mutant index that reproduce it.
@@ -82,9 +83,23 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic".into())
 }
 
+/// Whether an error message names a 1-based source line (`line N`).
+fn names_a_line(message: &str) -> bool {
+    message.match_indices("line ").any(|(i, _)| {
+        message[i + "line ".len()..].starts_with(|c: char| c.is_ascii_digit() && c != '0')
+    })
+}
+
+/// Corpus errors about what a whole file lacks; no line could hold it.
+const FILE_LEVEL: &[&str] = &[
+    "missing `// cf: name` directive",
+    "no `// cf: op` directives",
+    "no `// cf: test` directives",
+];
+
 /// Runs `load` on `MUTANTS_PER_FILE` mutants of every file and returns
-/// one line per panic.
-fn panics(files: &[PathBuf], mut load: impl FnMut(&str)) -> Vec<String> {
+/// one line per panic and per error that `load` reports without a line.
+fn failures(files: &[PathBuf], mut load: impl FnMut(&str) -> Result<(), String>) -> Vec<String> {
     let mut found = Vec::new();
     for (n, path) in files.iter().enumerate() {
         let source = std::fs::read_to_string(path).expect("source reads");
@@ -104,12 +119,17 @@ fn panics(files: &[PathBuf], mut load: impl FnMut(&str)) -> Vec<String> {
         let mut rng = Rng::new(0x5eed_0000 + n as u64);
         for i in 0..MUTANTS_PER_FILE {
             let mutant = mutate(&text, &words, &mut rng);
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| load(&mutant))) {
-                found.push(format!(
-                    "{} mutant {i}: {}",
+            match catch_unwind(AssertUnwindSafe(|| load(&mutant))) {
+                Ok(Ok(())) => {}
+                Ok(Err(lineless)) => found.push(format!(
+                    "{} mutant {i}: error names no line: {lineless}",
+                    path.display()
+                )),
+                Err(payload) => found.push(format!(
+                    "{} mutant {i}: panic: {}",
                     path.display(),
                     panic_message(payload)
-                ));
+                )),
             }
         }
     }
@@ -123,15 +143,24 @@ fn mutated_corpus_sources_never_panic() {
     let scratch = std::env::temp_dir().join(format!("cf-malformed-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("mkdir");
     let entry = scratch.join("entry.c");
-    let found = panics(&files, |text| {
-        let _ = cf_minic::compile(text);
+    let found = failures(&files, |text| {
+        if let Err(e) = cf_minic::compile(text) {
+            if e.line == 0 {
+                return Err(format!("cf_minic::compile: {e}"));
+            }
+        }
         std::fs::write(&entry, text).expect("write mutant");
-        let _ = cf_synth::corpus::load_file(&entry);
+        match cf_synth::corpus::load_file(&entry) {
+            Err(e) if !names_a_line(&e.message) && !FILE_LEVEL.contains(&e.message.as_str()) => {
+                Err(format!("corpus::load_file: {}", e.message))
+            }
+            _ => Ok(()),
+        }
     });
     std::fs::remove_dir_all(&scratch).ok();
     assert!(
         found.is_empty(),
-        "{} panics:\n{}",
+        "{} failures:\n{}",
         found.len(),
         found.join("\n")
     );
@@ -139,12 +168,15 @@ fn mutated_corpus_sources_never_panic() {
 
 #[test]
 fn mutated_specs_never_panic() {
-    let found = panics(&sources("specs", "cfm"), |text| {
-        let _ = cf_spec::compile(text);
+    let found = failures(&sources("specs", "cfm"), |text| {
+        match cf_spec::compile(text) {
+            Err(e) if e.line == 0 => Err(format!("cf_spec::compile: {e}")),
+            _ => Ok(()),
+        }
     });
     assert!(
         found.is_empty(),
-        "{} panics:\n{}",
+        "{} failures:\n{}",
         found.len(),
         found.join("\n")
     );
