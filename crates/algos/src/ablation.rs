@@ -67,7 +67,6 @@ pub fn subject(name: &str) -> Option<Subject> {
     };
     let scoped = |procs: &[&str]| MutationConfig {
         procs: Some(procs.iter().map(ToString::to_string).collect()),
-        ..MutationConfig::default()
     };
     match name {
         "treiber" => Some(Subject {

@@ -14,43 +14,35 @@
 
 use checkfence::Harness;
 
-use crate::{compile_harness, set_ops, Variant};
+use crate::{build, compile_harness, set_ops, Variant};
 
-/// The mini-C source.
-pub fn source(variant: Variant) -> String {
-    let f = |s: &'static str| match variant {
-        Variant::Fenced => s,
-        Variant::Unfenced => "",
-    };
-    let ll = f(r#"fence("load-load");"#);
-    let publish = f(r#"fence("store-store");"#);
-    format!(
-        r#"
-typedef struct node {{
+/// The fenced mini-C source.
+pub const SOURCE: &str = r#"
+typedef struct node {
     int key;
     struct node *next;
     int marked;
-}} node_t;
+} node_t;
 
-typedef struct set {{
+typedef struct set {
     node_t *head;
-}} set_t;
+} set_t;
 
 set_t set;
 
 bool cas2(unsigned *a1, unsigned *a2, unsigned o1, unsigned o2,
-          unsigned n1, unsigned n2) {{
-    atomic {{
-        if (*a1 == o1 && *a2 == o2) {{
+          unsigned n1, unsigned n2) {
+    atomic {
+        if (*a1 == o1 && *a2 == o2) {
             *a1 = n1;
             *a2 = n2;
             return true;
-        }}
+        }
         return false;
-    }}
-}}
+    }
+}
 
-void init_set() {{
+void init_set() {
     node_t *h = malloc(node_t);
     node_t *t = malloc(node_t);
     t->key = 2;
@@ -60,95 +52,92 @@ void init_set() {{
     h->next = t;
     h->marked = 0;
     set.head = h;
-}}
+}
 
-bool add(int key) {{
-    spin while (true) {{
+bool add(int key) {
+    spin while (true) {
         node_t *pred = set.head;
-        {ll}
+        fence("load-load");
         node_t *curr = pred->next;
-        {ll}
+        fence("load-load");
         int cm = curr->marked;
-        {ll}
-        while (curr->key < key || cm == 1) {{
+        fence("load-load");
+        while (curr->key < key || cm == 1) {
             pred = curr;
             curr = curr->next;
-            {ll}
+            fence("load-load");
             cm = curr->marked;
-            {ll}
-        }}
-        if (curr->key == key) {{
+            fence("load-load");
+        }
+        if (curr->key == key) {
             return false;
-        }}
+        }
         node_t *n = malloc(node_t);
         n->key = key;
         n->marked = 0;
         n->next = curr;
-        {publish}
+        fence("store-store");
         if (cas2(&pred->next, &pred->marked,
-                 (unsigned) curr, 0, (unsigned) n, 0)) {{
+                 (unsigned) curr, 0, (unsigned) n, 0)) {
             return true;
-        }}
-    }}
-}}
+        }
+    }
+}
 
-bool remove(int key) {{
-    spin while (true) {{
+bool remove(int key) {
+    spin while (true) {
         node_t *pred = set.head;
-        {ll}
+        fence("load-load");
         node_t *curr = pred->next;
-        {ll}
+        fence("load-load");
         int cm = curr->marked;
-        {ll}
-        while (curr->key < key || cm == 1) {{
+        fence("load-load");
+        while (curr->key < key || cm == 1) {
             pred = curr;
             curr = curr->next;
-            {ll}
+            fence("load-load");
             cm = curr->marked;
-            {ll}
-        }}
-        if (curr->key != key) {{
+            fence("load-load");
+        }
+        if (curr->key != key) {
             return false;
-        }}
+        }
         node_t *succ = curr->next;
-        {ll}
+        fence("load-load");
         if (cas2(&curr->next, &curr->marked,
-                 (unsigned) succ, 0, (unsigned) succ, 1)) {{
+                 (unsigned) succ, 0, (unsigned) succ, 1)) {
             cas2(&pred->next, &pred->marked,
                  (unsigned) curr, 0, (unsigned) succ, 0);
             return true;
-        }}
-    }}
-}}
-
-bool contains(int key) {{
-    node_t *curr = set.head;
-    {ll}
-    while (curr->key < key) {{
-        curr = curr->next;
-        {ll}
-    }}
-    if (curr->key == key) {{
-        {ll}
-        if (curr->marked == 0) {{ return true; }}
-    }}
-    return false;
-}}
-
-int add_op(int k) {{ return add(k); }}
-int contains_op(int k) {{ return contains(k); }}
-int remove_op(int k) {{ return remove(k); }}
-"#
-    )
+        }
+    }
 }
+
+bool contains(int key) {
+    node_t *curr = set.head;
+    fence("load-load");
+    while (curr->key < key) {
+        curr = curr->next;
+        fence("load-load");
+    }
+    if (curr->key == key) {
+        fence("load-load");
+        if (curr->marked == 0) { return true; }
+    }
+    return false;
+}
+
+int add_op(int k) { return add(k); }
+int contains_op(int k) { return contains(k); }
+int remove_op(int k) { return remove(k); }
+"#;
 
 /// Builds the checkable harness.
 pub fn harness(variant: Variant) -> Harness {
-    let name = match variant {
-        Variant::Fenced => "harris",
-        Variant::Unfenced => "harris-unfenced",
-    };
-    compile_harness(name, &source(variant), "init_set", set_ops())
+    build(
+        compile_harness("harris", SOURCE, "init_set", set_ops()),
+        variant,
+    )
 }
 
 #[cfg(test)]

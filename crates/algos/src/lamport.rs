@@ -37,113 +37,86 @@
 //! reach of small bounded tests: slot 0 is already reused by the third
 //! enqueue.
 
+use cf_lsl::FenceKind;
 use checkfence::Harness;
 
-use crate::{compile_harness, spsc_ops, Variant};
+use crate::{build, compile_harness, spsc_ops, with_fences, Variant};
 
-/// The mini-C source with the full placement (see module docs).
-pub fn source(variant: Variant) -> String {
-    match variant {
-        Variant::Fenced => source_with_kinds(true, true, true),
-        Variant::Unfenced => source_with_kinds(false, false, false),
-    }
-}
-
-/// The source with only the selected fence kinds included.
-pub fn source_with_kinds(load_load: bool, store_store: bool, load_store: bool) -> String {
-    let ll = if load_load {
-        r#"fence("load-load");"#
-    } else {
-        ""
-    };
-    let ss = if store_store {
-        r#"fence("store-store");"#
-    } else {
-        ""
-    };
-    let ls = if load_store {
-        r#"fence("load-store");"#
-    } else {
-        ""
-    };
-    format!(
-        r#"
-typedef struct queue {{
+/// The fenced mini-C source with the full placement (see module docs).
+pub const SOURCE: &str = r#"
+typedef struct queue {
     int buf[2];
     int head;
     int tail;
-}} queue_t;
+} queue_t;
 
 queue_t q;
 
-void init_queue() {{
+void init_queue() {
     q.head = 0;
     q.tail = 0;
-}}
+}
 
-bool enqueue(int value) {{
-    {ll}
+bool enqueue(int value) {
+    fence("load-load");
     int t = q.tail;
     int h = q.head;
     int n = t + 1;
-    if (n == 2) {{ n = 0; }}
-    if (n == h) {{
+    if (n == 2) { n = 0; }
+    if (n == h) {
         commit(1);
         return false;
-    }}
-    {ls}
+    }
+    fence("load-store");
     q.buf[t] = value;
-    {ss}
+    fence("store-store");
     q.tail = n;
     commit(1);
     return true;
-}}
+}
 
-bool dequeue(int *pvalue) {{
+bool dequeue(int *pvalue) {
     int h = q.head;
     int t = q.tail;
-    if (h == t) {{
+    if (h == t) {
         commit(1);
         return false;
-    }}
-    {ll}
+    }
+    fence("load-load");
     *pvalue = q.buf[h];
     int n = h + 1;
-    if (n == 2) {{ n = 0; }}
-    {ls}
+    if (n == 2) { n = 0; }
+    fence("load-store");
     q.head = n;
     commit(1);
     return true;
-}}
+}
 
-int enqueue_op(int v) {{
+int enqueue_op(int v) {
     bool ok = enqueue(v);
-    if (ok) {{ return 1; }}
+    if (ok) { return 1; }
     return 0;
-}}
+}
 
-int dequeue_op() {{
+int dequeue_op() {
     int v;
     bool ok = dequeue(&v);
-    if (ok) {{ return v + 1; }}
+    if (ok) { return v + 1; }
     return 0;
-}}
-"#
-    )
 }
+"#;
 
 /// Builds the checkable harness. `enqueue_op` observes its argument and
 /// returns 1 (accepted) or 0 (full); `dequeue_op` returns 0 for "empty"
 /// and `value + 1` otherwise.
 pub fn harness(variant: Variant) -> Harness {
-    let name = match variant {
-        Variant::Fenced => "lamport",
-        Variant::Unfenced => "lamport-unfenced",
-    };
-    compile_harness(name, &source(variant), "init_queue", spsc_ops())
+    build(
+        compile_harness("lamport", SOURCE, "init_queue", spsc_ops()),
+        variant,
+    )
 }
 
-/// Builds a harness containing only the selected fence kinds.
+/// Builds a harness keeping only the selected fence kinds.
 pub fn harness_with_kinds(load_load: bool, store_store: bool, load_store: bool) -> Harness {
     let name = format!(
         "lamport{}{}{}",
@@ -151,11 +124,14 @@ pub fn harness_with_kinds(load_load: bool, store_store: bool, load_store: bool) 
         if store_store { "+ss" } else { "" },
         if load_store { "+ls" } else { "" },
     );
-    compile_harness(
-        &name,
-        &source_with_kinds(load_load, store_store, load_store),
-        "init_queue",
-        spsc_ops(),
+    with_fences(
+        harness(Variant::Fenced),
+        name,
+        &[
+            (FenceKind::LoadLoad, load_load),
+            (FenceKind::StoreStore, store_store),
+            (FenceKind::LoadStore, load_store),
+        ],
     )
 }
 
@@ -210,16 +186,12 @@ mod tests {
 
     #[test]
     fn fenced_placement_uses_all_three_kinds() {
-        let h = harness(Variant::Fenced);
-        let sites = crate::fences::fence_sites(&h.program);
+        let sites = harness(Variant::Fenced).program.fence_sites();
         assert_eq!(sites.len(), 5, "{sites:?}");
-        let kinds: std::collections::BTreeSet<&str> =
-            sites.iter().map(|s| s.kind.as_str()).collect();
+        let kinds: std::collections::HashSet<_> = sites.iter().map(|s| s.fence).collect();
         assert_eq!(kinds.len(), 3, "three distinct kinds: {kinds:?}");
-        let ls_count = sites
-            .iter()
-            .filter(|s| s.kind == cf_lsl::FenceKind::LoadStore)
-            .count();
+        let load_store = cf_lsl::FenceSem::Classic(FenceKind::LoadStore);
+        let ls_count = sites.iter().filter(|s| s.fence == load_store).count();
         assert_eq!(ls_count, 2, "load-store in both producer and consumer");
     }
 }

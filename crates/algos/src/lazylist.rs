@@ -18,7 +18,7 @@
 
 use checkfence::Harness;
 
-use crate::{compile_harness, set_ops};
+use crate::{compile_harness, set_ops, with_fences};
 
 /// Which build of the algorithm to produce.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -31,13 +31,11 @@ pub enum Build {
     Unfenced,
 }
 
-/// The mini-C source.
+/// The fenced mini-C source of a build: [`Build::Buggy`] leaves
+/// `marked` uninitialized on add, [`Build::Fixed`] initializes it.
+/// [`Build::Unfenced`] shares the fixed text; its [`harness`] drops the
+/// fences from the compiled program.
 pub fn source(build: Build) -> String {
-    let fenced = build != Build::Unfenced;
-    let f = |s: &'static str| if fenced { s } else { "" };
-    let ll = f(r#"fence("load-load");"#);
-    let publish = f(r#"fence("store-store");"#);
-    let mark_first = f(r#"fence("store-store");"#);
     let init_marked = if build == Build::Buggy {
         "" // the published pseudocode omits this line
     } else {
@@ -90,13 +88,13 @@ void init_set() {{
 bool add(int key) {{
     spin while (true) {{
         node_t *pred = set.head;
-        {ll}
+        fence("load-load");
         node_t *curr = pred->next;
-        {ll}
+        fence("load-load");
         while (curr->key < key) {{
             pred = curr;
             curr = curr->next;
-            {ll}
+            fence("load-load");
         }}
         lock_node(pred);
         lock_node(curr);
@@ -110,7 +108,7 @@ bool add(int key) {{
                 {init_marked}
                 n->lock = 0;
                 n->next = curr;
-                {publish}
+                fence("store-store");
                 pred->next = n;
                 ret = true;
             }}
@@ -126,13 +124,13 @@ bool add(int key) {{
 bool remove(int key) {{
     spin while (true) {{
         node_t *pred = set.head;
-        {ll}
+        fence("load-load");
         node_t *curr = pred->next;
-        {ll}
+        fence("load-load");
         while (curr->key < key) {{
             pred = curr;
             curr = curr->next;
-            {ll}
+            fence("load-load");
         }}
         lock_node(pred);
         lock_node(curr);
@@ -142,7 +140,7 @@ bool remove(int key) {{
                 ret = false;
             }} else {{
                 curr->marked = 1;
-                {mark_first}
+                fence("store-store");
                 pred->next = curr->next;
                 ret = true;
             }}
@@ -157,13 +155,13 @@ bool remove(int key) {{
 
 bool contains(int key) {{
     node_t *curr = set.head;
-    {ll}
+    fence("load-load");
     while (curr->key < key) {{
         curr = curr->next;
-        {ll}
+        fence("load-load");
     }}
     if (curr->key == key) {{
-        {ll}
+        fence("load-load");
         if (curr->marked) {{ return false; }}
         return true;
     }}
@@ -180,12 +178,11 @@ int remove_op(int k) {{ return remove(k); }}
 /// Builds the checkable harness. All three operations observe their key
 /// argument and a 0/1 return value.
 pub fn harness(build: Build) -> Harness {
-    let name = match build {
-        Build::Buggy => "lazylist-buggy",
-        Build::Fixed => "lazylist",
-        Build::Unfenced => "lazylist-unfenced",
-    };
-    compile_harness(name, &source(build), "init_set", set_ops())
+    match build {
+        Build::Buggy => compile_harness("lazylist-buggy", &source(build), "init_set", set_ops()),
+        Build::Fixed => compile_harness("lazylist", &source(build), "init_set", set_ops()),
+        Build::Unfenced => with_fences(harness(Build::Fixed), "lazylist-unfenced", &[]),
+    }
 }
 
 #[cfg(test)]

@@ -20,16 +20,20 @@
 //! | `treiber`  | Treiber lock-free stack | [`treiber`] |
 //! | `lamport`  | Lamport SPSC ring buffer (no atomics at all) | [`lamport`] |
 //!
-//! Each module provides *fenced* and *unfenced* builds (the published
-//! algorithms carry no fences; the fenced versions add the placements the
-//! paper reports), and where the paper found algorithmic bugs, a *buggy*
-//! variant reproducing them (`lazylist` misses the `marked`
-//! initialization; `snark` admits a double pop).
+//! Each module's source is the *fenced* mini-C: the published
+//! algorithm plus the placements the paper reports (the published
+//! algorithms carry no fences). The *unfenced* build, and the partial
+//! builds that keep only some fence kinds, are derived from the compiled
+//! fenced program by dropping fences
+//! ([`cf_lsl::Program::without_fences`]), so each fence is written once.
+//! Where the paper found algorithmic bugs, a *buggy* variant reproduces
+//! them (`lazylist` misses the `marked` initialization; `snark` admits a
+//! double pop).
 //!
 //! The crate also ships the Fig. 8 test catalog plus stack/SPSC
 //! extensions ([`tests`]), pure-Rust reference models for fast
-//! specification mining ([`refmodel`]), and fence-manipulation
-//! utilities for necessity analysis ([`fences`]).
+//! specification mining ([`refmodel`]), and the §4.2 fence necessity
+//! analysis ([`fences`]).
 //!
 //! ## Example
 //!
@@ -63,6 +67,7 @@ pub mod snark;
 pub mod tests;
 pub mod treiber;
 
+use cf_lsl::{FenceKind, FenceSem};
 use checkfence::{Harness, OpSig};
 
 /// Fence configuration of an implementation build.
@@ -271,5 +276,178 @@ pub(crate) fn compile_harness(
         program,
         init_proc: Some(init_proc.into()),
         ops,
+    }
+}
+
+/// `variant` of a fenced build: the build itself, or its LSL program
+/// without fences, named `<name>-unfenced`.
+pub(crate) fn build(fenced: Harness, variant: Variant) -> Harness {
+    match variant {
+        Variant::Fenced => fenced,
+        Variant::Unfenced => {
+            let name = format!("{}-unfenced", fenced.name);
+            with_fences(fenced, name, &[])
+        }
+    }
+}
+
+/// A fenced build keeping only the fences of the kinds flagged `true`
+/// in `kinds` (lock helpers keep theirs, see [`cf_lsl::FenceSite`]),
+/// renamed `name`. Every unfenced and partial build is derived from its
+/// fenced build this way, so each fence is written once, in the fenced
+/// source.
+pub(crate) fn with_fences(
+    fenced: Harness,
+    name: impl Into<String>,
+    kinds: &[(FenceKind, bool)],
+) -> Harness {
+    Harness {
+        name: name.into(),
+        program: fenced.program.without_fences(
+            |site| !matches!(site.fence, FenceSem::Classic(kind) if kinds.contains(&(kind, true))),
+        ),
+        ..fenced
+    }
+}
+
+#[cfg(test)]
+mod placements {
+    use super::*;
+    use FenceKind::{LoadLoad as LL, LoadStore as LS, StoreStore as SS};
+
+    /// Every bundled fence placement, as the walker's coordinates.
+    const PLACEMENTS: [(&str, &str); 7] = [
+        ("ms2", "enqueue#0 (store-store), dequeue#0 (load-load)"),
+        // Fig. 9 lines 29, 32, 34, 44 and 53, 55, 57.
+        (
+            "msn",
+            "enqueue#0 (store-store), enqueue#1 (load-load), enqueue#2 (load-load), \
+             enqueue#3 (store-store), dequeue#0 (load-load), dequeue#1 (load-load), \
+             dequeue#2 (load-load)",
+        ),
+        (
+            "harris",
+            "add#0 (load-load), add#1 (load-load), add#2 (load-load), add#3 (load-load), \
+             add#4 (load-load), add#5 (store-store), remove#0 (load-load), \
+             remove#1 (load-load), remove#2 (load-load), remove#3 (load-load), \
+             remove#4 (load-load), remove#5 (load-load), contains#0 (load-load), \
+             contains#1 (load-load), contains#2 (load-load)",
+        ),
+        ("treiber", "push#0 (store-store), pop#0 (load-load)"),
+        (
+            "lamport",
+            "enqueue#0 (load-load), enqueue#1 (load-store), enqueue#2 (store-store), \
+             dequeue#0 (load-load), dequeue#1 (load-store)",
+        ),
+        (
+            "lazylist",
+            "add#0 (load-load), add#1 (load-load), add#2 (load-load), add#3 (store-store), \
+             remove#0 (load-load), remove#1 (load-load), remove#2 (load-load), \
+             remove#3 (store-store), contains#0 (load-load), contains#1 (load-load), \
+             contains#2 (load-load)",
+        ),
+        (
+            "snark",
+            "push_right#0 (load-load), push_right#1 (load-load), push_right#2 (store-store), \
+             push_right#3 (store-store), push_left#0 (load-load), push_left#1 (load-load), \
+             push_left#2 (store-store), push_left#3 (store-store), pop_right#0 (load-load), \
+             pop_right#1 (load-load), pop_right#2 (load-load), pop_right#3 (load-load), \
+             pop_right#4 (load-load), pop_left#0 (load-load), pop_left#1 (load-load), \
+             pop_left#2 (load-load), pop_left#3 (load-load), pop_left#4 (load-load)",
+        ),
+    ];
+
+    /// (procedure, fence) of every fence in walk order: a derived
+    /// build's indices renumber, its procedures and kinds do not.
+    fn fences(h: &Harness) -> Vec<(String, FenceSem)> {
+        let sites = h.program.fence_sites();
+        sites.into_iter().map(|s| (s.proc, s.fence)).collect()
+    }
+
+    #[test]
+    fn bundled_placements_and_the_builds_derived_from_them() {
+        let fenced = [
+            ms2::harness(Variant::Fenced),
+            msn::harness(Variant::Fenced),
+            harris::harness(Variant::Fenced),
+            treiber::harness(Variant::Fenced),
+            lamport::harness(Variant::Fenced),
+            lazylist::harness(lazylist::Build::Fixed),
+            snark::harness(snark::Build::Fixed, Variant::Fenced),
+        ];
+        for (h, (name, coords)) in fenced.iter().zip(PLACEMENTS) {
+            let sites: Vec<String> = h
+                .program
+                .fence_sites()
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            assert_eq!((h.name.as_str(), sites.join(", ")), (name, coords.into()));
+        }
+
+        let [ms2, msn, harris, treiber, lamport, lazylist, snark] = fenced;
+        let original = snark::harness(snark::Build::Original, Variant::Fenced);
+        // (derived build, the fenced build, the kinds it keeps)
+        let derived = [
+            (ms2::harness(Variant::Unfenced), &ms2, &[][..]),
+            (msn::harness(Variant::Unfenced), &msn, &[]),
+            (msn::harness_with_kinds(true, false), &msn, &[LL]),
+            (msn::harness_with_kinds(false, true), &msn, &[SS]),
+            (harris::harness(Variant::Unfenced), &harris, &[]),
+            (treiber::harness(Variant::Unfenced), &treiber, &[]),
+            (treiber::harness_with_kinds(true, false), &treiber, &[LL]),
+            (treiber::harness_with_kinds(false, true), &treiber, &[SS]),
+            (lamport::harness(Variant::Unfenced), &lamport, &[]),
+            (
+                lamport::harness_with_kinds(true, true, false),
+                &lamport,
+                &[LL, SS],
+            ),
+            (
+                lamport::harness_with_kinds(false, true, false),
+                &lamport,
+                &[SS],
+            ),
+            (
+                lamport::harness_with_kinds(true, false, true),
+                &lamport,
+                &[LL, LS],
+            ),
+            (
+                lamport::harness_with_kinds(false, false, true),
+                &lamport,
+                &[LS],
+            ),
+            (lazylist::harness(lazylist::Build::Unfenced), &lazylist, &[]),
+            (
+                snark::harness(snark::Build::Fixed, Variant::Unfenced),
+                &snark,
+                &[],
+            ),
+            (
+                snark::harness(snark::Build::Original, Variant::Unfenced),
+                &original,
+                &[],
+            ),
+        ];
+        let names: Vec<&str> = derived.iter().map(|(h, ..)| h.name.as_str()).collect();
+        assert_eq!(
+            names.join(" "),
+            "ms2-unfenced msn-unfenced msn-ll-only msn-ss-only harris-unfenced \
+             treiber-unfenced treiber-ll-only treiber-ss-only lamport-unfenced lamport+ll+ss \
+             lamport+ss lamport+ll+ls lamport+ls lazylist-unfenced snark-unfenced snark-original"
+        );
+        let unfenced = |h: &Harness| h.program.without_fences(|_| true);
+        for (h, fenced, kinds) in &derived {
+            let mut kept = fences(fenced);
+            kept.retain(|(_, f)| kinds.iter().any(|&k| *f == FenceSem::Classic(k)));
+            assert_eq!(fences(h), kept, "{}", h.name);
+            assert_eq!(
+                unfenced(h),
+                unfenced(fenced),
+                "{}: only fences differ",
+                h.name
+            );
+        }
     }
 }

@@ -13,105 +13,96 @@
 
 use checkfence::Harness;
 
-use crate::{compile_harness, queue_ops, Variant};
+use crate::{build, compile_harness, queue_ops, Variant};
 
-/// The mini-C source of the implementation.
-pub fn source(variant: Variant) -> String {
-    let (publish, dep) = match variant {
-        Variant::Fenced => (r#"fence("store-store");"#, r#"fence("load-load");"#),
-        Variant::Unfenced => ("", ""),
-    };
-    format!(
-        r#"
-typedef struct node {{
+/// The fenced mini-C source of the implementation.
+pub const SOURCE: &str = r#"
+typedef struct node {
     struct node *next;
     int value;
-}} node_t;
+} node_t;
 
-typedef struct queue {{
+typedef struct queue {
     node_t *head;
     node_t *tail;
     int head_lock;
     int tail_lock;
-}} queue_t;
+} queue_t;
 
 queue_t queue;
 
-void lock(int *lk) {{
+void lock(int *lk) {
     int val;
-    do {{
-        atomic {{ val = *lk; *lk = 1; }}
-    }} spinwhile (val != 0);
+    do {
+        atomic { val = *lk; *lk = 1; }
+    } spinwhile (val != 0);
     fence("load-load");
     fence("load-store");
-}}
+}
 
-void unlock(int *lk) {{
+void unlock(int *lk) {
     fence("load-store");
     fence("store-store");
-    atomic {{ assert(*lk == 1); *lk = 0; }}
-}}
+    atomic { assert(*lk == 1); *lk = 0; }
+}
 
-void init_queue() {{
+void init_queue() {
     node_t *node = malloc(node_t);
     node->next = 0;
     queue.head = node;
     queue.tail = node;
     queue.head_lock = 0;
     queue.tail_lock = 0;
-}}
+}
 
-void enqueue(int value) {{
+void enqueue(int value) {
     node_t *node = malloc(node_t);
     node->value = value;
     node->next = 0;
-    {publish}
+    fence("store-store");
     lock(&queue.tail_lock);
     queue.tail->next = node;
     commit(1);
     queue.tail = node;
     unlock(&queue.tail_lock);
-}}
+}
 
-bool dequeue(int *pvalue) {{
+bool dequeue(int *pvalue) {
     lock(&queue.head_lock);
     node_t *node = queue.head;
     node_t *new_head = node->next;
-    if (new_head == 0) {{
+    if (new_head == 0) {
         commit(1);
         unlock(&queue.head_lock);
         return false;
-    }}
-    {dep}
+    }
+    fence("load-load");
     *pvalue = new_head->value;
     queue.head = new_head;
     commit(1);
     unlock(&queue.head_lock);
     free(node);
     return true;
-}}
+}
 
-void enqueue_op(int v) {{ enqueue(v); }}
+void enqueue_op(int v) { enqueue(v); }
 
-int dequeue_op() {{
+int dequeue_op() {
     int v;
     bool ok = dequeue(&v);
-    if (ok) {{ return v + 1; }}
+    if (ok) { return v + 1; }
     return 0;
-}}
-"#
-    )
 }
+"#;
 
 /// Builds the checkable harness. Observation encoding: `enqueue_op`
 /// observes its argument; `dequeue_op` returns 0 for "empty" and
 /// `value + 1` otherwise.
 pub fn harness(variant: Variant) -> Harness {
-    let name = match variant {
-        Variant::Fenced => "ms2",
-        Variant::Unfenced => "ms2-unfenced",
-    };
-    compile_harness(name, &source(variant), "init_queue", queue_ops())
+    build(
+        compile_harness("ms2", SOURCE, "init_queue", queue_ops()),
+        variant,
+    )
 }
 
 #[cfg(test)]

@@ -16,20 +16,121 @@
 //! Retry loops are marked `spin while`: their failing iterations perform
 //! no stores, so the paper's spin-loop reduction applies.
 
+use cf_lsl::FenceKind;
 use checkfence::Harness;
 
-use crate::{compile_harness, queue_ops, Variant};
+use crate::{build, compile_harness, queue_ops, with_fences, Variant};
 
-/// The mini-C source (paper Fig. 9, minus the pointer-counter packing the
-/// paper also omits).
-pub fn source(variant: Variant) -> String {
-    match variant {
-        Variant::Fenced => source_with_kinds(true, true),
-        Variant::Unfenced => source_with_kinds(false, false),
+/// The fenced mini-C source (paper Fig. 9, minus the pointer-counter
+/// packing the paper also omits); the comments give the figure's line
+/// numbers.
+pub const SOURCE: &str = r#"
+typedef struct node {
+    struct node *next;
+    int value;
+} node_t;
+
+typedef struct queue {
+    node_t *head;
+    node_t *tail;
+} queue_t;
+
+queue_t queue;
+
+bool cas(unsigned *loc, unsigned old, unsigned new) {
+    atomic {
+        if (*loc == old) { *loc = new; return true; }
+        return false;
     }
 }
 
-/// The Fig. 9 source with only the selected fence *kinds* included.
+void init_queue() {
+    node_t *node = malloc(node_t);
+    node->next = 0;
+    queue.head = node;
+    queue.tail = node;
+}
+
+void enqueue(int value) {
+    node_t *node, *tail, *next;
+    node = malloc(node_t);
+    node->value = value;
+    node->next = 0;
+    fence("store-store"); // Fig. 9 line 29
+    spin while (true) {
+        tail = queue.tail;
+        fence("load-load"); // line 32
+        next = tail->next;
+        fence("load-load"); // line 34
+        if (tail == queue.tail) {
+            if (next == 0) {
+                if (cas(&tail->next, (unsigned) next, (unsigned) node)) {
+                    commit(1);
+                    break;
+                }
+            } else {
+                cas(&queue.tail, (unsigned) tail, (unsigned) next);
+            }
+        }
+    }
+    fence("store-store"); // line 44
+    cas(&queue.tail, (unsigned) tail, (unsigned) node);
+}
+
+bool dequeue(int *pvalue) {
+    node_t *head, *tail, *next;
+    spin while (true) {
+        head = queue.head;
+        fence("load-load"); // line 53
+        tail = queue.tail;
+        fence("load-load"); // line 55
+        next = head->next;
+        fence("load-load"); // line 57
+        if (head == queue.head) {
+            if (head == tail) {
+                if (next == 0) {
+                    node_t *next2 = head->next;
+                    if (next2 == 0) {
+                        commit(1);
+                        return false;
+                    }
+                } else {
+                    cas(&queue.tail, (unsigned) tail, (unsigned) next);
+                }
+            } else {
+                *pvalue = next->value;
+                if (cas(&queue.head, (unsigned) head, (unsigned) next)) {
+                    commit(1);
+                    break;
+                }
+            }
+        }
+    }
+    delete_node(head);
+    return true;
+}
+
+void enqueue_op(int v) { enqueue(v); }
+
+int dequeue_op() {
+    int v;
+    bool ok = dequeue(&v);
+    if (ok) { return v + 1; }
+    return 0;
+}
+"#;
+
+/// Builds the checkable harness. Observation encoding: `enqueue_op`
+/// observes its argument; `dequeue_op` returns 0 for "empty" and
+/// `value + 1` otherwise.
+pub fn harness(variant: Variant) -> Harness {
+    build(
+        compile_harness("msn", SOURCE, "init_queue", queue_ops()),
+        variant,
+    )
+}
+
+/// Builds a harness keeping only the selected fence *kinds*.
 ///
 /// Partial builds drive the §4.2 architecture observation: "on some
 /// architectures (such as Sun TSO or IBM zSeries), these fences are
@@ -37,128 +138,6 @@ pub fn source(variant: Variant) -> String {
 /// fences". On [`cf_memmodel::Mode::Tso`] both kinds are automatic; on
 /// [`cf_memmodel::Mode::Pso`] only load-load order is automatic, so the
 /// store-store placements (Fig. 9 lines 29 and 44) are still required.
-pub fn source_with_kinds(load_load: bool, store_store: bool) -> String {
-    let ll = |s: &'static str| if load_load { s } else { "" };
-    let ss = |s: &'static str| if store_store { s } else { "" };
-    let ss29 = ss(r#"fence("store-store");"#);
-    let ll32 = ll(r#"fence("load-load");"#);
-    let ll34 = ll(r#"fence("load-load");"#);
-    let ss44 = ss(r#"fence("store-store");"#);
-    let ll53 = ll(r#"fence("load-load");"#);
-    let ll55 = ll(r#"fence("load-load");"#);
-    let ll57 = ll(r#"fence("load-load");"#);
-    format!(
-        r#"
-typedef struct node {{
-    struct node *next;
-    int value;
-}} node_t;
-
-typedef struct queue {{
-    node_t *head;
-    node_t *tail;
-}} queue_t;
-
-queue_t queue;
-
-bool cas(unsigned *loc, unsigned old, unsigned new) {{
-    atomic {{
-        if (*loc == old) {{ *loc = new; return true; }}
-        return false;
-    }}
-}}
-
-void init_queue() {{
-    node_t *node = malloc(node_t);
-    node->next = 0;
-    queue.head = node;
-    queue.tail = node;
-}}
-
-void enqueue(int value) {{
-    node_t *node, *tail, *next;
-    node = malloc(node_t);
-    node->value = value;
-    node->next = 0;
-    {ss29}
-    spin while (true) {{
-        tail = queue.tail;
-        {ll32}
-        next = tail->next;
-        {ll34}
-        if (tail == queue.tail) {{
-            if (next == 0) {{
-                if (cas(&tail->next, (unsigned) next, (unsigned) node)) {{
-                    commit(1);
-                    break;
-                }}
-            }} else {{
-                cas(&queue.tail, (unsigned) tail, (unsigned) next);
-            }}
-        }}
-    }}
-    {ss44}
-    cas(&queue.tail, (unsigned) tail, (unsigned) node);
-}}
-
-bool dequeue(int *pvalue) {{
-    node_t *head, *tail, *next;
-    spin while (true) {{
-        head = queue.head;
-        {ll53}
-        tail = queue.tail;
-        {ll55}
-        next = head->next;
-        {ll57}
-        if (head == queue.head) {{
-            if (head == tail) {{
-                if (next == 0) {{
-                    node_t *next2 = head->next;
-                    if (next2 == 0) {{
-                        commit(1);
-                        return false;
-                    }}
-                }} else {{
-                    cas(&queue.tail, (unsigned) tail, (unsigned) next);
-                }}
-            }} else {{
-                *pvalue = next->value;
-                if (cas(&queue.head, (unsigned) head, (unsigned) next)) {{
-                    commit(1);
-                    break;
-                }}
-            }}
-        }}
-    }}
-    delete_node(head);
-    return true;
-}}
-
-void enqueue_op(int v) {{ enqueue(v); }}
-
-int dequeue_op() {{
-    int v;
-    bool ok = dequeue(&v);
-    if (ok) {{ return v + 1; }}
-    return 0;
-}}
-"#
-    )
-}
-
-/// Builds the checkable harness. Observation encoding: `enqueue_op`
-/// observes its argument; `dequeue_op` returns 0 for "empty" and
-/// `value + 1` otherwise.
-pub fn harness(variant: Variant) -> Harness {
-    let name = match variant {
-        Variant::Fenced => "msn",
-        Variant::Unfenced => "msn-unfenced",
-    };
-    compile_harness(name, &source(variant), "init_queue", queue_ops())
-}
-
-/// Builds a harness containing only the selected fence kinds (see
-/// [`source_with_kinds`]).
 pub fn harness_with_kinds(load_load: bool, store_store: bool) -> Harness {
     let name = match (load_load, store_store) {
         (true, true) => "msn",
@@ -166,11 +145,13 @@ pub fn harness_with_kinds(load_load: bool, store_store: bool) -> Harness {
         (false, true) => "msn-ss-only",
         (false, false) => "msn-unfenced",
     };
-    compile_harness(
+    with_fences(
+        harness(Variant::Fenced),
         name,
-        &source_with_kinds(load_load, store_store),
-        "init_queue",
-        queue_ops(),
+        &[
+            (FenceKind::LoadLoad, load_load),
+            (FenceKind::StoreStore, store_store),
+        ],
     )
 }
 
@@ -203,10 +184,10 @@ mod tests {
 
     #[test]
     fn fenced_source_has_seven_fences_outside_cas() {
-        let h = harness(Variant::Fenced);
-        let sites = crate::fences::fence_sites(&h.program);
+        let sites = harness(Variant::Fenced).program.fence_sites();
         assert_eq!(sites.len(), 7, "fig. 9 places 7 fences");
+        assert!(sites.iter().all(|s| s.proc != "cas"), "{sites:?}");
         let h = harness(Variant::Unfenced);
-        assert!(crate::fences::fence_sites(&h.program).is_empty());
+        assert!(h.program.fence_sites().is_empty());
     }
 }

@@ -29,7 +29,7 @@
 
 use checkfence::Harness;
 
-use crate::{compile_harness, deque_ops, Variant};
+use crate::{compile_harness, deque_ops, with_fences, Variant};
 
 /// Which algorithm build to produce.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -42,33 +42,27 @@ pub enum Build {
     Fixed,
 }
 
-/// The mini-C source.
-pub fn source(build: Build, variant: Variant) -> String {
-    let f = |s: &'static str| match variant {
-        Variant::Fenced => s,
-        Variant::Unfenced => "",
-    };
-    let ll = f(r#"fence("load-load");"#);
-    let publish = f(r#"fence("store-store");"#);
+/// The fenced mini-C source.
+pub fn source(build: Build) -> String {
     // The builds differ only in the non-single pop path: which second
     // location the DCAS covers.
     let inner_right = match build {
         Build::Original => {
             r#"node_t *rhL = rh->L;
-            {ll2}
+            fence("load-load");
             if (dcas(&RightHat, &rh->L,
                      (unsigned) rh, (unsigned) rhL, (unsigned) rhL, (unsigned) rh)) {
-                {ll2}
+                fence("load-load");
                 *pv = rh->V;
                 return true;
             }"#
         }
         Build::Fixed => {
             r#"node_t *rhL = rh->L;
-            {ll2}
+            fence("load-load");
             if (dcas(&RightHat, &rhL->R,
                      (unsigned) rh, (unsigned) rh, (unsigned) rhL, (unsigned) dum)) {
-                {ll2}
+                fence("load-load");
                 *pv = rh->V;
                 return true;
             }"#
@@ -77,27 +71,25 @@ pub fn source(build: Build, variant: Variant) -> String {
     let inner_left = match build {
         Build::Original => {
             r#"node_t *lhR = lh->R;
-            {ll2}
+            fence("load-load");
             if (dcas(&LeftHat, &lh->R,
                      (unsigned) lh, (unsigned) lhR, (unsigned) lhR, (unsigned) lh)) {
-                {ll2}
+                fence("load-load");
                 *pv = lh->V;
                 return true;
             }"#
         }
         Build::Fixed => {
             r#"node_t *lhR = lh->R;
-            {ll2}
+            fence("load-load");
             if (dcas(&LeftHat, &lhR->L,
                      (unsigned) lh, (unsigned) lh, (unsigned) lhR, (unsigned) dum)) {
-                {ll2}
+                fence("load-load");
                 *pv = lh->V;
                 return true;
             }"#
         }
     };
-    let inner_right = inner_right.replace("{ll2}", ll);
-    let inner_left = inner_left.replace("{ll2}", ll);
     format!(
         r#"
 typedef struct node {{
@@ -146,20 +138,20 @@ void push_right(int v) {{
     nd->V = v;
     spin while (true) {{
         node_t *rh = RightHat;
-        {ll}
+        fence("load-load");
         node_t *rhR = rh->R;
-        {ll}
+        fence("load-load");
         if (rhR == rh) {{
             nd->L = dum;
             node_t *lh = LeftHat;
-            {publish}
+            fence("store-store");
             if (dcas(&RightHat, &LeftHat,
                      (unsigned) rh, (unsigned) lh, (unsigned) nd, (unsigned) nd)) {{
                 return;
             }}
         }} else {{
             nd->L = rh;
-            {publish}
+            fence("store-store");
             if (dcas(&RightHat, &rh->R,
                      (unsigned) rh, (unsigned) rhR, (unsigned) nd, (unsigned) nd)) {{
                 return;
@@ -175,20 +167,20 @@ void push_left(int v) {{
     nd->V = v;
     spin while (true) {{
         node_t *lh = LeftHat;
-        {ll}
+        fence("load-load");
         node_t *lhL = lh->L;
-        {ll}
+        fence("load-load");
         if (lhL == lh) {{
             nd->R = dum;
             node_t *rh = RightHat;
-            {publish}
+            fence("store-store");
             if (dcas(&LeftHat, &RightHat,
                      (unsigned) lh, (unsigned) rh, (unsigned) nd, (unsigned) nd)) {{
                 return;
             }}
         }} else {{
             nd->R = lh;
-            {publish}
+            fence("store-store");
             if (dcas(&LeftHat, &lh->L,
                      (unsigned) lh, (unsigned) lhL, (unsigned) nd, (unsigned) nd)) {{
                 return;
@@ -201,14 +193,14 @@ bool pop_right(int *pv) {{
     node_t *dum = Dummy;
     spin while (true) {{
         node_t *rh = RightHat;
-        {ll}
+        fence("load-load");
         node_t *rhR = rh->R;
-        {ll}
+        fence("load-load");
         if (rhR == rh) {{
             return false;
         }}
         node_t *lh = LeftHat;
-        {ll}
+        fence("load-load");
         if (rh == lh) {{
             if (dcas(&RightHat, &LeftHat,
                      (unsigned) rh, (unsigned) lh, (unsigned) dum, (unsigned) dum)) {{
@@ -225,14 +217,14 @@ bool pop_left(int *pv) {{
     node_t *dum = Dummy;
     spin while (true) {{
         node_t *lh = LeftHat;
-        {ll}
+        fence("load-load");
         node_t *lhL = lh->L;
-        {ll}
+        fence("load-load");
         if (lhL == lh) {{
             return false;
         }}
         node_t *rh = RightHat;
-        {ll}
+        fence("load-load");
         if (lh == rh) {{
             if (dcas(&LeftHat, &RightHat,
                      (unsigned) lh, (unsigned) rh, (unsigned) dum, (unsigned) dum)) {{
@@ -268,12 +260,15 @@ int pop_right_op() {{
 /// Builds the checkable harness. Pops return 0 for "empty" and
 /// `value + 1` otherwise.
 pub fn harness(build: Build, variant: Variant) -> Harness {
-    let name = match (build, variant) {
-        (Build::Original, _) => "snark-original",
-        (Build::Fixed, Variant::Fenced) => "snark",
-        (Build::Fixed, Variant::Unfenced) => "snark-unfenced",
+    let (name, unfenced) = match build {
+        Build::Original => ("snark-original", "snark-original"),
+        Build::Fixed => ("snark", "snark-unfenced"),
     };
-    compile_harness(name, &source(build, variant), "init_deque", deque_ops())
+    let fenced = compile_harness(name, &source(build), "init_deque", deque_ops());
+    match variant {
+        Variant::Fenced => fenced,
+        Variant::Unfenced => with_fences(fenced, unfenced, &[]),
+    }
 }
 
 #[cfg(test)]

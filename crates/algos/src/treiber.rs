@@ -17,105 +17,89 @@
 //! The fenced build carries exactly those two fences; [`harness_with_kinds`]
 //! exposes partial builds for the TSO/PSO architecture sweep.
 
+use cf_lsl::FenceKind;
 use checkfence::Harness;
 
-use crate::{compile_harness, stack_ops, Variant};
+use crate::{build, compile_harness, stack_ops, with_fences, Variant};
 
-/// The mini-C source.
-pub fn source(variant: Variant) -> String {
-    match variant {
-        Variant::Fenced => source_with_kinds(true, true),
-        Variant::Unfenced => source_with_kinds(false, false),
-    }
-}
-
-/// The source with only the selected fence kinds included (for the
-/// TSO/PSO model sweep, mirroring [`crate::msn::source_with_kinds`]).
-pub fn source_with_kinds(load_load: bool, store_store: bool) -> String {
-    let ll = |s: &'static str| if load_load { s } else { "" };
-    let ss = |s: &'static str| if store_store { s } else { "" };
-    let publish = ss(r#"fence("store-store");"#);
-    let deref = ll(r#"fence("load-load");"#);
-    format!(
-        r#"
-typedef struct node {{
+/// The fenced mini-C source.
+pub const SOURCE: &str = r#"
+typedef struct node {
     int value;
     struct node *next;
-}} node_t;
+} node_t;
 
-typedef struct stack {{
+typedef struct stack {
     node_t *top;
-}} stack_t;
+} stack_t;
 
 stack_t stack;
 
-bool cas(unsigned *loc, unsigned old, unsigned new) {{
-    atomic {{
-        if (*loc == old) {{ *loc = new; return true; }}
+bool cas(unsigned *loc, unsigned old, unsigned new) {
+    atomic {
+        if (*loc == old) { *loc = new; return true; }
         return false;
-    }}
-}}
+    }
+}
 
-void init_stack() {{
+void init_stack() {
     stack.top = 0;
-}}
+}
 
-void push(int value) {{
+void push(int value) {
     node_t *n = malloc(node_t);
     n->value = value;
-    spin while (true) {{
+    spin while (true) {
         node_t *t = stack.top;
         n->next = t;
-        {publish}
-        if (cas(&stack.top, (unsigned) t, (unsigned) n)) {{
+        fence("store-store");
+        if (cas(&stack.top, (unsigned) t, (unsigned) n)) {
             commit(1);
             break;
-        }}
-    }}
-}}
+        }
+    }
+}
 
-bool pop(int *pvalue) {{
-    spin while (true) {{
+bool pop(int *pvalue) {
+    spin while (true) {
         node_t *t = stack.top;
-        if (t == 0) {{
+        if (t == 0) {
             commit(1);
             return false;
-        }}
-        {deref}
+        }
+        fence("load-load");
         node_t *next = t->next;
-        if (cas(&stack.top, (unsigned) t, (unsigned) next)) {{
+        if (cas(&stack.top, (unsigned) t, (unsigned) next)) {
             commit(1);
             *pvalue = t->value;
             break;
-        }}
-    }}
+        }
+    }
     return true;
-}}
+}
 
-void push_op(int v) {{ push(v); }}
+void push_op(int v) { push(v); }
 
-int pop_op() {{
+int pop_op() {
     int v;
     bool ok = pop(&v);
-    if (ok) {{ return v + 1; }}
+    if (ok) { return v + 1; }
     return 0;
-}}
-"#
-    )
 }
+"#;
 
 /// Builds the checkable harness. Observation encoding matches the queue
 /// wrappers: `push_op` observes its argument; `pop_op` returns 0 for
 /// "empty" and `value + 1` otherwise.
 pub fn harness(variant: Variant) -> Harness {
-    let name = match variant {
-        Variant::Fenced => "treiber",
-        Variant::Unfenced => "treiber-unfenced",
-    };
-    compile_harness(name, &source(variant), "init_stack", stack_ops())
+    build(
+        compile_harness("treiber", SOURCE, "init_stack", stack_ops()),
+        variant,
+    )
 }
 
-/// Builds a harness containing only the selected fence kinds.
+/// Builds a harness keeping only the selected fence kinds (for the
+/// TSO/PSO model sweep, mirroring [`crate::msn::harness_with_kinds`]).
 pub fn harness_with_kinds(load_load: bool, store_store: bool) -> Harness {
     let name = match (load_load, store_store) {
         (true, true) => "treiber",
@@ -123,11 +107,13 @@ pub fn harness_with_kinds(load_load: bool, store_store: bool) -> Harness {
         (false, true) => "treiber-ss-only",
         (false, false) => "treiber-unfenced",
     };
-    compile_harness(
+    with_fences(
+        harness(Variant::Fenced),
         name,
-        &source_with_kinds(load_load, store_store),
-        "init_stack",
-        stack_ops(),
+        &[
+            (FenceKind::LoadLoad, load_load),
+            (FenceKind::StoreStore, store_store),
+        ],
     )
 }
 
@@ -162,11 +148,10 @@ mod tests {
 
     #[test]
     fn fenced_source_has_two_fences() {
-        let h = harness(Variant::Fenced);
-        let sites = crate::fences::fence_sites(&h.program);
+        let sites = harness(Variant::Fenced).program.fence_sites();
         assert_eq!(sites.len(), 2, "{sites:?}");
         let h = harness(Variant::Unfenced);
-        assert!(crate::fences::fence_sites(&h.program).is_empty());
+        assert!(h.program.fence_sites().is_empty());
     }
 
     #[test]

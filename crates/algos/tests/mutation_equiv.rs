@@ -260,7 +260,6 @@ fn treiber_random_toggle_subset_matches_oneshot() {
     let t = tests::by_name("U0").expect("catalog");
     let mutation = MutationConfig {
         procs: Some(vec!["push".into(), "pop".into()]),
-        ..MutationConfig::default()
     };
     assert_random_subset_equiv(&h, &t, &mutation, 0xC0FFEE);
 }
@@ -271,7 +270,6 @@ fn ms2_random_toggle_subset_matches_oneshot() {
     let t = tests::by_name("T0").expect("catalog");
     let mutation = MutationConfig {
         procs: Some(vec!["enqueue".into(), "dequeue".into()]),
-        ..MutationConfig::default()
     };
     assert_random_subset_equiv(&h, &t, &mutation, 0xBADCAB);
 }

@@ -12,7 +12,7 @@
 //! 3. **specification corruption**: removing a vector from a mined
 //!    observation set must turn a passing check into a failing one.
 
-use cf_algos::{fences, ms2, msn, refmodel, snark, tests, treiber, Shape, Variant};
+use cf_algos::{ms2, msn, refmodel, snark, tests, treiber, Shape, Variant};
 use cf_memmodel::Mode;
 use checkfence::{mine_reference, CheckError, Harness, Query};
 
@@ -70,10 +70,10 @@ fn every_msn_fence_is_necessary() {
     // §4.2: the Fig. 9 placement is necessary — deleting any single
     // fence makes T0 or Ti2 fail on Relaxed.
     let fenced = msn::harness(Variant::Fenced);
-    let sites = fences::fence_sites(&fenced.program);
+    let sites = fenced.program.fence_sites();
     assert_eq!(sites.len(), 7, "Fig. 9 places seven fences");
     for site in &sites {
-        let program = fences::remove_fence(&fenced.program, site);
+        let program = fenced.program.without_fences(|s| s == site);
         let h = Harness {
             name: format!("msn-minus-{site}"),
             program,
@@ -99,7 +99,7 @@ fn msn_reading_the_dummy_nodes_value_is_caught() {
     let h = mutate(
         &base,
         "msn-wrong-node",
-        &msn::source(Variant::Fenced),
+        msn::SOURCE,
         "*pvalue = next->value;",
         "*pvalue = head->value;",
     );
@@ -116,7 +116,7 @@ fn msn_skipping_the_consistency_recheck_still_works_on_sc() {
     let h = mutate(
         &base,
         "msn-no-recheck",
-        &msn::source(Variant::Fenced),
+        msn::SOURCE,
         "if (head == queue.head) {",
         "if (head == head) {",
     );
@@ -131,7 +131,7 @@ fn treiber_lost_pop_update_is_caught_by_the_reference_spec() {
     let h = mutate(
         &base,
         "treiber-lost-pop",
-        &treiber::source(Variant::Fenced),
+        treiber::SOURCE,
         "if (cas(&stack.top, (unsigned) t, (unsigned) next)) {",
         "if (cas(&stack.top, (unsigned) t, (unsigned) t)) {",
     );
@@ -162,7 +162,7 @@ fn ms2_without_the_head_lock_is_caught() {
     // order can justify when the two enqueued values differ.
     let base = ms2::harness(Variant::Fenced);
     // NB: replace `unlock` before `lock` — the latter is a substring.
-    let source = ms2::source(Variant::Fenced)
+    let source = ms2::SOURCE
         .replace("unlock(&queue.head_lock);", "")
         .replace("lock(&queue.head_lock);", "");
     let program = cf_minic::compile(&source).expect("still compiles");
@@ -186,7 +186,7 @@ fn ms2_lost_enqueue_is_masked_by_small_tests() {
     // dequeues. A reminder that bounded testing proves inclusion for
     // the given test only (§2.2), recorded here as a negative control.
     let base = ms2::harness(Variant::Fenced);
-    let source = ms2::source(Variant::Fenced)
+    let source = ms2::SOURCE
         .replace("unlock(&queue.tail_lock);", "")
         .replace("lock(&queue.tail_lock);", "");
     let program = cf_minic::compile(&source).expect("still compiles");
@@ -206,7 +206,7 @@ fn ms2_with_a_single_lock_still_passes() {
     // must accept it.
     let base = ms2::harness(Variant::Fenced);
     // NB: replace `unlock` before `lock` — the latter is a substring.
-    let source = ms2::source(Variant::Fenced)
+    let source = ms2::SOURCE
         .replace("unlock(&queue.tail_lock);", "unlock(&queue.head_lock);")
         .replace("lock(&queue.tail_lock);", "lock(&queue.head_lock);");
     let program = cf_minic::compile(&source).expect("still compiles");

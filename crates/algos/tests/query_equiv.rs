@@ -117,13 +117,7 @@ fn sample(rng: &mut Rng, max_site: u32) -> Sample {
 
 /// Runs the sampled batch through all three paths on one subject.
 fn assert_three_way_equivalence(h: &Harness, t: &TestSpec, seed: u64, n: usize) {
-    let plan = MutationPlan::build(
-        &h.program,
-        &MutationConfig {
-            procs: None,
-            ..MutationConfig::default()
-        },
-    );
+    let plan = MutationPlan::build(&h.program, &MutationConfig::default());
     assert!(!plan.points.is_empty(), "{}: nothing planned", h.name);
     let instrumented = Harness {
         name: format!("{}+mutants", h.name),

@@ -63,7 +63,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cf_lsl::{FenceKind, Procedure, Program, Stmt};
+use cf_lsl::{FenceKind, Program, Stmt};
 use cf_memmodel::{Mode, ModeSet};
 
 use crate::checker::{CheckConfig, CheckError, ObsSet};
@@ -78,7 +78,7 @@ pub struct InferConfig {
     pub kinds: Vec<FenceKind>,
     /// Restrict candidate insertion to these procedures. `None` selects
     /// every procedure except lock helpers
-    /// ([`Procedure::is_lock_helper`]), whose internal fences belong to
+    /// ([`cf_lsl::Procedure::in_scope`]), whose internal fences belong to
     /// the locking discipline (paper Fig. 7), not to the algorithm.
     pub procs: Option<Vec<String>>,
 }
@@ -183,20 +183,13 @@ impl From<CheckError> for InferError {
 pub fn candidate_sites(program: &Program, config: &InferConfig) -> Vec<CandidateSite> {
     let mut out = Vec::new();
     for proc in &program.procedures {
-        if !proc_selected(proc, config) {
+        if !proc.in_scope(config.procs.as_deref()) {
             continue;
         }
         let mut path = Vec::new();
         collect_sites(&proc.body, &proc.name, &mut path, &config.kinds, &mut out);
     }
     out
-}
-
-fn proc_selected(proc: &Procedure, config: &InferConfig) -> bool {
-    match &config.procs {
-        Some(list) => list.iter().any(|n| n == &proc.name),
-        None => !proc.is_lock_helper(),
-    }
 }
 
 fn collect_sites(
@@ -385,7 +378,12 @@ pub fn infer(
             .collect();
         for (t, base) in tests.iter().zip(&bases) {
             *checks += 1;
-            if !engine.run(&base.clone().with_toggles(&active))?.passed() {
+            let v = engine.run(&base.clone().with_toggles(&active))?;
+            // An undecided check says nothing about the placement.
+            if let Some(reason) = v.inconclusive() {
+                return Err(CheckError::Exhausted(reason));
+            }
+            if !v.passed() {
                 return Ok(Some(t.name.clone()));
             }
         }

@@ -44,7 +44,7 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use cf_lsl::{pretty, FenceKind, Procedure, Program, Reg, Stmt};
+use cf_lsl::{pretty, FenceKind, Program, Reg, Stmt};
 use cf_memmodel::{Mode, ModeSet};
 use cf_spec::ModelSpec;
 
@@ -96,25 +96,14 @@ fn weakened(kind: FenceKind) -> FenceKind {
     }
 }
 
-/// Configuration of the mutation planner.
-#[derive(Clone, Debug)]
+/// Configuration of the mutation planner, which plans every operator
+/// (in [`MutationKind::all`] order per statement).
+#[derive(Clone, Debug, Default)]
 pub struct MutationConfig {
-    /// Operators to plan (in [`MutationKind::all`] order per statement).
-    pub kinds: Vec<MutationKind>,
     /// Restrict mutation to these procedures. `None` selects every
-    /// procedure except lock helpers
-    /// ([`Procedure::is_lock_helper`](cf_lsl::Procedure::is_lock_helper)),
-    /// the fence-inference candidate rule.
+    /// procedure except lock helpers ([`cf_lsl::Procedure::in_scope`],
+    /// the fence-inference candidate rule).
     pub procs: Option<Vec<String>>,
-}
-
-impl Default for MutationConfig {
-    fn default() -> Self {
-        MutationConfig {
-            kinds: MutationKind::all().to_vec(),
-            procs: None,
-        }
-    }
 }
 
 /// Where a mutation applies: a statement list (procedure body plus a
@@ -162,18 +151,11 @@ impl MutationPlan {
     pub fn build(program: &Program, config: &MutationConfig) -> MutationPlan {
         let mut points = Vec::new();
         for proc in &program.procedures {
-            if !proc_selected(proc, config) {
+            if !proc.in_scope(config.procs.as_deref()) {
                 continue;
             }
             let mut path = Vec::new();
-            enumerate_points(
-                &proc.body,
-                &proc.name,
-                &mut path,
-                false,
-                config,
-                &mut points,
-            );
+            enumerate_points(&proc.body, &proc.name, &mut path, false, &mut points);
         }
         for (i, p) in points.iter_mut().enumerate() {
             p.id = i as u32;
@@ -215,13 +197,6 @@ impl MutationPlan {
             proc.body = apply_one(&proc.body, &mut path, point);
         }
         program
-    }
-}
-
-fn proc_selected(proc: &Procedure, config: &MutationConfig) -> bool {
-    match &config.procs {
-        Some(list) => list.iter().any(|n| n == &proc.name),
-        None => !proc.is_lock_helper(),
     }
 }
 
@@ -286,7 +261,6 @@ fn enumerate_points(
     proc: &str,
     path: &mut Vec<usize>,
     in_atomic: bool,
-    config: &MutationConfig,
     out: &mut Vec<MutationPoint>,
 ) {
     fn push_point(
@@ -311,11 +285,10 @@ fn enumerate_points(
             },
         });
     }
-    let wants = |k: MutationKind| config.kinds.contains(&k);
     let mut swap_blocked = 0usize; // indices below this are in a swap span
     for (i, s) in stmts.iter().enumerate() {
         match s {
-            Stmt::Store { .. } if wants(MutationKind::DeleteStmt) => {
+            Stmt::Store { .. } => {
                 push_point(
                     out,
                     MutationKind::DeleteStmt,
@@ -329,33 +302,29 @@ fn enumerate_points(
             // Fences inside atomic blocks are inert; mutating them
             // proves nothing.
             Stmt::Fence(kind) if !in_atomic => {
-                if wants(MutationKind::DeleteStmt) {
-                    push_point(
-                        out,
-                        MutationKind::DeleteStmt,
-                        proc,
-                        path,
-                        i,
-                        1,
-                        format!("delete `fence {kind}` in {proc}"),
-                    );
-                }
-                if wants(MutationKind::WeakenFence) {
-                    push_point(
-                        out,
-                        MutationKind::WeakenFence,
-                        proc,
-                        path,
-                        i,
-                        1,
-                        format!("weaken `fence {kind}` to `{}` in {proc}", weakened(*kind)),
-                    );
-                }
+                push_point(
+                    out,
+                    MutationKind::DeleteStmt,
+                    proc,
+                    path,
+                    i,
+                    1,
+                    format!("delete `fence {kind}` in {proc}"),
+                );
+                push_point(
+                    out,
+                    MutationKind::WeakenFence,
+                    proc,
+                    path,
+                    i,
+                    1,
+                    format!("weaken `fence {kind}` to `{}` in {proc}", weakened(*kind)),
+                );
             }
             _ => {}
         }
         // Swaps only matter where interleaving is observable.
-        if !in_atomic && wants(MutationKind::SwapAdjacent) && i >= swap_blocked {
+        if !in_atomic && i >= swap_blocked {
             if let Some(j) = swap_partner(stmts, i) {
                 push_point(
                     out,
@@ -376,12 +345,12 @@ fn enumerate_points(
         match s {
             Stmt::Block { body, .. } => {
                 path.push(i);
-                enumerate_points(body, proc, path, in_atomic, config, out);
+                enumerate_points(body, proc, path, in_atomic, out);
                 path.pop();
             }
             Stmt::Atomic(body) => {
                 path.push(i);
-                enumerate_points(body, proc, path, true, config, out);
+                enumerate_points(body, proc, path, true, out);
                 path.pop();
             }
             _ => {}
@@ -1134,13 +1103,7 @@ mod tests {
         // must be caught — the matrix distinguishes the two.
         let h = mailbox();
         let t = TestSpec::parse("pg", "( p | g )").expect("parses");
-        let plan = MutationPlan::build(
-            &h.program,
-            &MutationConfig {
-                kinds: vec![MutationKind::WeakenFence],
-                ..MutationConfig::default()
-            },
-        );
+        let plan = MutationPlan::build(&h.program, &MutationConfig::default());
         let config = MatrixConfig::default();
         let report = run_mutation_matrix(&h, &t, &plan, &config).expect("matrix runs");
         let pso = report.models.iter().position(|m| m == "pso").unwrap();

@@ -48,8 +48,8 @@ pub struct Provenance {
     /// Empty for built-in models, whose axioms are not gated per-axiom.
     pub axioms: Vec<String>,
     /// Load-bearing *real* fences by source coordinate
-    /// (`proc#index (kind)`, the `FenceSite` display format of
-    /// `cf-algos`). For a proof these are the fences whose ordering
+    /// ([`cf_lsl::FenceSite`]: `proc#index (kind)`, or `proc#cN
+    /// (fence(ord))` for a C11 fence). For a proof these are the fences whose ordering
     /// edges the unsatisfiability depends on; for a witness, the fences
     /// present in the program the witness ran against.
     pub fences: Vec<String>,

@@ -290,12 +290,12 @@ pub enum Answer {
     Observations(ObsSet),
     /// The engine ran out of resources before the question was decided
     /// — a first-class verdict, not an error, so batch drivers render a
-    /// `?` cell and keep going instead of aborting the table.
+    /// `?` cell and keep going instead of aborting the table. The
+    /// solver work spent across all retry attempts is the verdict's
+    /// [`QueryStats`].
     Inconclusive {
         /// Why the query could not be decided.
         reason: InconclusiveReason,
-        /// Solver ticks spent across all retry attempts.
-        spent: u64,
     },
 }
 
@@ -907,7 +907,6 @@ fn exec_isolated<'h>(
     let verdict = Verdict {
         answer: Answer::Inconclusive {
             reason: InconclusiveReason::ShardCrashed,
-            spent: 0,
         },
         stats: QueryStats::default(),
         provenance: None,
@@ -922,8 +921,7 @@ fn exec_isolated<'h>(
 /// [`RETRY_GROWTH`]`^n`; the wall-clock deadline, if any, is re-armed
 /// fresh per attempt so a transient stall does not starve the retry.
 /// When the last permitted attempt still exhausts, the query resolves
-/// to [`Answer::Inconclusive`] with the ticks spent across every
-/// attempt.
+/// to [`Answer::Inconclusive`].
 fn exec(
     session: &mut CheckSession<'_>,
     query: &Query<'_>,
@@ -966,12 +964,7 @@ fn exec(
                     ]
                 });
             }
-            Err(CheckError::Exhausted(reason)) => {
-                break Ok(Answer::Inconclusive {
-                    reason,
-                    spent: session.spent().ticks(),
-                })
-            }
+            Err(CheckError::Exhausted(reason)) => break Ok(Answer::Inconclusive { reason }),
             other => break other,
         }
     };

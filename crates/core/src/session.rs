@@ -39,7 +39,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-use cf_lsl::Stmt;
 use cf_memmodel::{Mode, ModeSet};
 use cf_sat::{Lit, SolveResult};
 use cf_spec::ModelSpec;
@@ -186,8 +185,8 @@ pub struct CheckSession<'h> {
     /// wrapped in synthetic toggle sites). Built once, survives bound
     /// growth. `None` unless [`SessionConfig::provenance`] is on.
     prov_harness: Option<Box<Harness>>,
-    /// Synthetic toggle site → source coordinate (`proc#index (kind)`)
-    /// of the wrapped fence.
+    /// Synthetic toggle site → source coordinate
+    /// ([`cf_lsl::FenceSite`]) of the wrapped fence.
     fence_coords: BTreeMap<u32, String>,
     /// Provenance of the most recent inclusion query, taken by the
     /// engine when it assembles the verdict.
@@ -473,9 +472,17 @@ impl<'h> CheckSession<'h> {
     fn ensure_state(&mut self) -> Result<(), CheckError> {
         if self.state.is_none() {
             if self.config.provenance && self.prov_harness.is_none() {
-                let (wrapped, coords) = wrap_fences(self.harness);
-                self.prov_harness = Some(Box::new(wrapped));
-                self.fence_coords = coords;
+                // Every real fence becomes a toggle site whose inactive
+                // polarity keeps it, so a `!act` literal in a PASS core
+                // names that fence as load-bearing.
+                let program = &self.harness.program;
+                self.fence_coords = (FENCE_SITE_BASE..)
+                    .zip(program.fence_sites().iter().map(ToString::to_string))
+                    .collect();
+                self.prov_harness = Some(Box::new(Harness {
+                    program: program.with_fence_toggles(FENCE_SITE_BASE),
+                    ..self.harness.clone()
+                }));
             }
             let harness: &Harness = self.prov_harness.as_deref().unwrap_or(self.harness);
             let sx = execute(harness, self.test, &self.bounds, SPIN_BOUND)?;
@@ -660,83 +667,6 @@ impl<'h> CheckSession<'h> {
 /// mutation planner or fence-inference driver assigns, so the two site
 /// spaces cannot collide.
 pub(crate) const FENCE_SITE_BASE: u32 = 1_000_000;
-
-/// Returns a copy of the harness with every real fence wrapped in a
-/// synthetic [`Stmt::Toggle`] site (`orig` = the fence, `mutant` =
-/// nothing), plus the site → source-coordinate map. Assuming the site
-/// *inactive* keeps the fence, so a `!act` literal in a PASS core names
-/// that fence as load-bearing. Enumerates like
-/// `cf-algos::fences::fence_sites`: document order per procedure, lock
-/// helpers ([`cf_lsl::Procedure::is_lock_helper`]) excluded, no descent
-/// into existing toggle branches (ablation instrumentation and fence
-/// inference already own those fences).
-fn wrap_fences(harness: &Harness) -> (Harness, BTreeMap<u32, String>) {
-    let mut wrapped = harness.clone();
-    let mut coords = BTreeMap::new();
-    let mut next = FENCE_SITE_BASE;
-    for proc in &mut wrapped.program.procedures {
-        if proc.is_lock_helper() {
-            continue;
-        }
-        let name = proc.name.clone();
-        let (mut classic, mut c11) = (0usize, 0usize);
-        wrap_fences_in(
-            &mut proc.body,
-            &name,
-            &mut classic,
-            &mut c11,
-            &mut next,
-            &mut coords,
-        );
-    }
-    (wrapped, coords)
-}
-
-fn wrap_fences_in(
-    stmts: &mut [Stmt],
-    proc: &str,
-    classic: &mut usize,
-    c11: &mut usize,
-    next: &mut u32,
-    coords: &mut BTreeMap<u32, String>,
-) {
-    for s in stmts.iter_mut() {
-        let coord = match s {
-            // Classic fences share their index space with
-            // `FenceSite::index_in_proc`, so provenance coordinates
-            // line up with the ablation matrix and `--analyze` output.
-            Stmt::Fence(kind) => {
-                let coord = format!("{proc}#{} ({})", *classic, *kind);
-                *classic += 1;
-                coord
-            }
-            Stmt::CFence(ord) => {
-                let coord = format!("{proc}#c{} (fence({}))", *c11, *ord);
-                *c11 += 1;
-                coord
-            }
-            Stmt::Atomic(body) | Stmt::Block { body, .. } => {
-                wrap_fences_in(body, proc, classic, c11, next, coords);
-                continue;
-            }
-            _ => continue,
-        };
-        let site = *next;
-        *next += 1;
-        coords.insert(site, coord);
-        let fence = std::mem::replace(
-            s,
-            Stmt::Toggle {
-                site,
-                orig: Vec::new(),
-                mutant: Vec::new(),
-            },
-        );
-        if let Stmt::Toggle { orig, .. } = s {
-            orig.push(fence);
-        }
-    }
-}
 
 /// Maps a PASS core's literals back to named artifacts. Every entry of
 /// the core is one of the query's assumptions, so classification is a

@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 mod builder;
+mod fences;
 mod interp;
 mod layout;
 mod prim;
@@ -53,6 +54,7 @@ mod value;
 pub mod pretty;
 
 pub use builder::ProcBuilder;
+pub use fences::FenceSite;
 pub use interp::{ExecError, ExecResult, Machine};
 pub use layout::{AddressSpace, BaseDef, MemType, StructDef, StructId, TypeTable};
 pub use prim::PrimOp;

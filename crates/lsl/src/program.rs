@@ -40,6 +40,16 @@ impl Procedure {
         self.name.contains("lock")
     }
 
+    /// Whether a procedure-scoped analysis (fence inference, mutation
+    /// planning) covers this procedure: the ones `procs` names, or, for
+    /// `None`, every procedure except lock helpers.
+    pub fn in_scope(&self, procs: Option<&[String]>) -> bool {
+        match procs {
+            Some(names) => names.contains(&self.name),
+            None => !self.is_lock_helper(),
+        }
+    }
+
     /// Counts statements recursively (for reporting; loops counted once).
     pub fn num_stmts(&self) -> usize {
         fn walk(stmts: &[Stmt]) -> usize {

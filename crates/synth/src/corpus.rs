@@ -41,7 +41,7 @@ pub struct Expect {
 /// provenance on, every listed fence coordinate must appear in its
 /// report (the verdict's proof core leans on *at least* these fences —
 /// the pin is a subset requirement, so a core may also name others).
-/// Coordinates use the `cf_algos::fences::FenceSite` rendering, e.g.
+/// Coordinates are cf-lsl `FenceSite` renderings, e.g.
 /// `push#0 (store-store)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Explain {

@@ -114,8 +114,8 @@ use cf_spec::ModelSpec;
 use checkfence::commit::AbstractType;
 use checkfence::infer::{infer, InferConfig};
 use checkfence::{
-    mine_reference, Answer, CheckConfig, CheckOutcome, Engine, EngineConfig, Harness, ModelSel,
-    ObsSet, OpSig, Query, QueryStats, TestSpec,
+    mine_reference, CheckConfig, CheckOutcome, Engine, EngineConfig, Harness, ModelSel, ObsSet,
+    OpSig, Query, QueryStats, TestSpec,
 };
 
 /// The model axis of a run: a built-in mode or a user `.cfm` spec.
@@ -780,12 +780,13 @@ fn run_with(opts: &Options) -> Result<RunStatus, String> {
                 core_size += p.core_size as u64;
             }
         }
-        if let Answer::Inconclusive { reason, spent } = &verdict.answer {
+        if let Some(reason) = verdict.inconclusive() {
             status.inconclusive = true;
             println!(
-                "INCONCLUSIVE {} on {} ({reason}; {spent} ticks spent, {} retries)",
+                "INCONCLUSIVE {} on {} ({reason}; {} ticks spent, {} retries)",
                 test.name,
                 opts.model.name(),
+                verdict.stats.ticks(),
                 verdict.stats.retries,
             );
             continue;

@@ -11,7 +11,8 @@ use cf_memmodel::Mode;
 use cf_sat::faults::{self, FaultKind, FaultPlan};
 use cf_synth::{run_corpus, synthesize, CorpusConfig, CorpusVerdict, SynthBounds};
 use checkfence::{
-    mine_reference, Engine, EngineConfig, Harness, InconclusiveReason, OpSig, Query, TestSpec,
+    mine_reference, CheckError, Engine, EngineConfig, Harness, InconclusiveReason, OpSig, Query,
+    TestSpec,
 };
 
 /// The fault-plan registry is process-global; serialize every test that
@@ -297,4 +298,72 @@ fn starved_corpus_cells_render_identically_across_jobs() {
         report.table()
     };
     assert_eq!(table_at(1), table_at(4), "tables must compare bit for bit");
+}
+
+/// An undecided check is not a failing placement: when the saturated
+/// build's check crashes its worker twice (the rebuilt session dies
+/// too), fence inference reports the crash instead of calling the
+/// implementation unfixable.
+#[test]
+fn crashed_saturated_check_is_an_inference_error_not_unfixable() {
+    use checkfence::infer::{
+        apply_candidates_gated, candidate_sites, infer, InferConfig, InferError,
+    };
+    let _g = locked();
+    let (h, t) = mailbox();
+    let spec = mine_reference(&h, &t).expect("mines").spec;
+    let config = InferConfig::default();
+    let all = candidate_sites(&h.program, &config);
+    // The saturated check, named as `infer` names it.
+    let gated = Harness {
+        name: format!("{}+candidates", h.name),
+        program: apply_candidates_gated(&h.program, &all),
+        ..h.clone()
+    };
+    let every: Vec<u32> = (0..all.len() as u32).collect();
+    let saturated = Query::check_inclusion(&gated, &t, spec)
+        .on(Mode::Relaxed)
+        .with_toggles(&every);
+
+    faults::install(FaultPlan::new(1).panic_times(format!("worker:{}", saturated.describe()), 2));
+    let result = infer(&h, std::slice::from_ref(&t), Mode::Relaxed, &config);
+    faults::clear();
+    assert!(
+        matches!(
+            result,
+            Err(InferError::Check(CheckError::Exhausted(
+                InconclusiveReason::ShardCrashed
+            )))
+        ),
+        "{result:?}"
+    );
+}
+
+/// Necessity analysis follows the same rule: a deletion check that
+/// crashes its worker twice is an error, never a `broken_by`.
+#[test]
+fn crashed_deletion_check_is_a_necessity_error_not_a_needed_fence() {
+    let _g = locked();
+    let (h, t) = mailbox();
+    let spec = mine_reference(&h, &t).expect("mines").spec;
+    // The first deletion, named as `necessity` names it.
+    let wrapped = Harness {
+        name: format!("{}+fence-toggles", h.name),
+        program: h.program.with_fence_toggles(0),
+        ..h.clone()
+    };
+    let first = Query::check_inclusion(&wrapped, &t, spec)
+        .on(Mode::Relaxed)
+        .with_toggles(&[0]);
+
+    faults::install(FaultPlan::new(1).panic_times(format!("worker:{}", first.describe()), 2));
+    let result = cf_algos::fences::necessity(&h, std::slice::from_ref(&t), Mode::Relaxed);
+    faults::clear();
+    assert!(
+        matches!(
+            result,
+            Err(CheckError::Exhausted(InconclusiveReason::ShardCrashed))
+        ),
+        "{result:?}"
+    );
 }

@@ -5,7 +5,7 @@
 //! the fence sets a proof reports must cross-check against the ablation
 //! ground truth: a load-bearing fence, removed, breaks the check.
 
-use cf_algos::{fences, lamport, ms2, tests as catalog, treiber, Variant};
+use cf_algos::{lamport, ms2, tests as catalog, treiber, Variant};
 use cf_memmodel::Mode;
 use checkfence::{
     mine_reference, Engine, EngineConfig, Harness, ModelSel, ProvenanceKind, Query, TestSpec,
@@ -75,8 +75,8 @@ fn minimized_proof_cores_name_load_bearing_fences() {
     // The ablation cross-check: every fence a minimized proof core
     // reports as load-bearing must, when removed from the program,
     // produce a failing (or bounds-diverging) weaken-mutant. The fence
-    // coordinates in the provenance use the same rendering as
-    // `cf_algos::fences::FenceSite`, so the two vocabularies join.
+    // coordinates in the provenance are `cf_lsl::FenceSite`s, so the two
+    // vocabularies join.
     let h = treiber::harness(Variant::Fenced);
     let t = catalog::by_name("U0").expect("catalog test");
     let mut engine = strict_engine();
@@ -89,14 +89,14 @@ fn minimized_proof_cores_name_load_bearing_fences() {
         "the relaxed-mode proof must lean on at least one fence, got: {p}"
     );
     let spec = mine_reference(&h, &t).expect("mines").spec;
-    let sites = fences::fence_sites(&h.program);
+    let sites = h.program.fence_sites();
     for coord in &p.fences {
         let site = sites
             .iter()
             .find(|s| s.to_string() == *coord)
             .unwrap_or_else(|| panic!("reported fence `{coord}` is not a program site"));
         let mutant = Harness {
-            program: fences::remove_fence(&h.program, site),
+            program: h.program.without_fences(|s| s == site),
             ..h.clone()
         };
         let broken = match Query::check_inclusion(&mutant, &t, spec.clone())
