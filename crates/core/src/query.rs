@@ -20,6 +20,9 @@
 //!   mixed batch by session key, reuses live encodings across calls,
 //!   and runs up to [`EngineConfig::jobs`] keys' sessions at once (one
 //!   session per key at any job count, so every key encodes once).
+//!   [`Engine::run_batch_keeping`] lets the caller drop each key's
+//!   session as soon as its last query is answered, so a sweep's memory
+//!   follows the sessions in flight.
 //!
 //! Every [`Verdict`] carries the one record of its query's work
 //! ([`QueryStats`]: the encodings it built and its solve calls), so
@@ -529,12 +532,17 @@ impl EngineConfig {
     }
 }
 
-/// The amortization ledger of the engine: its pool size, and running
-/// sums of the records of the queries it answered.
+/// The amortization ledger of the engine: the sessions it built, and
+/// running sums of the records of the queries it answered.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Live sessions in the pool: one per (harness, test) key the
-    /// engine has answered, at any [`EngineConfig::jobs`].
+    /// Sessions the engine built: one per (harness, test) key it has
+    /// answered, at any [`EngineConfig::jobs`], plus one each time a key
+    /// whose session was gone at the end of a batch is asked about
+    /// again — dropped by its caller ([`Engine::run_batch_keeping`]) or
+    /// discarded after crashing twice. Only the rebuild after a panic
+    /// inside the crashing batch does not count. Dropped sessions stay
+    /// counted, so this is not the number of live sessions.
     pub sessions: usize,
     /// CNF encodings the engine's queries built (== `sessions` unless
     /// lazy unrolling grew a loop bound). Each encoding is one symbolic
@@ -558,11 +566,16 @@ struct Slot<'h> {
 ///
 /// Sessions are created lazily, one per (harness identity, test
 /// identity) key — the model universe and provenance are fixed per
-/// engine — and persist across [`Engine::run`] / [`Engine::run_batch`]
-/// calls, so repeated batches on the same key reuse the live encoding.
+/// engine. A session lives until its caller stops asking about its
+/// key: [`Engine::run`] and [`Engine::run_batch`] keep every session
+/// pooled, so repeated batches on the same key reuse the live encoding,
+/// while [`Engine::run_batch_keeping`] drops the sessions its caller is
+/// done with. A dropped key asked about again gets a fresh session.
 pub struct Engine<'h> {
     config: EngineConfig,
     pool: Vec<Slot<'h>>,
+    /// Sessions `take_session` built ([`EngineStats::sessions`]).
+    built: usize,
     /// Running sums of every answered query's [`QueryStats`], so the
     /// totals do not depend on which sessions are still pooled.
     solver: cf_sat::Stats,
@@ -576,6 +589,7 @@ impl<'h> Engine<'h> {
         Engine {
             config,
             pool: Vec::new(),
+            built: 0,
             solver: cf_sat::Stats::default(),
             encodes: 0,
             queries: 0,
@@ -591,16 +605,17 @@ impl<'h> Engine<'h> {
     /// governance (budgets, deadlines, retries, core post-processing)
     /// between batches; every later query reads them. `range_analysis`
     /// shapes an encoding, so changing it applies only to sessions built
-    /// later. The model universe, `jobs` and
-    /// provenance are fixed at [`Engine::new`].
+    /// later, including the fresh session of a dropped key asked about
+    /// again. The model universe, `jobs` and provenance are fixed at
+    /// [`Engine::new`].
     pub fn check_mut(&mut self) -> &mut CheckConfig {
         &mut self.config.check
     }
 
-    /// The amortization ledger: pool size, encodes and queries.
+    /// The amortization ledger: sessions built, encodes and queries.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
-            sessions: self.pool.len(),
+            sessions: self.built,
             encodes: self.encodes,
             queries: self.queries,
         }
@@ -626,7 +641,8 @@ impl<'h> Engine<'h> {
             .expect("one query in, one verdict out")
     }
 
-    /// Answers a batch, returning verdicts in query order.
+    /// Answers a batch, returning verdicts in query order, and keeps
+    /// every session it used pooled for later batches.
     ///
     /// Queries are grouped by (harness, test); each group runs in query
     /// order on its key's one pooled session, and up to
@@ -636,6 +652,25 @@ impl<'h> Engine<'h> {
     /// [`CheckError::BoundsDiverged`], which mutation drivers treat as a
     /// verdict) are returned in place, not propagated.
     pub fn run_batch(&mut self, queries: &[Query<'h>]) -> Vec<Result<Verdict, CheckError>> {
+        self.run_batch_keeping(queries, |_| true)
+    }
+
+    /// Answers a batch like [`Engine::run_batch`], and asks the caller,
+    /// per key, whether the key's session stays pooled.
+    ///
+    /// `keep` sees one key's results, in query order, as soon as the
+    /// key's last query is answered. When it returns `false` the
+    /// session is dropped on its worker right away, not when the batch
+    /// or the engine ends, and a later query on the key builds a fresh
+    /// session (and encoding). `keep` runs on any worker, in any key
+    /// order; when it decides from the results it is handed alone, the
+    /// sessions built, the encodes and every verdict are the same at
+    /// any [`EngineConfig::jobs`].
+    pub fn run_batch_keeping(
+        &mut self,
+        queries: &[Query<'h>],
+        keep: impl Fn(&[&Result<Verdict, CheckError>]) -> bool + Sync,
+    ) -> Vec<Result<Verdict, CheckError>> {
         let batch = cf_trace::next_batch();
         let batch_t0 = Instant::now();
         cf_trace::emit("batch_start", || {
@@ -662,8 +697,9 @@ impl<'h> Engine<'h> {
         struct Task<'h> {
             hkey: usize,
             tkey: usize,
-            /// `None` after a panic discarded the session; the task
-            /// loop rebuilds it from the query's key.
+            /// `None` after a panic discarded the session (the task
+            /// loop rebuilds it from the query's key), or once `keep`
+            /// refused it.
             session: Mutex<Option<CheckSession<'h>>>,
             members: Vec<usize>,
         }
@@ -694,7 +730,8 @@ impl<'h> Engine<'h> {
         let answered = run_indexed(config.jobs, tasks.len(), |t| {
             let task = &tasks[t];
             let mut slot = task.session.lock().unwrap_or_else(|p| p.into_inner());
-            task.members
+            let answers = task
+                .members
                 .iter()
                 .map(|&i| {
                     // Item lane i+1: lane 0 is the coordinator. The scope
@@ -706,7 +743,13 @@ impl<'h> Engine<'h> {
                         .then(|| cf_trace::scope(batch, i as u64 + 1, queries[i].describe()));
                     (i, exec_isolated(&mut slot, &queries[i], config))
                 })
-                .collect::<Vec<_>>()
+                .collect::<Vec<_>>();
+            let results: Vec<&Result<Verdict, CheckError>> =
+                answers.iter().map(|(_, (r, _))| r).collect();
+            if !keep(&results) {
+                *slot = None;
+            }
+            answers
         });
         for (i, (r, spent)) in answered.into_iter().flatten() {
             self.solver.add(&spent.solver_stats());
@@ -715,9 +758,9 @@ impl<'h> Engine<'h> {
             results[i] = Some(r);
         }
 
-        // Return the surviving sessions to the pool. A session whose
-        // second life also crashed stays discarded; the next batch on
-        // its key starts fresh.
+        // Return the surviving sessions to the pool. A session its
+        // caller did not keep, or whose second life also crashed, is
+        // gone; the next batch on its key starts fresh.
         for task in tasks {
             let session = task.session.into_inner().unwrap_or_else(|p| p.into_inner());
             if let Some(session) = session {
@@ -790,9 +833,9 @@ impl<'h> Engine<'h> {
         Ok(())
     }
 
-    /// Removes the pooled session for a key, creating it if the key is
-    /// new. The caller owns the session for the batch and pushes the
-    /// survivors back.
+    /// Removes the pooled session for a key, building (and counting) a
+    /// new one if the key has none. The caller owns the session for the
+    /// batch and pushes the kept survivors back.
     fn take_session(&mut self, hkey: usize, tkey: usize, query: &Query<'h>) -> CheckSession<'h> {
         if let Some(i) = self
             .pool
@@ -801,6 +844,7 @@ impl<'h> Engine<'h> {
         {
             return self.pool.swap_remove(i).session;
         }
+        self.built += 1;
         build_session(query, &self.config)
     }
 }
@@ -1151,6 +1195,55 @@ mod tests {
             assert_eq!(seq_stats.encodes as usize, keys, "one encoding per key");
             assert_eq!(seq_stats.queries as usize, batch.len());
         }
+    }
+
+    #[test]
+    fn a_dropped_session_is_rebuilt_and_a_kept_one_is_not() {
+        let (h, t) = mailbox();
+        let t2 = TestSpec::parse("pgg", "( p | g g )").expect("parses");
+        let spec = Arc::new(crate::mine::mine_reference(&h, &t).expect("mines").spec);
+        let spec2 = Arc::new(crate::mine::mine_reference(&h, &t2).expect("mines").spec);
+        let pg = |m: Mode| Query::check_inclusion(&h, &t, spec.clone()).on(m);
+        let pgg = |m: Mode| Query::check_inclusion(&h, &t2, spec2.clone()).on(m);
+        // The first batch asks once about `pg` and twice about `pgg`,
+        // and keeps only the keys it asked about more than once; the
+        // second asks about both again and keeps both.
+        let first_batch = [pg(Mode::Tso), pgg(Mode::Tso), pgg(Mode::Pso)];
+        let second_batch = [pg(Mode::Sc), pgg(Mode::Sc)];
+        // Each verdict's summary (with its solver counters) and encodes,
+        // then the engine's ledger after the batch.
+        let record = |verdicts: Vec<Result<Verdict, CheckError>>, engine: &Engine| {
+            let verdicts: Vec<(String, u32)> = verdicts
+                .iter()
+                .map(|r| {
+                    let v = r.as_ref().expect("verdict");
+                    assert!(v.passed(), "the fenced mailbox passes");
+                    (summary(r), v.stats.encodes)
+                })
+                .collect();
+            (verdicts, engine.stats())
+        };
+        let run = |jobs: usize| {
+            let mut engine = Engine::new(EngineConfig::default().with_jobs(jobs));
+            let first = engine.run_batch_keeping(&first_batch, |answers| answers.len() > 1);
+            let first = record(first, &engine);
+            let second = engine.run_batch_keeping(&second_batch, |_| true);
+            (first, record(second, &engine))
+        };
+        let (first, second) = run(1);
+        assert_eq!(
+            (first.clone(), second.clone()),
+            run(4),
+            "verdicts, encodes and ledger at jobs 1 and jobs 4"
+        );
+        let encodes = |verdicts: &[(String, u32)]| verdicts.iter().map(|v| v.1).collect::<Vec<_>>();
+        assert_eq!(encodes(&first.0), [1, 1, 0]);
+        assert_eq!((first.1.sessions, first.1.encodes), (2, 2));
+        // Only the refused key `pg` builds again: one more session, one
+        // more encoding.
+        assert_eq!(encodes(&second.0), [1, 0]);
+        assert_eq!((second.1.sessions, second.1.encodes), (3, 3));
+        assert_eq!(second.1.queries, 5);
     }
 
     #[test]

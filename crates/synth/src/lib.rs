@@ -16,14 +16,15 @@
 //!   domain, so every value renaming maps a shape's observation set to
 //!   itself by construction.
 //! * [`run_corpus`] **answers** a whole corpus as
-//!   [`Engine::run_batch`](checkfence::Engine::run_batch) rounds per
-//!   (data type, model universe): the reference specification is mined
-//!   once per synthesized test (instead of once per (test, model)
-//!   cell), inclusion is checked across the built-in lattice plus
-//!   any `.cfm` specs, and harnesses whose failure signature is
-//!   subsumed by an already-kept harness are pruned
-//!   (coverage-guided corpus shrinking). The result renders as a
-//!   Fig. 5-style coverage table.
+//!   [`Engine::run_batch_keeping`](checkfence::Engine::run_batch_keeping)
+//!   rounds per (data type, model universe), dropping each test's
+//!   session once no later round asks about it: the reference
+//!   specification is mined once per synthesized test (instead of
+//!   once per (test, model) cell), inclusion is checked across the
+//!   built-in lattice plus any `.cfm` specs, and harnesses whose
+//!   failure signature is subsumed by an already-kept harness are
+//!   pruned (coverage-guided corpus shrinking). The result renders as
+//!   a Fig. 5-style coverage table.
 //! * [`corpus`] loads the curated mini-C scenario corpus shipped under
 //!   `corpus/` (seqlock, Dekker mutex, bounded MPMC queue, SPSC ring),
 //!   lowering each entry through `cf-minic` and attaching its declared

@@ -1,26 +1,33 @@
 //! Batch-checking a corpus on the query engine.
 //!
-//! [`run_corpus`] answers a whole corpus against one harness as a
-//! single [`Engine::run_batch`] over the configured model universe:
-//! the reference specification is mined once per test (fanned out
-//! across `jobs` worker threads), every (test, model) cell becomes one
-//! [`Query`] on a pooled session — so each test encodes exactly once no
-//! matter how many models the universe holds — and the verdict grid is
-//! folded into a Fig. 5-style coverage report.
+//! [`run_corpus`] answers a whole corpus against one harness on one
+//! [`Engine`] over the configured model universe: the reference
+//! specification is mined once per test (fanned out across `jobs`
+//! worker threads), every (test, model) cell becomes one [`Query`] on
+//! the test's session — so each test encodes exactly once no matter
+//! how many models the universe holds — and the verdict grid is folded
+//! into a Fig. 5-style coverage report.
 //!
 //! **The model-lattice ladder** cuts the solved cell count using the
 //! §2.3.3 hierarchy: each model of the chain Serial → SC → TSO → PSO →
 //! Relaxed admits a superset of its predecessor's executions, so an
 //! inclusion check that *passes* on a weaker model must pass on every
 //! stronger one. The runner solves the built-in columns weakest-first
-//! (one engine batch per rung, all on the same pooled sessions) and
-//! fills the stronger cells of a passing test by inference instead of
-//! solving them — on an all-pass corpus that is one SAT query per
+//! (one engine batch per rung, then one batch for the spec columns)
+//! and fills the stronger cells of a passing test by inference instead
+//! of solving them — on an all-pass corpus that is one SAT query per
 //! harness for the whole built-in lattice. Failures, diverging bounds
 //! and errors infer nothing; those cells are solved individually, so
 //! the reported grid is exactly what cell-by-cell solving would
 //! report. Declarative spec columns have no known strength relation
 //! and are always solved.
+//!
+//! **A test's session lives while later batches ask about it.** Each
+//! batch runs through [`Engine::run_batch_keeping`]: after a rung, a
+//! test's session stays pooled only if spec columns follow, or if the
+//! test did not pass and a later rung will ask about it again; the
+//! spec-column batch keeps none. So a sweep holds the encodings of the
+//! tests in flight, not of the whole corpus, and no test encodes twice.
 //!
 //! **Subsumption pruning** shrinks the corpus after checking: tests are
 //! visited in corpus order, each summarized by its *failure signature*
@@ -166,7 +173,10 @@ pub struct CorpusReport {
     pub model_names: Vec<String>,
     /// Per-test rows, in corpus order.
     pub rows: Vec<CorpusRow>,
-    /// Pooled sessions the engine created.
+    /// Sessions the engine built, one per test that reached a model
+    /// column (each lives only while later batches ask about its test,
+    /// so this is not how many were alive at once), plus one per later
+    /// batch on a test whose session crashed twice and was discarded.
     pub sessions: usize,
     /// CNF encodings built (== `sessions` unless lazy unrolling grew a
     /// bound).
@@ -309,7 +319,8 @@ impl CorpusReport {
 }
 
 /// Checks every test of a corpus against one harness across the
-/// configured model universe, as one engine batch.
+/// configured model universe, on one engine: one batch per ladder rung,
+/// then one for the spec columns.
 ///
 /// Per-test problems (serial bugs found while mining, diverging loop
 /// bounds, budget exhaustion) land in the affected row instead of
@@ -366,10 +377,12 @@ pub fn run_corpus(harness: &Harness, tests: &[TestSpec], config: &CorpusConfig) 
         .map(|r| r.as_ref().ok().cloned().map(std::sync::Arc::new))
         .collect();
 
-    // The engine pools one session per test, so each test encodes once
+    // The engine builds one session per test, so each test encodes once
     // for the whole model universe; the grid is then filled in ladder
     // rounds, weakest built-in model first, inferring the stronger
     // cells of every pass (see the module docs for why that is sound).
+    // A session is dropped as soon as no later batch asks about its
+    // test.
     let mode_set: ModeSet = config.modes.iter().copied().collect();
     let engine_config = EngineConfig::from_check_config(&config.check, mode_set)
         .with_specs(config.specs.clone())
@@ -411,8 +424,17 @@ pub fn run_corpus(harness: &Harness, tests: &[TestSpec], config: &CorpusConfig) 
             std::cmp::Ordering::Greater
         }
     });
-    for &col in &ladder {
+    let specs_follow = !config.specs.is_empty();
+    for (rung, &col) in ladder.iter().enumerate() {
         let mode = config.modes[col];
+        // A later rung asks about this round's row again unless the row
+        // passed here, which fills every stronger cell; only a repeat
+        // of this column's mode is left unfilled by a pass.
+        let later = &ladder[rung + 1..];
+        let keep = |answers: &[&Result<checkfence::Verdict, CheckError>]| {
+            let passed = answers.iter().all(|r| matches!(r, Ok(v) if v.passed()));
+            specs_follow || later.iter().any(|&c| !passed || config.modes[c] == mode)
+        };
         let mut round_rows: Vec<usize> = Vec::new();
         let mut queries: Vec<Query> = Vec::new();
         for (row, (test, spec)) in tests.iter().zip(&specs).enumerate() {
@@ -429,7 +451,8 @@ pub fn run_corpus(harness: &Harness, tests: &[TestSpec], config: &CorpusConfig) 
                 ("queries", cf_trace::u(queries.len() as u64)),
             ]
         });
-        for (row, verdict) in round_rows.into_iter().zip(engine.run_batch(&queries)) {
+        let verdicts = engine.run_batch_keeping(&queries, keep);
+        for (row, verdict) in round_rows.into_iter().zip(verdicts) {
             if let Ok(v) = &verdict {
                 // Capture the provenance summary before `convert`
                 // consumes the verdict; lattice-inferred copies made
@@ -465,7 +488,8 @@ pub fn run_corpus(harness: &Harness, tests: &[TestSpec], config: &CorpusConfig) 
     cf_trace::emit("spec_columns", || {
         vec![("queries", cf_trace::u(queries.len() as u64))]
     });
-    for ((row, col), verdict) in spec_rows.into_iter().zip(engine.run_batch(&queries)) {
+    let verdicts = engine.run_batch_keeping(&queries, |_| false);
+    for ((row, col), verdict) in spec_rows.into_iter().zip(verdicts) {
         if let Ok(v) = &verdict {
             explains[row][col] = v.provenance.as_ref().map(|p| p.summary());
         }

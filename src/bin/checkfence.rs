@@ -691,7 +691,8 @@ fn run_with(opts: &Options) -> Result<RunStatus, String> {
     // (reference interpreter, optionally cached) — only where the spec
     // is actually consumed, i.e. not for the commit-point method — then
     // answer the whole battery as one engine batch, one session per
-    // test, up to --jobs sessions at once.
+    // test, up to --jobs sessions at once. Nothing asks about a test
+    // after the batch, so each session is dropped once its verdict is in.
     if matches!(opts.method, Method::Commit(_)) && matches!(opts.model, ModelArg::Spec(_)) {
         return Err("--method commit-* requires a built-in --model".into());
     }
@@ -762,10 +763,9 @@ fn run_with(opts: &Options) -> Result<RunStatus, String> {
     // core size (0/0 unless --explain).
     let mut cores_extracted = 0u64;
     let mut core_size = 0u64;
-    for ((test, mined), (query, verdict)) in tests
-        .iter()
-        .zip(&specs)
-        .zip(queries.iter().zip(engine.run_batch(&queries)))
+    let verdicts = engine.run_batch_keeping(&queries, |_| false);
+    for ((test, mined), (query, verdict)) in
+        tests.iter().zip(&specs).zip(queries.iter().zip(verdicts))
     {
         let mut verdict = verdict.map_err(|e| format!("check failed: {e}"))?;
         let label = match mined {

@@ -20,8 +20,9 @@ fn c11_corpus() -> Vec<CorpusEntry> {
 }
 
 /// Runs every entry under `config` at jobs 1 and at jobs 4, and asserts
-/// that both coverage tables are byte-identical, mining succeeds, no
-/// model column errors out, and every declared verdict is reproduced.
+/// that both coverage tables are byte-identical, each test is answered
+/// on one session, mining succeeds, no model column errors out, and
+/// every declared verdict is reproduced.
 fn assert_verdicts(entries: &[CorpusEntry], config: &CorpusConfig) {
     for entry in entries {
         let run_at = |jobs: usize| {
@@ -29,7 +30,17 @@ fn assert_verdicts(entries: &[CorpusEntry], config: &CorpusConfig) {
                 jobs,
                 ..config.clone()
             };
-            run_corpus(&entry.harness, &entry.tests, &config)
+            let report = run_corpus(&entry.harness, &entry.tests, &config);
+            // Later ladder rungs and the spec columns ask about a test
+            // again; its session must stay pooled until they have, so
+            // the runner builds exactly one session per test.
+            assert_eq!(
+                report.sessions,
+                entry.tests.len(),
+                "{} at jobs {jobs}: one session per test",
+                entry.name
+            );
+            report
         };
         let report = run_at(1);
         assert_eq!(

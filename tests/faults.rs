@@ -150,9 +150,14 @@ fn single_worker_panic_is_absorbed_by_rebuild_and_resubmit() {
             q.describe()
         );
     }
-    assert!(
-        engine.stats().sessions >= 1,
-        "the rebuilt session returned to the pool"
+    // The rebuilt session returned to the pool: one more query on the
+    // key reuses its encoding, and the engine built one session only.
+    let again = engine.run(&queries[0]).expect("verdict");
+    assert_eq!(again.stats.encodes, 0, "the rebuilt session is reused");
+    assert_eq!(
+        engine.stats().sessions,
+        1,
+        "no session built after the batch"
     );
 }
 

@@ -8,7 +8,7 @@
 use cf_algos::{tests as catalog, treiber, Variant};
 use cf_memmodel::Mode;
 use cf_sat::xorshift::Rng;
-use cf_synth::{run_corpus, synthesize, CorpusConfig, CorpusVerdict, SynthBounds};
+use cf_synth::{run_corpus, synthesize, CorpusConfig, CorpusReport, CorpusVerdict, SynthBounds};
 use checkfence::{mine_reference, CheckError, Harness, Query, TestSpec};
 
 /// The one-shot oracle: the pattern every hand-written results suite
@@ -30,6 +30,18 @@ fn oneshot(h: &Harness, t: &TestSpec, mode: Mode) -> CorpusVerdict {
         Err(CheckError::BoundsDiverged { .. }) => CorpusVerdict::Diverged,
         Err(e) => CorpusVerdict::Error(e.to_string()),
     }
+}
+
+/// One session and one encoding per test: `sessions` counts the
+/// sessions built, so a session dropped while a later batch still asks
+/// about its test would add one to both counts.
+fn assert_one_encode_per_test(report: &CorpusReport, what: &str) {
+    let rows = report.rows.len();
+    assert_eq!(
+        (report.sessions, report.encodes as usize),
+        (rows, rows),
+        "{what}: sessions and encodes must equal the {rows} tests"
+    );
 }
 
 /// The canonical twin of a hand-written stack test, named through the
@@ -83,7 +95,7 @@ fn synth_corpus_reproduces_every_handwritten_treiber_verdict() {
             })
             .collect();
         let report = run_corpus(&h, &twins, &config);
-        assert_eq!(report.encodes as usize, report.sessions, "one encode each");
+        assert_one_encode_per_test(&report, &h.name);
         for (name, row) in names.iter().zip(&report.rows) {
             let t = catalog::by_name(name).expect("catalog");
             for (mode, got) in Mode::hardware().iter().zip(&row.verdicts) {
@@ -146,6 +158,8 @@ fn seeded_sample_matches_the_oneshot_oracle_and_jobs_are_deterministic() {
         },
     );
     assert_eq!(seq.table(), par.table(), "tables must not depend on jobs");
+    assert_one_encode_per_test(&seq, "sample at jobs 1");
+    assert_one_encode_per_test(&par, "sample at jobs 4");
     for row in &seq.rows {
         for (mode, got) in Mode::hardware().iter().zip(&row.verdicts) {
             assert_eq!(
