@@ -24,70 +24,26 @@ pub struct Workload {
     pub test: TestSpec,
 }
 
-/// The default evaluation matrix: small and medium catalog tests per
-/// implementation. Set `CHECKFENCE_FULL=1` to include the larger tests
-/// (several minutes of solving).
+/// The evaluation matrix: small and medium catalog tests per
+/// implementation.
 pub fn workloads() -> Vec<Workload> {
-    let full = std::env::var("CHECKFENCE_FULL").is_ok_and(|v| v == "1");
-    let mut out = Vec::new();
-    let pick = |names: &[&str]| -> Vec<TestSpec> {
-        names
-            .iter()
-            .map(|n| tests::by_name(n).expect("catalog test"))
-            .collect()
-    };
-    let matrix: Vec<(Algo, Vec<TestSpec>)> = vec![
-        (
-            Algo::Ms2,
-            if full {
-                pick(&["T0", "Ti2", "Tpc2", "Tpc3", "T1"])
-            } else {
-                pick(&["T0", "Ti2", "Tpc2"])
-            },
-        ),
-        (
-            Algo::Msn,
-            if full {
-                pick(&["T0", "Ti2", "Tpc2", "Tpc3"])
-            } else {
-                pick(&["T0", "Ti2"])
-            },
-        ),
-        (
-            Algo::Lazylist,
-            if full {
-                pick(&["Sac", "Sar", "Saa"])
-            } else {
-                pick(&["Sac"])
-            },
-        ),
-        (
-            Algo::Harris,
-            if full {
-                pick(&["Sac", "Sar"])
-            } else {
-                pick(&["Sac"])
-            },
-        ),
-        (
-            Algo::Snark,
-            if full {
-                pick(&["D0", "Da", "Db"])
-            } else {
-                pick(&["D0"])
-            },
-        ),
+    let matrix = [
+        (Algo::Ms2, &["T0", "Ti2", "Tpc2"][..]),
+        (Algo::Msn, &["T0", "Ti2"]),
+        (Algo::Lazylist, &["Sac"]),
+        (Algo::Harris, &["Sac"]),
+        (Algo::Snark, &["D0"]),
     ];
-    for (algo, tests) in matrix {
-        for test in tests {
-            out.push(Workload {
+    matrix
+        .into_iter()
+        .flat_map(|(algo, names)| {
+            names.iter().map(move |n| Workload {
                 algo,
                 harness: algo.harness(Variant::Fenced),
-                test,
-            });
-        }
-    }
-    out
+                test: tests::by_name(n).expect("catalog test"),
+            })
+        })
+        .collect()
 }
 
 /// Writes one benchmark record and prints where it went.

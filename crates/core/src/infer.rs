@@ -27,6 +27,12 @@
 //! the Seriality model, so the observation set does not depend on the
 //! placement.
 //!
+//! Candidate sites are numbered in one document-order walk, and the
+//! search's decisions follow that order. Candidate builds, concrete
+//! ([`apply_candidates`]) or gated ([`apply_candidates_gated`]), insert
+//! each statement list's fences in one edit on cf-lsl's statement-list
+//! rewriter ([`cf_lsl::Program::map_lists`]).
+//!
 //! ## Example
 //!
 //! ```
@@ -253,74 +259,46 @@ fn has_toggle(stmts: &[Stmt]) -> bool {
     })
 }
 
-/// Insertion plan: (proc, block path, stmt index) → fences to insert
-/// there, with optional toggle-site ids.
-type InsertionPlan<'a> = BTreeMap<(&'a str, &'a [usize], usize), Vec<(FenceKind, Option<u32>)>>;
+/// Insertion plan: (proc, block path) → the fences to insert into that
+/// statement list, as (insertion index, kind, toggle-site id) in index
+/// order, same-index fences in the order given.
+type InsertionPlan<'a> = BTreeMap<(&'a str, &'a [usize]), Vec<(usize, FenceKind, Option<u32>)>>;
 
 fn apply_impl<'a>(
     program: &Program,
     sites: impl Iterator<Item = (&'a CandidateSite, Option<u32>)>,
 ) -> Program {
-    // Group by (proc, path, index), preserving kind order.
-    let mut by_point: InsertionPlan<'_> = BTreeMap::new();
+    let mut plan: InsertionPlan<'_> = BTreeMap::new();
     for (s, site_id) in sites {
-        by_point
-            .entry((s.proc.as_str(), s.block_path.as_slice(), s.stmt_index))
+        plan.entry((s.proc.as_str(), s.block_path.as_slice()))
             .or_default()
-            .push((s.kind, site_id));
+            .push((s.stmt_index, s.kind, site_id));
     }
-    let mut program = program.clone();
-    for proc in &mut program.procedures {
-        let name = proc.name.clone();
-        let mut path = Vec::new();
-        proc.body = rebuild(&proc.body, &name, &mut path, &by_point);
+    for fences in plan.values_mut() {
+        fences.sort_by_key(|&(at, ..)| at);
     }
-    program
-}
-
-fn rebuild(
-    stmts: &[Stmt],
-    proc: &str,
-    path: &mut Vec<usize>,
-    by_point: &InsertionPlan<'_>,
-) -> Vec<Stmt> {
-    let mut out = Vec::new();
-    for index in 0..=stmts.len() {
-        if let Some(kinds) = by_point.get(&(proc, path.as_slice(), index)) {
-            for &(kind, site_id) in kinds {
-                out.push(match site_id {
-                    None => Stmt::Fence(kind),
-                    Some(site) => Stmt::Toggle {
-                        site,
-                        orig: Vec::new(),
-                        mutant: vec![Stmt::Fence(kind)],
-                    },
-                });
-            }
+    program.map_lists(|proc, path, stmts| {
+        let Some(fences) = plan.get(&(proc, path)) else {
+            return stmts;
+        };
+        let mut out = Vec::with_capacity(stmts.len() + fences.len());
+        let mut stmts = stmts.into_iter();
+        let mut next = 0;
+        for &(at, kind, site_id) in fences {
+            out.extend(stmts.by_ref().take(at - next));
+            next = at;
+            out.push(match site_id {
+                None => Stmt::Fence(kind),
+                Some(site) => Stmt::Toggle {
+                    site,
+                    orig: Vec::new(),
+                    mutant: vec![Stmt::Fence(kind)],
+                },
+            });
         }
-        if index < stmts.len() {
-            match &stmts[index] {
-                Stmt::Block {
-                    tag,
-                    is_loop,
-                    spin,
-                    body,
-                } => {
-                    path.push(index);
-                    let body = rebuild(body, proc, path, by_point);
-                    path.pop();
-                    out.push(Stmt::Block {
-                        tag: *tag,
-                        is_loop: *is_loop,
-                        spin: *spin,
-                        body,
-                    });
-                }
-                other => out.push(other.clone()),
-            }
-        }
-    }
-    out
+        out.extend(stmts);
+        out
+    })
 }
 
 /// Infers a 1-minimal fence placement making `harness` pass every test

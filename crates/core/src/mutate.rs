@@ -34,18 +34,25 @@
 //!   store), while disjoint-address swaps probe memory-model
 //!   sensitivity.
 //!
+//! The planner numbers the points in one document-order walk. The
+//! instrumented program and each concrete mutant
+//! ([`MutationPlan::mutant`]) are then two separate edits on cf-lsl's
+//! statement-list rewriter ([`cf_lsl::Program::map_lists`]): only the
+//! tree walk is shared, so the one-shot oracle still checks concretely
+//! rebuilt programs.
+//!
 //! [`run_mutation_matrix`] produces a [`MutationReport`] (a Fig.
 //! 11-style table); [`run_mutation_matrix_oneshot`] answers the same
 //! matrix through the reference oracle ([`crate::oracle::oneshot`]) on
 //! concretely mutated programs, for equivalence tests and the
 //! `BENCH_mutate.json` benchmark.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use cf_lsl::{pretty, FenceKind, Program, Reg, Stmt};
-use cf_memmodel::{Mode, ModeSet};
+use cf_memmodel::Mode;
 use cf_spec::ModelSpec;
 
 use crate::checker::{CheckConfig, CheckError, CheckOutcome, FailureKind};
@@ -106,10 +113,11 @@ pub struct MutationConfig {
     pub procs: Option<Vec<String>>,
 }
 
-/// Where a mutation applies: a statement list (procedure body plus a
-/// path of nested block indices), an index within it, and the number of
-/// statements covered (1 except for swaps, which cover the two accesses
-/// plus any pure register statements between them).
+/// Where a mutation applies: a statement list (procedure body plus the
+/// [`Program::map_lists`] path of nested block and atomic indices), an
+/// index within it, and the number of statements covered (1 except for
+/// swaps, which cover the two accesses plus any pure register
+/// statements between them).
 #[derive(Clone, PartialEq, Eq, Debug)]
 struct Locator {
     proc: String,
@@ -160,18 +168,18 @@ impl MutationPlan {
         for (i, p) in points.iter_mut().enumerate() {
             p.id = i as u32;
         }
-        let mut instrumented = program.clone();
-        for proc in &mut instrumented.procedures {
-            let relevant: Vec<&MutationPoint> = points
-                .iter()
-                .filter(|p| p.locator.proc == proc.name)
-                .collect();
-            if relevant.is_empty() {
-                continue;
-            }
-            let mut path = Vec::new();
-            proc.body = instrument(&proc.body, &mut path, &relevant);
+        let mut by_list: BTreeMap<(&str, &[usize]), Vec<&MutationPoint>> = BTreeMap::new();
+        for p in &points {
+            by_list
+                .entry((p.locator.proc.as_str(), p.locator.block_path.as_slice()))
+                .or_default()
+                .push(p);
         }
+        let instrumented =
+            program.map_lists(|proc, path, stmts| match by_list.get(&(proc, path)) {
+                Some(here) => instrument(stmts, here),
+                None => stmts,
+            });
         MutationPlan {
             original: program.clone(),
             instrumented,
@@ -188,15 +196,27 @@ impl MutationPlan {
     /// Panics on an out-of-range id.
     pub fn mutant(&self, id: u32) -> Program {
         let point = &self.points[id as usize];
-        let mut program = self.original.clone();
-        for proc in &mut program.procedures {
-            if proc.name != point.locator.proc {
-                continue;
+        let at = &point.locator;
+        self.original.map_lists(|proc, path, mut stmts| {
+            if proc != at.proc || path != at.block_path {
+                return stmts;
             }
-            let mut path = Vec::new();
-            proc.body = apply_one(&proc.body, &mut path, point);
-        }
-        program
+            let i = at.stmt_index;
+            match point.kind {
+                MutationKind::DeleteStmt => {
+                    stmts.remove(i);
+                }
+                MutationKind::WeakenFence => {
+                    let Stmt::Fence(kind) = stmts[i] else {
+                        unreachable!("weaken planned on a non-fence statement")
+                    };
+                    stmts[i] = Stmt::Fence(weakened(kind));
+                }
+                // `[i, middle..., j]` becomes `[middle..., j, i]`.
+                MutationKind::SwapAdjacent => stmts[i..i + at.span].rotate_left(1),
+            }
+            stmts
+        })
     }
 }
 
@@ -358,200 +378,89 @@ fn enumerate_points(
     }
 }
 
-/// Wraps every relevant point of one statement list (recursing into
-/// blocks). Per-statement points (delete, weaken) nest inside the swap
-/// wrapper of their pair, which is sound because at most one toggle is
-/// ever active per query.
-fn instrument(stmts: &[Stmt], path: &mut Vec<usize>, points: &[&MutationPoint]) -> Vec<Stmt> {
-    let here: Vec<&&MutationPoint> = points
-        .iter()
-        .filter(|p| p.locator.block_path == *path)
-        .collect();
-    let mut out = Vec::with_capacity(stmts.len());
-    let mut skip: BTreeSet<usize> = BTreeSet::new();
-    for (i, s) in stmts.iter().enumerate() {
-        if skip.contains(&i) {
-            continue;
-        }
-        let wrapped = instrument_one(s, i, path, points, &here);
-        let swap = here
-            .iter()
-            .find(|p| p.kind == MutationKind::SwapAdjacent && p.locator.stmt_index == i);
-        match swap {
-            Some(p) => {
-                let j = i + p.locator.span - 1;
-                let last = instrument_one(&stmts[j], j, path, points, &here);
-                let middle: Vec<Stmt> = (i + 1..j)
-                    .map(|k| {
-                        skip.insert(k);
-                        instrument_one(&stmts[k], k, path, points, &here)
-                    })
-                    .collect();
-                skip.insert(j);
-                let mut orig = vec![wrapped.clone()];
-                orig.extend(middle.iter().cloned());
-                orig.push(last.clone());
-                let mut mutant = middle;
-                mutant.push(last);
-                mutant.push(wrapped);
-                out.push(Stmt::Toggle {
-                    site: p.id,
-                    orig,
-                    mutant,
-                });
-            }
-            _ => out.push(wrapped),
-        }
-    }
-    out
-}
-
-/// Applies the per-statement wrappers (and block recursion) to one
-/// statement.
-fn instrument_one(
-    s: &Stmt,
-    i: usize,
-    path: &mut Vec<usize>,
-    points: &[&MutationPoint],
-    here: &[&&MutationPoint],
-) -> Stmt {
-    let mut stmt = match s {
-        Stmt::Block {
-            tag,
-            is_loop,
-            spin,
-            body,
-        } => {
-            path.push(i);
-            let body = instrument(body, path, points);
-            path.pop();
-            Stmt::Block {
-                tag: *tag,
-                is_loop: *is_loop,
-                spin: *spin,
-                body,
-            }
-        }
-        Stmt::Atomic(body) => {
-            path.push(i);
-            let body = instrument(body, path, points);
-            path.pop();
-            Stmt::Atomic(body)
-        }
-        other => other.clone(),
-    };
-    // Weaken first (innermost), then delete: `delete` removes the whole
-    // (possibly weakened) statement, and with one active toggle per
-    // query the nesting order is unobservable anyway.
-    for p in here
-        .iter()
-        .filter(|p| p.locator.stmt_index == i && p.kind == MutationKind::WeakenFence)
-    {
-        let Stmt::Fence(kind) = stmt else {
-            unreachable!("weaken planned on a non-fence statement")
-        };
-        stmt = Stmt::Toggle {
-            site: p.id,
-            orig: vec![Stmt::Fence(kind)],
-            mutant: vec![Stmt::Fence(weakened(kind))],
-        };
-    }
-    for p in here
-        .iter()
-        .filter(|p| p.locator.stmt_index == i && p.kind == MutationKind::DeleteStmt)
-    {
-        stmt = Stmt::Toggle {
-            site: p.id,
-            orig: vec![stmt],
-            mutant: vec![],
-        };
-    }
-    stmt
-}
-
-/// Applies exactly one point concretely (the oracle-side rewrite).
-fn apply_one(stmts: &[Stmt], path: &mut Vec<usize>, point: &MutationPoint) -> Vec<Stmt> {
-    let mut out = Vec::with_capacity(stmts.len());
-    let mut skip: BTreeSet<usize> = BTreeSet::new();
-    for (i, s) in stmts.iter().enumerate() {
-        if skip.contains(&i) {
-            continue;
-        }
-        if point.locator.block_path == *path && point.locator.stmt_index == i {
-            match point.kind {
-                MutationKind::DeleteStmt => continue,
-                MutationKind::WeakenFence => {
-                    let Stmt::Fence(kind) = s else {
-                        unreachable!("weaken planned on a non-fence statement")
+/// Wraps the points of one statement list, whose nested lists are
+/// already instrumented. Per-statement points (delete, weaken) nest
+/// inside the swap wrapper of their pair, which is sound because at most
+/// one toggle is ever active per query.
+fn instrument(stmts: Vec<Stmt>, here: &[&MutationPoint]) -> Vec<Stmt> {
+    let mut stmts: Vec<Stmt> = stmts
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut stmt)| {
+            // Weaken first (innermost), then delete: `delete` removes the
+            // whole (possibly weakened) statement, and with one active
+            // toggle per query the nesting order is unobservable anyway.
+            for kind in [MutationKind::WeakenFence, MutationKind::DeleteStmt] {
+                for p in here
+                    .iter()
+                    .filter(|p| p.kind == kind && p.locator.stmt_index == i)
+                {
+                    let mutant = match (kind, &stmt) {
+                        (MutationKind::DeleteStmt, _) => Vec::new(),
+                        (_, Stmt::Fence(fence)) => vec![Stmt::Fence(weakened(*fence))],
+                        _ => unreachable!("weaken planned on a non-fence statement"),
                     };
-                    out.push(Stmt::Fence(weakened(*kind)));
-                    continue;
-                }
-                MutationKind::SwapAdjacent => {
-                    let j = i + point.locator.span - 1;
-                    for (k, mid) in stmts.iter().enumerate().take(j).skip(i + 1) {
-                        out.push(mid.clone());
-                        skip.insert(k);
-                    }
-                    out.push(stmts[j].clone());
-                    out.push(s.clone());
-                    skip.insert(j);
-                    continue;
+                    stmt = Stmt::Toggle {
+                        site: p.id,
+                        orig: vec![stmt],
+                        mutant,
+                    };
                 }
             }
-        }
-        match s {
-            Stmt::Block {
-                tag,
-                is_loop,
-                spin,
-                body,
-            } => {
-                path.push(i);
-                let body = apply_one(body, path, point);
-                path.pop();
-                out.push(Stmt::Block {
-                    tag: *tag,
-                    is_loop: *is_loop,
-                    spin: *spin,
-                    body,
-                });
-            }
-            Stmt::Atomic(body) => {
-                path.push(i);
-                let body = apply_one(body, path, point);
-                path.pop();
-                out.push(Stmt::Atomic(body));
-            }
-            other => out.push(other.clone()),
-        }
+            stmt
+        })
+        .collect();
+    // Swap spans last, back to front so earlier spans keep their indices.
+    for p in here
+        .iter()
+        .rev()
+        .filter(|p| p.kind == MutationKind::SwapAdjacent)
+    {
+        let at = p.locator.stmt_index;
+        let orig: Vec<Stmt> = stmts.drain(at..at + p.locator.span).collect();
+        let mut mutant = orig.clone();
+        mutant.rotate_left(1);
+        stmts.insert(
+            at,
+            Stmt::Toggle {
+                site: p.id,
+                orig,
+                mutant,
+            },
+        );
     }
-    out
+    stmts
 }
 
 // --------------------------------------------------------------- matrix
 
-/// Configuration of a mutation-matrix run: the model universe and the
-/// underlying check settings.
+/// Configuration of a sweep over a model universe: a mutant matrix
+/// here, or a corpus run in `cf_synth`, which names this type
+/// `CorpusConfig`. It holds the models, the check settings and how the
+/// engine runs; reports are identical at any job count.
 #[derive(Clone, Debug)]
 pub struct MatrixConfig {
-    /// Built-in models to check every mutant under.
+    /// Built-in models checked, in column order. Defaults to the
+    /// hardware lattice `[sc, tso, pso, relaxed]`.
     pub modes: Vec<Mode>,
-    /// Declarative models checked alongside the built-ins (compiled
-    /// into the same encoding, selected per query).
+    /// Declarative `.cfm` models checked as additional columns
+    /// (compiled into the same encoding, selected per query).
     pub specs: Vec<ModelSpec>,
-    /// Check settings (order encoding, bounds, budgets); the matrix
-    /// supplies the models.
+    /// Check settings (order encoding, bounds, budgets) shared by every
+    /// session; the sweep supplies the models.
     pub check: CheckConfig,
     /// The engine's [`EngineConfig::jobs`]: how many sessions run at
-    /// once. A matrix is one (harness, test) key and so one session,
-    /// answered from one encoding on one thread at any job count.
+    /// once, and in a corpus run how many tests mine at once. A matrix
+    /// is one (harness, test) key and so one session, answered from one
+    /// encoding on one thread at any job count.
     pub jobs: usize,
-    /// Attach verdict provenance to every cell: surviving cells carry a
-    /// proof core, caught cells the witness environment, rendered by
-    /// [`MutationReport::explain`]. Off by default. It sets
-    /// [`EngineConfig::provenance`], so the matrix's one session is
-    /// built instrumented; there is no separate provenance pool.
+    /// Attach verdict provenance to every solved cell: passing cells
+    /// carry a proof core, failing cells the witness environment,
+    /// rendered by [`MutationReport::explain`] and `CorpusReport::explain`.
+    /// Cells a corpus run infers from the model lattice carry none, since
+    /// no solve ran for them. Off by default. It sets
+    /// [`EngineConfig::provenance`], so each session is built
+    /// instrumented; there is no separate provenance pool.
     pub provenance: bool,
 }
 
@@ -586,6 +495,15 @@ impl MatrixConfig {
             out.push((name, ModelSel::Spec(i)));
         }
         out
+    }
+
+    /// The engine a sweep runs on: the check settings over the
+    /// configured built-ins and specs, with `jobs` and `provenance`.
+    pub fn engine_config(&self) -> EngineConfig {
+        EngineConfig::from_check_config(&self.check, self.modes.iter().copied().collect())
+            .with_specs(self.specs.clone())
+            .with_jobs(self.jobs)
+            .with_provenance(self.provenance)
     }
 }
 
@@ -836,12 +754,7 @@ pub fn run_mutation_matrix(
         init_proc: harness.init_proc.clone(),
         ops: harness.ops.clone(),
     };
-    let mode_set: ModeSet = config.modes.iter().copied().collect();
-    let engine_config = EngineConfig::from_check_config(&config.check, mode_set)
-        .with_specs(config.specs.clone())
-        .with_jobs(config.jobs)
-        .with_provenance(config.provenance);
-    let mut engine = Engine::new(engine_config);
+    let mut engine = Engine::new(config.engine_config());
     let models = config.models();
     // The batch: baseline cells first, then one row of cells per mutant.
     // One base query holds the (Arc-shared) spec; each cell clones it

@@ -16,11 +16,12 @@ use crate::stmt::{FenceSem, Stmt};
 /// document order, skips lock helpers ([`Procedure::is_lock_helper`],
 /// whose fences belong to the locking primitives of Fig. 7), descends
 /// into blocks and atomic bodies, and leaves [`Stmt::Toggle`] branches
-/// alone (mutation planning and fence inference own those fences). The
-/// same walk lists the sites ([`Program::fence_sites`]) and derives
-/// programs from them ([`Program::without_fences`],
-/// [`Program::with_fence_toggles`]), so unfenced and partial builds,
-/// necessity analysis and verdict provenance all name a fence alike.
+/// alone (a fence there is selected per query: a candidate fence, a
+/// mutant's, or one already wrapped for deletion). The same walk lists
+/// the sites ([`Program::fence_sites`]) and derives programs from them
+/// ([`Program::without_fences`], [`Program::with_fence_toggles`]), so
+/// unfenced and partial builds, necessity analysis and verdict
+/// provenance all name a fence alike.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FenceSite {
     /// Procedure name.
@@ -76,7 +77,9 @@ impl Program {
     }
 
     /// The walker: a copy of the program with each fence replaced by
-    /// what `edit` returns for it (`None` deletes it).
+    /// what `edit` returns for it (`None` deletes it). It is not
+    /// [`Program::map_lists`], which edits nested lists first: site
+    /// numbers follow document order.
     fn map_fences(&self, mut edit: impl FnMut(FenceSite, Stmt) -> Option<Stmt>) -> Program {
         let mut program = self.clone();
         for proc in &mut program.procedures {

@@ -140,6 +140,61 @@ impl Program {
     pub fn num_stmts(&self) -> usize {
         self.procedures.iter().map(Procedure::num_stmts).sum()
     }
+
+    /// A copy of the program with every statement list replaced by what
+    /// `edit` returns for it. The rewrite runs bottom-up: the bodies of
+    /// a list's blocks and atomic statements are edited before the list
+    /// itself. `edit` gets the procedure name, the list's path (the
+    /// index of each enclosing block or atomic statement, outermost
+    /// first; empty for the body) and the list. Every procedure is
+    /// visited, lock helpers included; [`Stmt::Toggle`] branches are
+    /// not.
+    pub fn map_lists(
+        &self,
+        mut edit: impl FnMut(&str, &[usize], Vec<Stmt>) -> Vec<Stmt>,
+    ) -> Program {
+        let mut program = self.clone();
+        for proc in &mut program.procedures {
+            let body = std::mem::take(&mut proc.body);
+            proc.body = map_list(body, &proc.name, &mut Vec::new(), &mut edit);
+        }
+        program
+    }
+}
+
+/// Rewrites one statement list at `path` for [`Program::map_lists`].
+fn map_list(
+    stmts: Vec<Stmt>,
+    proc: &str,
+    path: &mut Vec<usize>,
+    edit: &mut impl FnMut(&str, &[usize], Vec<Stmt>) -> Vec<Stmt>,
+) -> Vec<Stmt> {
+    let mut nested = |i: usize, body: Vec<Stmt>| {
+        path.push(i);
+        let body = map_list(body, proc, path, edit);
+        path.pop();
+        body
+    };
+    let stmts = stmts
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| match s {
+            Stmt::Atomic(body) => Stmt::Atomic(nested(i, body)),
+            Stmt::Block {
+                tag,
+                is_loop,
+                spin,
+                body,
+            } => Stmt::Block {
+                tag,
+                is_loop,
+                spin,
+                body: nested(i, body),
+            },
+            other => other,
+        })
+        .collect();
+    edit(proc, path, stmts)
 }
 
 #[cfg(test)]
@@ -169,6 +224,73 @@ mod tests {
         assert_eq!(p.add_global("b", MemType::Scalar), 1);
         assert_eq!(p.global_base("b"), Some(1));
         assert_eq!(p.global_base("c"), None);
+    }
+
+    #[test]
+    fn map_lists_edits_nested_lists_first_and_skips_toggle_branches() {
+        use crate::stmt::{BlockTag, FenceKind};
+        let proc = |name: &str, body| Procedure {
+            name: name.into(),
+            params: vec![],
+            ret: None,
+            num_regs: 1,
+            body,
+        };
+        let set = Stmt::Const {
+            dst: Reg(0),
+            value: crate::Value::Int(1),
+        };
+        let block = |body| Stmt::Block {
+            tag: BlockTag(0),
+            is_loop: false,
+            spin: false,
+            body,
+        };
+        let toggle = Stmt::Toggle {
+            site: 0,
+            orig: vec![block(vec![set.clone()])],
+            mutant: vec![],
+        };
+        let mut p = Program::new();
+        p.add_procedure(proc(
+            "f",
+            vec![
+                block(vec![set.clone(), Stmt::Atomic(vec![set])]),
+                toggle.clone(),
+            ],
+        ));
+        p.add_procedure(proc("unlock", vec![]));
+
+        fn fences(stmts: &[Stmt]) -> usize {
+            stmts
+                .iter()
+                .map(|s| match s {
+                    Stmt::Fence(_) => 1,
+                    Stmt::Atomic(body) | Stmt::Block { body, .. } => fences(body),
+                    _ => 0,
+                })
+                .sum()
+        }
+        // Each edit appends a fence, so the fences a list already holds
+        // when its edit runs are the nested lists edited before it.
+        let mut visits = Vec::new();
+        let marked = p.map_lists(|proc, path, mut stmts| {
+            visits.push((proc.to_string(), path.to_vec(), fences(&stmts)));
+            stmts.push(Stmt::Fence(FenceKind::LoadLoad));
+            stmts
+        });
+        let visit = |proc: &str, path: &[usize], seen| (proc.to_string(), path.to_vec(), seen);
+        assert_eq!(
+            visits,
+            [
+                visit("f", &[0, 1], 0),
+                visit("f", &[0], 1),
+                visit("f", &[], 2),
+                visit("unlock", &[], 0),
+            ]
+        );
+        assert_eq!(marked.procedures[0].body[1], toggle, "toggle not entered");
+        assert_eq!(p.map_lists(|_, _, stmts| stmts), p);
     }
 
     #[test]

@@ -42,47 +42,13 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use cf_memmodel::{Mode, ModeSet};
-use cf_spec::ModelSpec;
 use checkfence::{
-    mine_reference, run_indexed, CheckConfig, CheckError, Engine, EngineConfig, Harness, ModelSel,
-    ObsSet, Query, TestSpec,
+    mine_reference, run_indexed, CheckError, Engine, Harness, ModelSel, ObsSet, Query, TestSpec,
 };
 
-/// Configuration of a corpus run.
-#[derive(Clone, Debug)]
-pub struct CorpusConfig {
-    /// Built-in models checked, in column order. Defaults to the
-    /// hardware lattice `[sc, tso, pso, relaxed]`.
-    pub modes: Vec<Mode>,
-    /// Declarative `.cfm` models checked as additional columns.
-    pub specs: Vec<ModelSpec>,
-    /// Check settings shared by every session.
-    pub check: CheckConfig,
-    /// How many tests mine at once, and how many test sessions the
-    /// engine runs at once. The report and the pool shape are identical
-    /// at any job count; only wall-clock time varies.
-    pub jobs: usize,
-    /// Attach verdict provenance to every *solved* cell (proof cores on
-    /// passes, witness environments on failures), rendered by
-    /// [`CorpusReport::explain`]. Inferred cells carry no provenance —
-    /// no solve ran for them. Off by default. It sets
-    /// [`EngineConfig::provenance`], so every test's one session is built
-    /// instrumented; there is no separate provenance pool.
-    pub provenance: bool,
-}
-
-impl Default for CorpusConfig {
-    fn default() -> Self {
-        CorpusConfig {
-            modes: Mode::hardware().to_vec(),
-            specs: Vec::new(),
-            check: CheckConfig::default(),
-            jobs: 1,
-            provenance: false,
-        }
-    }
-}
+/// Configuration of a corpus run: the sweep configuration the mutant
+/// matrix uses too.
+pub use checkfence::mutate::MatrixConfig as CorpusConfig;
 
 /// The verdict of one (test, model) cell.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -338,18 +304,7 @@ pub fn run_corpus(harness: &Harness, tests: &[TestSpec], config: &CorpusConfig) 
             ),
         ]
     });
-    let model_names: Vec<String> = config
-        .modes
-        .iter()
-        .map(|m| m.name().to_string())
-        .chain(config.specs.iter().map(|s| s.name.clone()))
-        .collect();
-    let sels: Vec<ModelSel> = config
-        .modes
-        .iter()
-        .map(|&m| ModelSel::Builtin(m))
-        .chain((0..config.specs.len()).map(ModelSel::Spec))
-        .collect();
+    let (model_names, sels): (Vec<String>, Vec<ModelSel>) = config.models().into_iter().unzip();
 
     // Mine each test's reference specification once, in parallel.
     let mined: Vec<Result<ObsSet, String>> = run_indexed(config.jobs, tests.len(), |i| {
@@ -383,12 +338,7 @@ pub fn run_corpus(harness: &Harness, tests: &[TestSpec], config: &CorpusConfig) 
     // cells of every pass (see the module docs for why that is sound).
     // A session is dropped as soon as no later batch asks about its
     // test.
-    let mode_set: ModeSet = config.modes.iter().copied().collect();
-    let engine_config = EngineConfig::from_check_config(&config.check, mode_set)
-        .with_specs(config.specs.clone())
-        .with_jobs(config.jobs)
-        .with_provenance(config.provenance);
-    let mut engine = Engine::new(engine_config);
+    let mut engine = Engine::new(config.engine_config());
     let mut grids: Vec<Vec<Option<CorpusVerdict>>> = vec![vec![None; sels.len()]; tests.len()];
     let mut explains: Vec<Vec<Option<String>>> = vec![vec![None; sels.len()]; tests.len()];
     let mut inferred = 0usize;

@@ -925,6 +925,22 @@ fn run_analyze(harness: &Harness, tests: &[TestSpec]) -> Result<RunStatus, Strin
     Ok(RunStatus::pass())
 }
 
+/// The sweep settings `--ablate` and `--synth` share: the hardware
+/// lattice plus any `--model` spec column, `--jobs`, `--explain` and the
+/// budgets.
+fn sweep_config(opts: &Options) -> checkfence::mutate::MatrixConfig {
+    let mut config = checkfence::mutate::MatrixConfig {
+        jobs: opts.jobs,
+        provenance: opts.explain,
+        ..Default::default()
+    };
+    apply_budgets(&mut config.check, opts);
+    if let ModelArg::Spec(spec) = &opts.model {
+        config.specs.push(spec.clone());
+    }
+    config
+}
+
 /// The `--ablate` mode: plan statement mutations over the whole
 /// implementation, then answer the mutant × model matrix for each test
 /// from the engine — one session and one incremental encoding per test
@@ -932,19 +948,8 @@ fn run_analyze(harness: &Harness, tests: &[TestSpec]) -> Result<RunStatus, Strin
 /// model (mutant verdicts are the experiment's data, not a pass/fail
 /// criterion).
 fn run_ablate(opts: &Options, harness: &Harness, tests: &[TestSpec]) -> Result<RunStatus, String> {
-    use checkfence::mutate::{
-        run_mutation_matrix, MatrixConfig, MutantVerdict, MutationConfig, MutationPlan,
-    };
-    let mut config = MatrixConfig {
-        modes: Mode::hardware().to_vec(),
-        jobs: opts.jobs,
-        provenance: opts.explain,
-        ..MatrixConfig::default()
-    };
-    apply_budgets(&mut config.check, opts);
-    if let ModelArg::Spec(spec) = &opts.model {
-        config.specs.push(spec.clone());
-    }
+    use checkfence::mutate::{run_mutation_matrix, MutantVerdict, MutationConfig, MutationPlan};
+    let config = sweep_config(opts);
     let plan = MutationPlan::build(&harness.program, &MutationConfig::default());
     if plan.points.is_empty() {
         return Err("--ablate: the mutation planner found nothing to mutate".into());
@@ -991,7 +996,7 @@ fn synth_harness(name: &str) -> Option<Harness> {
 /// so the table is byte-identical at any `--jobs` count; only the
 /// trailing summary line (sessions/encodes/timing) varies.
 fn run_synth(opts: &Options, name: &str) -> Result<RunStatus, String> {
-    use cf_synth::{run_corpus, synthesize, CorpusConfig, CorpusRow, SynthBounds};
+    use cf_synth::{run_corpus, synthesize, CorpusRow, SynthBounds};
     let harness = synth_harness(name).ok_or_else(|| {
         format!(
             "--synth `{name}`: expected one of treiber, ms2, msn, lazylist, harris, \
@@ -1009,16 +1014,7 @@ fn run_synth(opts: &Options, name: &str) -> Result<RunStatus, String> {
         corpus.generated,
         corpus.deduped()
     );
-    let mut config = CorpusConfig {
-        jobs: opts.jobs,
-        provenance: opts.explain,
-        ..CorpusConfig::default()
-    };
-    apply_budgets(&mut config.check, opts);
-    if let ModelArg::Spec(spec) = &opts.model {
-        config.specs.push(spec.clone());
-    }
-    let report = run_corpus(&harness, &corpus.tests, &config);
+    let report = run_corpus(&harness, &corpus.tests, &sweep_config(opts));
     print!("{}", report.table());
     if opts.explain {
         print!("{}", report.explain());

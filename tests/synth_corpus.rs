@@ -136,7 +136,9 @@ fn seeded_sample_matches_the_oneshot_oracle_and_jobs_are_deterministic() {
     // A seeded random sample of the synthesized corpus: the
     // engine-batched runner and the one-shot oracle must agree on
     // every sampled (test, model) cell, and the coverage table must be
-    // byte-identical at jobs=1 and jobs=4.
+    // byte-identical at jobs=1 and jobs=4. The bundled `sc` spec rides
+    // along as a fifth column: it is primed, since a built-in already
+    // holds its name, and agrees with the built-in cell by cell.
     let h = treiber::harness(Variant::Unfenced);
     let corpus = synthesize(&h.ops, &SynthBounds::new(2, 3));
     let small: Vec<&TestSpec> = corpus.tests.iter().filter(|t| t.num_ops() <= 4).collect();
@@ -148,19 +150,18 @@ fn seeded_sample_matches_the_oneshot_oracle_and_jobs_are_deterministic() {
             sample.push(pick.clone());
         }
     }
-    let seq = run_corpus(&h, &sample, &CorpusConfig::default());
-    let par = run_corpus(
-        &h,
-        &sample,
-        &CorpusConfig {
-            jobs: 4,
-            ..CorpusConfig::default()
-        },
-    );
+    let config = CorpusConfig {
+        specs: vec![cf_spec::bundled::for_mode(Mode::Sc)],
+        ..CorpusConfig::default()
+    };
+    let seq = run_corpus(&h, &sample, &config);
+    let par = run_corpus(&h, &sample, &CorpusConfig { jobs: 4, ..config });
+    assert_eq!(seq.model_names, ["sc", "tso", "pso", "relaxed", "sc'"]);
     assert_eq!(seq.table(), par.table(), "tables must not depend on jobs");
     assert_one_encode_per_test(&seq, "sample at jobs 1");
     assert_one_encode_per_test(&par, "sample at jobs 4");
     for row in &seq.rows {
+        assert_eq!(row.verdicts[4], row.verdicts[0], "{}: sc'", row.test.name);
         for (mode, got) in Mode::hardware().iter().zip(&row.verdicts) {
             assert_eq!(
                 *got,
